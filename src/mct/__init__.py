@@ -70,6 +70,7 @@ from .transduce import (
     init_prototypes,
     mct_infer,
     predict_labels,
+    refine,
     semi_infer,
     soft_kmeans,
     update_prototypes,
@@ -93,7 +94,7 @@ __all__ = [
     "scaler_eval", "pairwise", "distance",
     # transduction
     "Prototypes", "init_prototypes", "confidence", "update_prototypes",
-    "soft_kmeans", "mct_infer", "semi_infer", "predict_labels",
+    "refine", "soft_kmeans", "mct_infer", "semi_infer", "predict_labels",
     "check_confidence",
     # training
     "TrainConfig", "TrainState", "StepReport", "GlobalClassifier",

@@ -12,7 +12,9 @@ computable as a ceiling for everything downstream.
 from __future__ import annotations
 
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -209,8 +211,9 @@ class EmbeddingTable:
         return self._labels
 
     @property
-    def class_index(self) -> dict[int, np.ndarray]:
-        return dict(self._class_index)
+    def class_index(self) -> Mapping[int, np.ndarray]:
+        """Row indices per class id, as a read-only view."""
+        return MappingProxyType(self._class_index)
 
     @property
     def classes(self) -> list[int]:
@@ -316,13 +319,14 @@ def _sample_from_table(
     if ways < 1 or shots < 1 or queries < 0 or unlabeled < 0 or distractors < 0:
         raise ContractError("episode sizes must be non-negative (ways, shots ≥ 1)")
     need = shots + queries + unlabeled
-    eligible = [c for c in table.classes if table.class_index[c].size >= need]
+    classes, index = table.classes, table.class_index
+    eligible = [c for c in classes if index[c].size >= need]
     if len(eligible) < ways:
         raise CapacityError(
             f"need {ways} classes with ≥ {need} items, table has {len(eligible)}"
         )
     if distractors:
-        pool_ok = [c for c in table.classes if table.class_index[c].size >= unlabeled]
+        pool_ok = [c for c in classes if index[c].size >= unlabeled]
         if len(pool_ok) < ways + distractors:
             raise CapacityError(
                 f"need {ways + distractors} classes for distractor sampling,"
@@ -333,7 +337,7 @@ def _sample_from_table(
     sup_blocks, qry_blocks, unl_blocks = [], [], []
     sup_g, qry_g = [], []
     for c in chosen:
-        idx = rng.permutation(table.class_index[int(c)])
+        idx = rng.permutation(index[int(c)])
         sup_blocks.append(table.rows[idx[:shots]])
         qry_blocks.append(table.rows[idx[shots : shots + queries]])
         if unlabeled:
@@ -341,11 +345,11 @@ def _sample_from_table(
         sup_g.append(np.full(shots, int(c)))
         qry_g.append(np.full(queries, int(c)))
     if distractors:
-        rest = [c for c in table.classes if c not in set(int(v) for v in chosen)
-                and table.class_index[c].size >= unlabeled]
+        taken = {int(v) for v in chosen}
+        rest = [c for c in pool_ok if c not in taken]
         extra = rng.choice(np.array(rest), size=distractors, replace=False)
         for c in extra:
-            idx = rng.permutation(table.class_index[int(c)])
+            idx = rng.permutation(index[int(c)])
             unl_blocks.append(table.rows[idx[:unlabeled]])
     return Episode(
         ways=ways,

@@ -49,7 +49,7 @@ from .metatrain import (
     train,
 )
 from .metric import METRIC_KINDS, MetricSpec, ScalerParams
-from .transduce import mct_infer, predict_labels, semi_infer, soft_kmeans
+from .transduce import predict_labels, refine, semi_infer, soft_kmeans
 
 __all__ = [
     "EpisodeRecord",
@@ -149,16 +149,10 @@ def _score_one(state: ModelState, source, protocol: EvalProtocol, index: int) ->
         conf0 = soft_kmeans(episode, state.encoder, VIEWS[0], state.metric, 0)
         _, _, conf = semi_infer(episode, state.encoder, state.metric)
     else:
-        if protocol.ensemble:
-            conf0 = mct_infer(episode, state.encoder, VIEWS, state.metric, 0)
-        else:
-            conf0 = soft_kmeans(episode, state.encoder, VIEWS[0], state.metric, 0)
-        if protocol.mode == "inductive" or protocol.T == 0:
-            conf = conf0
-        elif protocol.ensemble:
-            conf = mct_infer(episode, state.encoder, VIEWS, state.metric, protocol.T)
-        else:
-            conf = soft_kmeans(episode, state.encoder, VIEWS[0], state.metric, protocol.T)
+        views = VIEWS if protocol.ensemble else VIEWS[:1]
+        steps = protocol.T if protocol.mode == "transductive" else 0
+        trace = refine(episode, state.encoder, views, state.metric, steps)
+        conf0, conf = trace[0], trace[-1]
     accuracy = float(np.mean(predict_labels(conf) == episode.query_y))
     return EpisodeRecord(
         index=index,
@@ -599,6 +593,12 @@ def _cmd_make_synth(args) -> int:
     return 0
 
 
+def _file_error(exc: OSError, outputs=()) -> int:
+    verb = "write" if exc.filename in outputs else "read"
+    print(f"error: cannot {verb} {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
+    return 2
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = _build_parser()
@@ -609,6 +609,8 @@ def main(argv: list[str] | None = None) -> int:
     except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        return _file_error(exc)
     handler = {
         "train": _cmd_train,
         "eval": _cmd_eval,
@@ -620,6 +622,8 @@ def main(argv: list[str] | None = None) -> int:
     except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        return _file_error(exc, (getattr(args, "out", None), getattr(args, "report", None)))
     except MctError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -25,6 +25,7 @@ __all__ = [
     "MetricSpec",
     "scaler_eval",
     "distance",
+    "query_terms",
     "pairwise",
     "METRIC_KINDS",
 ]
@@ -95,11 +96,15 @@ class ScalerParams:
         )
 
 
-def scaler_eval(scaler: ScalerParams, features, tape: nk.Tape | None = None):
+def scaler_eval(scaler: ScalerParams, features, tape: nk.Tape | None = None, *, blocks: int = 1):
     """g(features): strictly positive, in (exp(beta), exp(alpha)+exp(beta)).
 
     Accepts one feature vector (returns a scalar) or a batch of rows
-    (returns an (n, 1) column).
+    (returns an (n, 1) column). Untaped, ``blocks`` splits the batch into
+    that many equal runs of consecutive rows and evaluates each run as
+    a batch of its own: the result is bitwise what one call per run
+    returns, which a single batch is not, since BLAS sums a row's
+    products in an order that depends on the number of rows.
     """
     fv = nk.value_of(features)
     single = fv.ndim == 1
@@ -110,6 +115,10 @@ def scaler_eval(scaler: ScalerParams, features, tape: nk.Tape | None = None):
         raise ContractError(
             f"scaler expects rows of width {scaler.in_dim}, got {fv.shape}"
         )
+    if blocks != 1:
+        if tape is not None or blocks < 1 or fv.shape[0] % blocks:
+            raise ContractError(f"cannot split {fv.shape[0]} untaped rows into {blocks} runs")
+        features = fv.reshape(blocks, -1, fv.shape[1])
     plain = scaler.to_named()
     if tape is None:
         named = plain.__getitem__
@@ -124,7 +133,7 @@ def scaler_eval(scaler: ScalerParams, features, tape: nk.Tape | None = None):
     )
     if single:
         return nk.reshape(g, ())
-    return g
+    return g if blocks == 1 else g.reshape(fv.shape[0], 1)
 
 
 @dataclass(frozen=True)
@@ -184,50 +193,94 @@ class MetricSpec:
 def _normalize(x, tape: nk.Tape | None):
     """Project rows onto the unit sphere; tiny norms are a domain error."""
     xv = nk.value_of(x)
-    norms_v = np.sqrt((xv * xv).sum(axis=1))
+    norms_v = np.sqrt((xv * xv).sum(axis=-1))
     if np.any(norms_v < _NORM_FLOOR):
         raise DomainError(
             f"cannot normalize embeddings with norm below {_NORM_FLOOR}"
         )
-    norms = nk.sqrt(nk.asum(nk.mul(x, x), axis=1, keepdims=True))
+    norms = nk.sqrt(nk.asum(nk.mul(x, x), axis=-1, keepdims=True))
     return nk.div(x, norms)
 
 
+def _scale_rows(scaler: ScalerParams, x, tape: nk.Tape | None):
+    """g of every row as a column: (n, 1) for a row set, (V, n, 1) for a stack.
+
+    A stack goes to ``scaler_eval`` as one (V*n, l) batch in V runs.
+    """
+    xv = nk.value_of(x)
+    if xv.ndim == 2:
+        return scaler_eval(scaler, x, tape)
+    g = scaler_eval(scaler, xv.reshape(-1, xv.shape[-1]), blocks=xv.shape[0])
+    return g.reshape(*xv.shape[:-1], 1)
+
+
 def _sq_diff(a, b):
-    """All-pairs squared distances via an explicit (n, m, l) difference."""
+    """All-pairs squared distances via an explicit (..., n, m, l) difference."""
     av, bv = nk.value_of(a), nk.value_of(b)
-    n, l = av.shape
-    m = bv.shape[0]
-    diff = nk.sub(nk.reshape(a, (n, 1, l)), nk.reshape(b, (1, m, l)))
-    return nk.asum(nk.mul(diff, diff), axis=2)
+    *lead, n, l = av.shape
+    m = bv.shape[-2]
+    if not isinstance(a, nk.Var) and not isinstance(b, nk.Var):
+        # squared in place: one large temporary fewer, same values
+        diff = av.reshape(*lead, n, 1, l) - bv.reshape(*lead, 1, m, l)
+        diff *= diff
+        return diff.sum(axis=-1)
+    diff = nk.sub(nk.reshape(a, (*lead, n, 1, l)), nk.reshape(b, (*lead, 1, m, l)))
+    return nk.asum(nk.mul(diff, diff), axis=-1)
 
 
-def pairwise(spec: MetricSpec, a, b, tape: nk.Tape | None = None):
+def query_terms(spec: MetricSpec, a) -> np.ndarray | None:
+    """The query-side part of :func:`pairwise` that no prototype enters.
+
+    For ``instance`` these are the unit rows of ``a`` divided by g(a);
+    the other kinds have none, since euclid and scaled use the rows as
+    they are and pair evaluates g on whole (query, prototype) pairs.
+    A refinement loop computes them once per episode and passes them to
+    every step's ``pairwise`` call. Untaped; ``a`` is (n, l) or (V, n, l).
+    """
+    if spec.kind != "instance":
+        return None
+    return _normalize(a, None) / _scale_rows(spec.scaler, a, None)
+
+
+def pairwise(spec: MetricSpec, a, b, tape: nk.Tape | None = None, *, query=None):
     """Distance matrix between row sets: entry (i, j) = d(a_i, b_j).
 
     ``a`` is the query side and ``b`` the prototype side; the pair kind
     consumes concatenations in exactly that order. Identical rows map
-    to exactly zero under every kind.
+    to exactly zero under every kind. Untaped calls also take stacks of
+    V row sets, (V, n, l) against (V, m, l), and return (V, n, m) with
+    every slice bitwise equal to the unstacked call; ``query`` may then
+    carry ``query_terms(spec, a)`` so that they are not recomputed.
     """
     av, bv = nk.value_of(a), nk.value_of(b)
-    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[1]:
+    if (av.ndim not in (2, 3) or bv.ndim != av.ndim
+            or av.shape[:-2] != bv.shape[:-2] or av.shape[-1] != bv.shape[-1]):
         raise ContractError("pairwise expects row sets of one embedding width")
+    if tape is not None and (av.ndim != 2 or query is not None):
+        raise ContractError("only plain (n, l) row sets are differentiated")
+    if query is not None and np.shape(query) != av.shape:
+        raise ContractError("query terms must match the query rows")
     if spec.kind == "euclid":
         return _sq_diff(a, b)
     if spec.kind == "scaled":
         s = float(spec.s) if tape is None else tape.param(np.asarray(float(spec.s)), name="metric.s")
         return nk.mul(s, _sq_diff(a, b))
-    n, l = av.shape
-    m = bv.shape[0]
+    *lead, n, _ = av.shape
+    m = bv.shape[-2]
+    if spec.kind == "instance" and query is not None:
+        return _sq_diff(query, _normalize(b, None) / _scale_rows(spec.scaler, b, None))
     a_hat = _normalize(a, tape)
     b_hat = _normalize(b, tape)
     if spec.kind == "instance":
-        g_a = scaler_eval(spec.scaler, a, tape)  # raw embeddings feed g
-        g_b = scaler_eval(spec.scaler, b, tape)
+        g_a = _scale_rows(spec.scaler, a, tape)  # raw embeddings feed g
+        g_b = _scale_rows(spec.scaler, b, tape)
         return _sq_diff(nk.div(a_hat, g_a), nk.div(b_hat, g_b))
     # pair kind: one g per (query, prototype) combination
-    pairs = nk.concat([nk.repeat_rows(a, m), nk.tile_rows(b, n)], axis=1)
-    g = nk.reshape(scaler_eval(spec.scaler, pairs, tape), (n, m))
+    if av.ndim == 2:
+        pairs = nk.concat([nk.repeat_rows(a, m), nk.tile_rows(b, n)], axis=1)
+    else:
+        pairs = np.concatenate([np.repeat(av, m, axis=1), np.tile(bv, (1, n, 1))], axis=-1)
+    g = nk.reshape(_scale_rows(spec.scaler, pairs, tape), (*lead, n, m))
     return nk.div(_sq_diff(a_hat, b_hat), nk.mul(g, g))
 
 

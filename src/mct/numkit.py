@@ -376,8 +376,8 @@ def neg(x):
 def matmul(a, b):
     tape = _tape_of(a, b)
     av, bv = value_of(a), value_of(b)
-    if av.ndim != 2 or bv.ndim != 2:
-        raise ContractError("matmul expects 2-D operands")
+    if av.ndim < 2 or bv.ndim < 2 or (tape is not None and (av.ndim, bv.ndim) != (2, 2)):
+        raise ContractError("matmul expects 2-D operands (or, untaped, stacks of them)")
     out = av @ bv
     if tape is None:
         return out

@@ -7,7 +7,9 @@ weight to that class's prototype, while every support item keeps weight
 exactly 1, and the process repeats for T steps. The multi-view variant
 runs one prototype set per encoder view, averages the per-view
 confidences into a single ensemble at every step, and updates all views
-with that shared ensemble, each in its own embedding space.
+with that shared ensemble, each in its own embedding space. Inference
+runs through :func:`refine`, which returns the ensemble at every step;
+``soft_kmeans`` (one view) and ``mct_infer`` keep its last step.
 
 Confidence matrices are plain (n, ways) float64 arrays whose rows sum
 to one; prototype matrices are (ways, embed_dim), row c-1 for class c.
@@ -23,7 +25,7 @@ from . import numkit as nk
 from .encoder import VIEWS, ViewSpec, encode_batch
 from .episodes import Episode
 from .errors import ContractError
-from .metric import MetricSpec, pairwise
+from .metric import MetricSpec, pairwise, query_terms
 
 __all__ = [
     "Prototypes",
@@ -33,6 +35,7 @@ __all__ = [
     "init_prototypes",
     "confidence",
     "update_prototypes",
+    "refine",
     "soft_kmeans",
     "mct_infer",
     "semi_infer",
@@ -125,6 +128,54 @@ def update_prototypes(
     return nk.div(num, nk.add(counts, mass))
 
 
+def refine(
+    episode: Episode,
+    encoder,
+    views: tuple[ViewSpec, ...],
+    metric: MetricSpec,
+    T: int,
+) -> np.ndarray:
+    """Multi-view ensemble transduction; returns the confidence trace.
+
+    At every step each view scores the queries against its own
+    prototypes; the ensemble confidence is the exact arithmetic mean of
+    those local confidences, and every view's prototypes are then
+    updated with the shared ensemble weights in the view's own
+    embedding space. Returns a (T+1, n_query, ways) array whose row t
+    is the ensemble at step t, so row 0 is plain inductive inference.
+
+    Untaped. The views' embeddings are stacked as (V, n, l) arrays, so
+    each step makes one distance call, one softmax and one prototype
+    update for all views; the support class sums and the query-side
+    metric terms are computed once. Every value is bitwise equal to
+    running the views one by one.
+    """
+    if T < 0:
+        raise ContractError("T must be non-negative")
+    if len(views) < 1:
+        raise ContractError("need at least one view")
+    ways = episode.ways
+    emb_s = np.stack([encode_batch(encoder, episode.support_x, v) for v in views])
+    emb_q = np.stack([encode_batch(encoder, episode.query_x, v) for v in views])
+    counts = class_counts(episode.support_y, ways)[:, None]
+    class_sums = np.matmul(one_hot(episode.support_y, ways).T, emb_s)
+    protos = class_sums / counts
+    q_terms = query_terms(metric, emb_q)
+    trace = []
+    for t in range(T + 1):
+        local = nk.softmax_neg(pairwise(metric, emb_q, protos, query=q_terms))
+        ensemble = local[0]
+        for conf in local[1:]:
+            ensemble = ensemble + conf
+        ensemble = ensemble / len(views)
+        trace.append(ensemble)
+        if t < T:
+            weighted = np.matmul(np.ascontiguousarray(ensemble.T), emb_q)
+            mass = ensemble.sum(axis=0).reshape(ways, 1)
+            protos = (class_sums + weighted) / (counts + mass)
+    return np.stack(trace)
+
+
 def soft_kmeans(
     episode: Episode,
     encoder,
@@ -133,18 +184,7 @@ def soft_kmeans(
     T: int,
 ) -> np.ndarray:
     """Single-view transduction; T = 0 is plain inductive inference."""
-    if T < 0:
-        raise ContractError("T must be non-negative")
-    emb_s = encode_batch(encoder, episode.support_x, view)
-    emb_q = encode_batch(encoder, episode.query_x, view)
-    protos = init_from_embeddings(emb_s, episode.support_y, episode.ways)
-    conf = confidence(emb_q, protos, metric)
-    for _ in range(T):
-        protos = update_prototypes(
-            emb_s, episode.support_y, episode.ways, emb_q, conf
-        )
-        conf = confidence(emb_q, protos, metric)
-    return conf
+    return refine(episode, encoder, (view,), metric, T)[-1]
 
 
 def mct_infer(
@@ -154,37 +194,8 @@ def mct_infer(
     metric: MetricSpec,
     T: int,
 ) -> np.ndarray:
-    """Multi-view ensemble transduction.
-
-    At every step each view scores the queries against its own
-    prototypes; the ensemble confidence is the exact arithmetic mean of
-    those local confidences, and every view's prototypes are then
-    updated with the shared ensemble weights in the view's own
-    embedding space. Returns the ensemble at step T.
-    """
-    if T < 0:
-        raise ContractError("T must be non-negative")
-    if len(views) < 1:
-        raise ContractError("need at least one view")
-    emb_s = {v.name: encode_batch(encoder, episode.support_x, v) for v in views}
-    emb_q = {v.name: encode_batch(encoder, episode.query_x, v) for v in views}
-    protos = {
-        v.name: init_from_embeddings(emb_s[v.name], episode.support_y, episode.ways)
-        for v in views
-    }
-    for t in range(T + 1):
-        locals_ = [confidence(emb_q[v.name], protos[v.name], metric) for v in views]
-        ensemble = sum(locals_) / len(views)
-        if t == T:
-            return ensemble
-        protos = {
-            v.name: update_prototypes(
-                emb_s[v.name], episode.support_y, episode.ways,
-                emb_q[v.name], ensemble,
-            )
-            for v in views
-        }
-    raise AssertionError("unreachable")
+    """Multi-view ensemble transduction; the ensemble at step T of :func:`refine`."""
+    return refine(episode, encoder, views, metric, T)[-1]
 
 
 def semi_infer(

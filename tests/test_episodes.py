@@ -94,6 +94,14 @@ class TestTableSampling:
         # 5 episode classes and 2 distractor classes contribute 10 each
         assert ep.unlabeled_x.shape == (70, 4)
 
+    def test_class_index_is_read_only(self):
+        t = small_table()
+        with pytest.raises(TypeError):
+            t.class_index[0] = np.arange(3)
+        with pytest.raises(TypeError):
+            del t.class_index[0]
+        assert sorted(t.class_index) == t.classes
+
     def test_global_ids_recorded(self):
         ep = sample_episode(small_table(), ways=5, shots=2, queries=3, rng_seed=4)
         assert ep.support_g is not None and ep.query_g is not None

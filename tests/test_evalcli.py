@@ -286,6 +286,27 @@ class TestCli:
         assert code == 2
         assert "byte offset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["eval", "--checkpoint", "{missing}", "--episodes", "2"],
+        ["eval", "--source", "{missing}", "--episodes", "2"],
+        ["train", "--source", "{missing}", "--steps", "1", "--out", "{out}"],
+        ["eval", "--config", "{missing}"],
+    ])
+    def test_missing_input_file_exits_two(self, args, tmp_path, capsys):
+        missing = str(tmp_path / "missing.bin")
+        out = str(tmp_path / "m.mctp")
+        code = main([a.format(missing=missing, out=out) for a in args])
+        assert code == 2
+        assert f"error: cannot read {missing}: " in capsys.readouterr().err
+        assert not (tmp_path / "m.mctp").exists()
+
+    def test_unwritable_report_exits_two(self, tmp_path, capsys):
+        report = str(tmp_path / "no-such-dir" / "r.jsonl")
+        code = main(["eval", "--episodes", "1", "--transduction-steps", "0",
+                     "--report", report])
+        assert code == 2
+        assert f"error: cannot write {report}: " in capsys.readouterr().err
+
     def test_config_file_supplies_defaults(self, table_file, tmp_path):
         cfg = tmp_path / "mct.cfg"
         cfg.write_text("episodes=4\ntransduction-steps=1  # comment\n\n")

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from mct import numkit as nk
 from mct.errors import ContractError, DomainError
-from mct.metric import METRIC_KINDS, MetricSpec, ScalerParams, distance, pairwise, scaler_eval
+from mct.metric import (
+    METRIC_KINDS, MetricSpec, ScalerParams, distance, pairwise, query_terms, scaler_eval,
+)
 
 
 def zero_scaler(in_dim, hidden=32, b2=0.0, alpha=0.0, beta=0.0):
@@ -68,6 +70,17 @@ class TestScalerEval:
     def test_batch_column_shape(self):
         g = scaler_eval(zero_scaler(4), np.ones((7, 4)))
         assert g.shape == (7, 1)
+
+    def test_blocks_equal_one_call_per_run_bitwise(self):
+        rng = np.random.default_rng(9)
+        scaler = ScalerParams.init(8, rng)
+        feats = rng.normal(size=(4 * 7, 8))
+        per_run = np.concatenate([scaler_eval(scaler, f) for f in np.split(feats, 4)])
+        assert np.array_equal(scaler_eval(scaler, feats, blocks=4), per_run)
+        with pytest.raises(ContractError):
+            scaler_eval(scaler, feats, blocks=5)
+        with pytest.raises(ContractError):
+            scaler_eval(scaler, feats, nk.Tape(), blocks=4)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ContractError):
@@ -193,6 +206,26 @@ class TestPairwise:
     def test_width_mismatch_rejected(self):
         with pytest.raises(ContractError):
             pairwise(MetricSpec.euclid(), np.ones((2, 3)), np.ones((2, 4)))
+
+    def test_stack_slices_equal_unstacked_calls_bitwise(self):
+        rng = np.random.default_rng(7)
+        A = rng.normal(size=(3, 7, 6))
+        B = rng.normal(size=(3, 5, 6))
+        for spec in all_specs(6):
+            per_slice = np.stack([pairwise(spec, a, b) for a, b in zip(A, B)])
+            assert np.array_equal(pairwise(spec, A, B), per_slice)
+            prepared = pairwise(spec, A, B, query=query_terms(spec, A))
+            assert np.array_equal(prepared, per_slice)
+
+    def test_stacks_and_prepared_terms_stay_off_the_tape(self):
+        spec = MetricSpec.instance(3, np.random.default_rng(8))
+        a, b = np.ones((2, 3)), np.full((4, 3), 2.0)
+        with pytest.raises(ContractError):
+            pairwise(spec, a[None], b[None], nk.Tape())
+        with pytest.raises(ContractError):
+            pairwise(spec, a, b, nk.Tape(), query=query_terms(spec, a))
+        with pytest.raises(ContractError):
+            pairwise(spec, a, b, query=np.ones((3, 3)))
 
 
 class TestMetricGradients:

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mct.encoder import VIEWS, view_by_name
-from mct.episodes import Episode, SyntheticSpec, gen_synthetic
+from mct.checkpoint import ModelState
+from mct.encoder import VIEWS, EncoderParams, encode_batch, view_by_name
+from mct.episodes import Episode, SyntheticSpec, derive_seed, gen_synthetic, sample_episode
 from mct.errors import ContractError
-from mct.metric import MetricSpec
+from mct.evalcli import EvalProtocol, evaluate, nll
+from mct.metric import METRIC_KINDS, MetricSpec
 from mct.transduce import (
     check_confidence,
     confidence,
@@ -16,6 +18,7 @@ from mct.transduce import (
     init_prototypes,
     mct_infer,
     predict_labels,
+    refine,
     semi_infer,
     soft_kmeans,
     update_prototypes,
@@ -276,3 +279,111 @@ class TestPredictLabels:
         t0 = np.mean(predict_labels(soft_kmeans(ep, None, VIEWS[0], EUCLID, 0)) == ep.query_y)
         t10 = np.mean(predict_labels(soft_kmeans(ep, None, VIEWS[0], EUCLID, 10)) == ep.query_y)
         assert t10 >= t0
+
+
+# --------------------------------------------------------------------------
+# The stacked refinement core against the per-view loop it replaced
+# --------------------------------------------------------------------------
+
+
+def per_view_soft_kmeans(episode, encoder, view, metric, T):
+    """Single-view refinement, one step at a time (test oracle)."""
+    emb_s = encode_batch(encoder, episode.support_x, view)
+    emb_q = encode_batch(encoder, episode.query_x, view)
+    protos = init_from_embeddings(emb_s, episode.support_y, episode.ways)
+    conf = confidence(emb_q, protos, metric)
+    for _ in range(T):
+        protos = update_prototypes(emb_s, episode.support_y, episode.ways, emb_q, conf)
+        conf = confidence(emb_q, protos, metric)
+    return conf
+
+
+def per_view_mct_infer(episode, encoder, views, metric, T):
+    """Ensemble refinement with one prototype set per view, view by view (test oracle)."""
+    emb_s = {v.name: encode_batch(encoder, episode.support_x, v) for v in views}
+    emb_q = {v.name: encode_batch(encoder, episode.query_x, v) for v in views}
+    protos = {
+        v.name: init_from_embeddings(emb_s[v.name], episode.support_y, episode.ways)
+        for v in views
+    }
+    for t in range(T + 1):
+        locals_ = [confidence(emb_q[v.name], protos[v.name], metric) for v in views]
+        ensemble = sum(locals_) / len(views)
+        if t == T:
+            return ensemble
+        protos = {
+            v.name: update_prototypes(
+                emb_s[v.name], episode.support_y, episode.ways, emb_q[v.name], ensemble,
+            )
+            for v in views
+        }
+
+
+def metric_of(kind, dim, seed=0):
+    rng = np.random.default_rng(seed)
+    return {
+        "euclid": MetricSpec.euclid,
+        "scaled": lambda: MetricSpec.scaled(0.3),
+        "instance": lambda: MetricSpec.instance(dim, rng),
+        "pair": lambda: MetricSpec.pair(dim, rng),
+    }[kind]()
+
+
+ENCODERS = {
+    "identity": (None, 16),
+    "init": (EncoderParams.init(16, np.random.default_rng(5), hidden=32,
+                                positions=2, channels=16), 32),
+}
+VIEW_SETS = (VIEWS[:1], VIEWS[1:3], VIEWS)
+
+
+class TestRefine:
+    @pytest.mark.parametrize("kind", METRIC_KINDS)
+    @pytest.mark.parametrize("encoder_name", sorted(ENCODERS))
+    def test_bitwise_equal_to_per_view_loop(self, kind, encoder_name):
+        encoder, width = ENCODERS[encoder_name]
+        metric = metric_of(kind, width)
+        episodes = [synth_episode(seed=s, shots=2, queries=7)[0] for s in (21, 22)]
+        # one-row batches take other BLAS kernels than many-row ones
+        episodes.append(synth_episode(seed=24, ways=1, queries=1)[0])
+        episodes.append(synth_episode(seed=25, ways=2, queries=1)[0])
+        for ep in episodes:
+            for views in VIEW_SETS:
+                inductive = per_view_mct_infer(ep, encoder, views, metric, 0)
+                for T in (0, 1, 10):
+                    trace = refine(ep, encoder, views, metric, T)
+                    assert trace.shape == (T + 1, ep.query_x.shape[0], ep.ways)
+                    assert np.array_equal(trace[0], inductive)
+                    expected = per_view_mct_infer(ep, encoder, views, metric, T)
+                    assert np.array_equal(trace[-1], expected), (len(views), T)
+                    assert np.array_equal(mct_infer(ep, encoder, views, metric, T), expected)
+                    if len(views) == 1:
+                        solo = per_view_soft_kmeans(ep, encoder, views[0], metric, T)
+                        assert np.array_equal(soft_kmeans(ep, encoder, views[0], metric, T), solo)
+
+    def test_trace_rows_are_the_shorter_runs(self):
+        ep, _ = synth_episode(seed=23)
+        trace = refine(ep, None, VIEWS, EUCLID, 5)
+        for t in range(6):
+            assert np.array_equal(trace[t], mct_infer(ep, None, VIEWS, EUCLID, t))
+
+    @pytest.mark.parametrize("mode,ensemble", [
+        ("transductive", True), ("transductive", False), ("inductive", True),
+    ])
+    def test_evaluate_records_match_two_pass_scoring(self, mode, ensemble):
+        encoder, width = ENCODERS["init"]
+        state = ModelState(metric=metric_of("instance", width, seed=3), encoder=encoder)
+        source = SyntheticSpec(input_dim=16, class_spread=4.0, within_std=1.0)
+        protocol = EvalProtocol(n_episodes=3, T=4, mode=mode, ensemble=ensemble, master_seed=9)
+        views = VIEWS if ensemble else VIEWS[:1]
+        report = evaluate(state, source, protocol)
+        for i, record in enumerate(report.records):
+            ep = sample_episode(source, 5, 1, 15, derive_seed(9, i))
+            conf0 = per_view_mct_infer(ep, encoder, views, state.metric, 0)
+            conf = conf0
+            if mode == "transductive":
+                conf = per_view_mct_infer(ep, encoder, views, state.metric, 4)
+            accuracy = float(np.mean(predict_labels(conf) == ep.query_y))
+            assert (record.accuracy, record.nll, record.nll_final) == (
+                accuracy, nll(conf0, ep.query_y), nll(conf, ep.query_y)
+            )
