@@ -71,7 +71,9 @@ from .transduce import (
     mct_infer,
     predict_labels,
     refine,
+    refine_batch,
     semi_infer,
+    semi_refine,
     soft_kmeans,
     update_prototypes,
 )
@@ -94,7 +96,8 @@ __all__ = [
     "scaler_eval", "pairwise", "distance",
     # transduction
     "Prototypes", "init_prototypes", "confidence", "update_prototypes",
-    "refine", "soft_kmeans", "mct_infer", "semi_infer", "predict_labels",
+    "refine", "refine_batch", "soft_kmeans", "mct_infer", "semi_infer",
+    "semi_refine", "predict_labels",
     "check_confidence",
     # training
     "TrainConfig", "TrainState", "StepReport", "GlobalClassifier",

@@ -4,7 +4,8 @@ Layout (little-endian): magic "MCTP", version u32 = 1, tensor count
 u32, then for each tensor a name-length u32, the UTF-8 name, rank u32,
 one u32 extent per axis, and the float64 data row-major. Tensors are
 written in sorted name order, so identical states produce identical
-bytes. Round-trips are bit-exact.
+bytes. Round-trips are bit-exact. Only finite values are written, and
+a file is replaced whole, never rewritten in place.
 
 :class:`ModelState` is the bundle the trainer produces and the
 evaluator consumes: optional encoder weights, a metric, and an optional
@@ -14,13 +15,15 @@ scalars carrying the non-tensor settings.
 
 from __future__ import annotations
 
+import os
 import struct
+import uuid
 from dataclasses import dataclass
 
 import numpy as np
 
 from .encoder import EncoderParams
-from .errors import FormatError
+from .errors import DomainError, FormatError
 from .metric import METRIC_KINDS, MetricSpec
 
 __all__ = ["save_tensors", "load_tensors", "ModelState", "save_state", "load_state"]
@@ -32,18 +35,36 @@ _MAX_RANK = 32
 
 
 def save_tensors(path, named: dict[str, np.ndarray]) -> None:
-    """Write named float64 tensors in sorted name order."""
+    """Write named float64 tensors in sorted name order.
+
+    A non-finite value is a :class:`DomainError` naming its tensor,
+    raised before the file is touched. The bytes go to a fresh file
+    beside ``path`` that then replaces it, so a write that fails midway
+    leaves the previous file as it was.
+    """
     chunks = [struct.pack("<4sII", _MAGIC, _VERSION, len(named))]
     for name in sorted(named):
         raw = name.encode("utf-8")
         arr = np.ascontiguousarray(np.asarray(named[name], dtype=np.float64))
+        if not np.all(np.isfinite(arr)):
+            raise DomainError(f"tensor {name!r} holds a non-finite value")
         chunks.append(struct.pack("<I", len(raw)))
         chunks.append(raw)
         chunks.append(struct.pack("<I", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(arr.astype("<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    path = os.fspath(path)
+    tmp = f"{path}.{uuid.uuid4().hex[:12]}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(b"".join(chunks))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _need(blob: bytes, pos: int, n: int, what: str) -> None:

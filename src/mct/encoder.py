@@ -206,21 +206,27 @@ def encode_batch(
     ``params=None`` is the identity encoder: the input row itself is the
     embedding (one position, input_dim channels), with the augment views
     still applying coordinate reversal. Train mode needs ``rng`` for the
-    dropout draws; eval mode is deterministic.
+    dropout draws; eval mode is deterministic. Untaped eval calls also
+    take a stack of E row sets, (E, n, input_dim), and return
+    (E, n, positions*channels) with every slice bitwise equal to its own
+    call, since each slice's products go to a matrix product of their own.
     """
     if mode not in ("train", "eval"):
         raise ContractError(f"mode must be 'train' or 'eval', got {mode!r}")
     xv = nk.value_of(x)
-    if xv.ndim != 2:
+    if xv.ndim == 3:
+        if tape is not None or isinstance(x, nk.Var) or mode != "eval":
+            raise ContractError("only untaped eval-mode calls take stacked row sets")
+    elif xv.ndim != 2:
         raise ContractError("encode_batch expects (n, input_dim) rows")
     h = x
     if view.augment:
         h = nk.flip_last(h)
     if params is None:
         return h
-    if xv.shape[1] != params.input_dim:
+    if xv.shape[-1] != params.input_dim:
         raise ContractError(
-            f"input dim {xv.shape[1]} does not match encoder ({params.input_dim})"
+            f"input dim {xv.shape[-1]} does not match encoder ({params.input_dim})"
         )
     drop_on = mode == "train" and params.dropout > 0.0
     if drop_on and rng is None:

@@ -6,7 +6,8 @@ confidence interval (1.96 * sample std / sqrt(n)), and negative
 log-likelihood both before the first transductive step and at the final
 step. Reports render as JSON lines (one record per episode plus a
 summary) and as a plain-text table; both renderings are byte-stable
-given (model, seed, protocol), independent of the worker count.
+given (model, seed, protocol); the worker count is accepted for
+compatibility and changes nothing.
 
 ``gradcheck`` drives the full training loss on small random episodes
 and compares every tape gradient entry against central finite
@@ -22,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -49,7 +49,7 @@ from .metatrain import (
     train,
 )
 from .metric import METRIC_KINDS, MetricSpec, ScalerParams
-from .transduce import predict_labels, refine, semi_infer, soft_kmeans
+from .transduce import predict_labels, refine_batch, semi_refine
 
 __all__ = [
     "EpisodeRecord",
@@ -136,31 +136,45 @@ class Report:
     config: dict = field(default_factory=dict)
 
 
-def _score_one(state: ModelState, source, protocol: EvalProtocol, index: int) -> EpisodeRecord:
-    seed = derive_seed(protocol.master_seed, index)
-    semi = protocol.mode == "semi"
-    episode = sample_episode(
-        source, protocol.ways, protocol.shots, protocol.queries, seed,
-        unlabeled=protocol.unlabeled_count if semi else 0,
-        distractors=protocol.distractors if semi else 0,
-    )
-    if semi:
-        # baseline and refinement both use the plain view here
-        conf0 = soft_kmeans(episode, state.encoder, VIEWS[0], state.metric, 0)
-        _, _, conf = semi_infer(episode, state.encoder, state.metric)
-    else:
-        views = VIEWS if protocol.ensemble else VIEWS[:1]
-        steps = protocol.T if protocol.mode == "transductive" else 0
-        trace = refine(episode, state.encoder, views, state.metric, steps)
-        conf0, conf = trace[0], trace[-1]
-    accuracy = float(np.mean(predict_labels(conf) == episode.query_y))
+# Episodes per refine_batch call. Larger batches stop paying off once the
+# per-op Python cost is amortized and the stacks outgrow the caches.
+_BATCH = 4
+
+
+def _record(index: int, seed: int, episode, conf0, conf) -> EpisodeRecord:
     return EpisodeRecord(
         index=index,
         seed=seed,
-        accuracy=accuracy,
+        accuracy=float(np.mean(predict_labels(conf) == episode.query_y)),
         nll=nll(conf0, episode.query_y),
         nll_final=nll(conf, episode.query_y),
     )
+
+
+def _score_semi(state: ModelState, source, protocol: EvalProtocol, index: int) -> EpisodeRecord:
+    seed = derive_seed(protocol.master_seed, index)
+    episode = sample_episode(
+        source, protocol.ways, protocol.shots, protocol.queries, seed,
+        unlabeled=protocol.unlabeled_count, distractors=protocol.distractors,
+    )
+    # baseline and refinement both use the plain view here
+    conf0, conf = semi_refine(episode, state.encoder, state.metric)
+    return _record(index, seed, episode, conf0, conf)
+
+
+def _score_batch(state: ModelState, source, protocol: EvalProtocol, indices):
+    seeds = [derive_seed(protocol.master_seed, i) for i in indices]
+    episodes = [
+        sample_episode(source, protocol.ways, protocol.shots, protocol.queries, seed)
+        for seed in seeds
+    ]
+    views = VIEWS if protocol.ensemble else VIEWS[:1]
+    steps = protocol.T if protocol.mode == "transductive" else 0
+    traces = refine_batch(episodes, state.encoder, views, state.metric, steps)
+    return [
+        _record(i, seed, ep, trace[0], trace[-1])
+        for i, seed, ep, trace in zip(indices, seeds, episodes, traces)
+    ]
 
 
 def evaluate(state: ModelState, source, protocol: EvalProtocol) -> Report:
@@ -168,21 +182,23 @@ def evaluate(state: ModelState, source, protocol: EvalProtocol) -> Report:
 
     ``mean_nll`` comes from the confidences before the first
     transductive step, ``mean_nll_final`` from the returned step-T
-    confidences. Episode i is seeded from (master_seed, i), so the
-    result is identical for any worker count.
+    confidences. Episode i is seeded from (master_seed, i). Inductive
+    and transductive episodes are sampled in index order and refined a
+    few at a time through one ``refine_batch`` call, in this process;
+    semi-mode episodes are scored one by one. ``protocol.workers`` is
+    validated but changes neither the computation nor the result.
     """
-    indices = range(protocol.n_episodes)
-    if protocol.workers == 1:
-        records = [_score_one(state, source, protocol, i) for i in indices]
+    n = protocol.n_episodes
+    if protocol.mode == "semi":
+        records = [_score_semi(state, source, protocol, i) for i in range(n)]
     else:
-        with ThreadPoolExecutor(max_workers=protocol.workers) as pool:
-            records = list(pool.map(
-                lambda i: _score_one(state, source, protocol, i), indices
-            ))
+        records = []
+        for start in range(0, n, _BATCH):
+            batch = range(start, min(start + _BATCH, n))
+            records += _score_batch(state, source, protocol, batch)
     acc = np.array([r.accuracy for r in records])
     nll0 = np.array([r.nll for r in records])
     nll_t = np.array([r.nll_final for r in records])
-    n = len(records)
     ci95 = float(1.96 * acc.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return Report(
         mode=protocol.mode,

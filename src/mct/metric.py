@@ -215,13 +215,26 @@ def _scale_rows(scaler: ScalerParams, x, tape: nk.Tape | None):
 
 
 def _sq_diff(a, b):
-    """All-pairs squared distances via an explicit (..., n, m, l) difference."""
+    """All-pairs squared distances via an explicit (..., n, m, l) difference.
+
+    Untaped stacks fill the (..., n, m) result one prototype column at a
+    time from (..., n, l) temporaries; every entry is the same sum of
+    the same squares, so the values do not change.
+    """
     av, bv = nk.value_of(a), nk.value_of(b)
     *lead, n, l = av.shape
     m = bv.shape[-2]
     if not isinstance(a, nk.Var) and not isinstance(b, nk.Var):
+        if lead:
+            out = np.empty((*lead, n, m))
+            diff = np.empty_like(av)
+            for j in range(m):
+                np.subtract(av, bv[..., j:j + 1, :], out=diff)
+                diff *= diff
+                out[..., j] = diff.sum(axis=-1)
+            return out
         # squared in place: one large temporary fewer, same values
-        diff = av.reshape(*lead, n, 1, l) - bv.reshape(*lead, 1, m, l)
+        diff = av.reshape(n, 1, l) - bv.reshape(1, m, l)
         diff *= diff
         return diff.sum(axis=-1)
     diff = nk.sub(nk.reshape(a, (*lead, n, 1, l)), nk.reshape(b, (*lead, 1, m, l)))

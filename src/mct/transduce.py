@@ -8,8 +8,10 @@ exactly 1, and the process repeats for T steps. The multi-view variant
 runs one prototype set per encoder view, averages the per-view
 confidences into a single ensemble at every step, and updates all views
 with that shared ensemble, each in its own embedding space. Inference
-runs through :func:`refine`, which returns the ensemble at every step;
-``soft_kmeans`` (one view) and ``mct_infer`` keep its last step.
+runs through :func:`refine_batch`, which refines a batch of same-shape
+episodes at once and returns the ensemble at every step; :func:`refine`
+is its one-episode form, and ``soft_kmeans`` (one view) and
+``mct_infer`` keep its last step.
 
 Confidence matrices are plain (n, ways) float64 arrays whose rows sum
 to one; prototype matrices are (ways, embed_dim), row c-1 for class c.
@@ -35,10 +37,12 @@ __all__ = [
     "init_prototypes",
     "confidence",
     "update_prototypes",
+    "refine_batch",
     "refine",
     "soft_kmeans",
     "mct_infer",
     "semi_infer",
+    "semi_refine",
     "predict_labels",
     "check_confidence",
 ]
@@ -128,6 +132,72 @@ def update_prototypes(
     return nk.div(num, nk.add(counts, mass))
 
 
+def refine_batch(
+    episodes,
+    encoder,
+    views: tuple[ViewSpec, ...],
+    metric: MetricSpec,
+    T: int,
+) -> np.ndarray:
+    """Multi-view ensemble transduction over a batch of episodes.
+
+    At every step each view scores the queries against its own
+    prototypes; the ensemble confidence is the exact arithmetic mean of
+    those local confidences, and every view's prototypes are then
+    updated with the shared ensemble weights in the view's own
+    embedding space. Episodes never mix. Returns an
+    (E, T+1, n_query, ways) array whose entry [i, t] is episode i's
+    ensemble at step t, so [i, 0] is plain inductive inference.
+
+    Untaped. The E episodes must share one shape (ways, support and
+    query sizes). Each view encodes all support sets in one call and
+    all query sets in another; the embeddings of every (episode, view)
+    pair are carried as one (E*V, n, l) stack, so each step makes one
+    distance call, one softmax and one prototype update for the whole
+    batch, and the support class sums and query-side metric terms are
+    computed once. Every value is bitwise equal to running the
+    episodes and views one by one.
+    """
+    if T < 0:
+        raise ContractError("T must be non-negative")
+    if len(views) < 1:
+        raise ContractError("need at least one view")
+    if len(episodes) < 1:
+        raise ContractError("need at least one episode")
+    first = episodes[0]
+    ways = first.ways
+    shape = (ways, first.support_x.shape, first.query_x.shape)
+    if any((ep.ways, ep.support_x.shape, ep.query_x.shape) != shape for ep in episodes):
+        raise ContractError("episodes of one batch must share one shape")
+    n_ev, n_q = len(episodes) * len(views), first.query_x.shape[0]
+    support_x = np.stack([ep.support_x for ep in episodes])
+    query_x = np.stack([ep.query_x for ep in episodes])
+    # (E, V, n, l): episode-major, so each episode's views are adjacent
+    emb_s = np.stack([encode_batch(encoder, support_x, v) for v in views], axis=1)
+    emb_q = np.stack([encode_batch(encoder, query_x, v) for v in views], axis=1)
+    flat_q = emb_q.reshape(n_ev, n_q, -1)
+    counts = np.stack([class_counts(ep.support_y, ways) for ep in episodes])[:, None, :, None]
+    indicator = np.stack([one_hot(ep.support_y, ways).T for ep in episodes])[:, None]
+    class_sums = np.matmul(indicator, emb_s)
+    protos = class_sums / counts
+    q_terms = query_terms(metric, flat_q)
+    trace = np.empty((len(episodes), T + 1, n_q, ways))
+    for t in range(T + 1):
+        local = nk.softmax_neg(pairwise(
+            metric, flat_q, protos.reshape(n_ev, ways, -1), query=q_terms
+        )).reshape(len(episodes), len(views), n_q, ways)
+        ensemble = local[:, 0]
+        for v in range(1, len(views)):
+            ensemble = ensemble + local[:, v]
+        ensemble = ensemble / len(views)
+        trace[:, t] = ensemble
+        if t < T:
+            weights = np.ascontiguousarray(ensemble.transpose(0, 2, 1))[:, None]
+            mass = ensemble.sum(axis=1)[:, None, :, None]
+            protos = (class_sums + np.matmul(weights, emb_q)) / (counts + mass)
+    return trace
+
+
 def refine(
     episode: Episode,
     encoder,
@@ -135,45 +205,8 @@ def refine(
     metric: MetricSpec,
     T: int,
 ) -> np.ndarray:
-    """Multi-view ensemble transduction; returns the confidence trace.
-
-    At every step each view scores the queries against its own
-    prototypes; the ensemble confidence is the exact arithmetic mean of
-    those local confidences, and every view's prototypes are then
-    updated with the shared ensemble weights in the view's own
-    embedding space. Returns a (T+1, n_query, ways) array whose row t
-    is the ensemble at step t, so row 0 is plain inductive inference.
-
-    Untaped. The views' embeddings are stacked as (V, n, l) arrays, so
-    each step makes one distance call, one softmax and one prototype
-    update for all views; the support class sums and the query-side
-    metric terms are computed once. Every value is bitwise equal to
-    running the views one by one.
-    """
-    if T < 0:
-        raise ContractError("T must be non-negative")
-    if len(views) < 1:
-        raise ContractError("need at least one view")
-    ways = episode.ways
-    emb_s = np.stack([encode_batch(encoder, episode.support_x, v) for v in views])
-    emb_q = np.stack([encode_batch(encoder, episode.query_x, v) for v in views])
-    counts = class_counts(episode.support_y, ways)[:, None]
-    class_sums = np.matmul(one_hot(episode.support_y, ways).T, emb_s)
-    protos = class_sums / counts
-    q_terms = query_terms(metric, emb_q)
-    trace = []
-    for t in range(T + 1):
-        local = nk.softmax_neg(pairwise(metric, emb_q, protos, query=q_terms))
-        ensemble = local[0]
-        for conf in local[1:]:
-            ensemble = ensemble + conf
-        ensemble = ensemble / len(views)
-        trace.append(ensemble)
-        if t < T:
-            weighted = np.matmul(np.ascontiguousarray(ensemble.T), emb_q)
-            mass = ensemble.sum(axis=0).reshape(ways, 1)
-            protos = (class_sums + weighted) / (counts + mass)
-    return np.stack(trace)
+    """One episode's ensemble trace, (T+1, n_query, ways); see :func:`refine_batch`."""
+    return refine_batch([episode], encoder, views, metric, T)[0]
 
 
 def soft_kmeans(
@@ -198,6 +231,26 @@ def mct_infer(
     return refine(episode, encoder, views, metric, T)[-1]
 
 
+def _semi_update(episode: Episode, encoder, metric: MetricSpec, conf_floor: float | None):
+    """Full-view query embeddings, initial and refined prototypes, unlabeled confidences."""
+    if episode.unlabeled_x is None or episode.unlabeled_x.shape[0] == 0:
+        raise ContractError("semi_infer needs a nonempty unlabeled set")
+    full = VIEWS[0]
+    emb_s = encode_batch(encoder, episode.support_x, full)
+    emb_u = encode_batch(encoder, episode.unlabeled_x, full)
+    emb_q = encode_batch(encoder, episode.query_x, full)
+    protos = init_from_embeddings(emb_s, episode.support_y, episode.ways)
+    u_conf = confidence(emb_u, protos, metric)
+    mass = u_conf
+    if conf_floor is not None:
+        keep = u_conf.max(axis=1) >= conf_floor
+        mass = u_conf * keep[:, None]
+    refined = update_prototypes(
+        emb_s, episode.support_y, episode.ways, emb_u, mass
+    )
+    return emb_q, protos, refined, u_conf
+
+
 def semi_infer(
     episode: Episode,
     encoder,
@@ -215,23 +268,21 @@ def semi_infer(
 
     Returns (refined prototypes, unlabeled confidences, query confidences).
     """
-    if episode.unlabeled_x is None or episode.unlabeled_x.shape[0] == 0:
-        raise ContractError("semi_infer needs a nonempty unlabeled set")
-    full = VIEWS[0]
-    emb_s = encode_batch(encoder, episode.support_x, full)
-    emb_u = encode_batch(encoder, episode.unlabeled_x, full)
-    emb_q = encode_batch(encoder, episode.query_x, full)
-    protos = init_from_embeddings(emb_s, episode.support_y, episode.ways)
-    u_conf = confidence(emb_u, protos, metric)
-    mass = u_conf
-    if conf_floor is not None:
-        keep = u_conf.max(axis=1) >= conf_floor
-        mass = u_conf * keep[:, None]
-    refined = update_prototypes(
-        emb_s, episode.support_y, episode.ways, emb_u, mass
-    )
+    emb_q, _, refined, u_conf = _semi_update(episode, encoder, metric, conf_floor)
     q_conf = confidence(emb_q, refined, metric)
-    return Prototypes(by_view={full.name: refined}, step=1), u_conf, q_conf
+    return Prototypes(by_view={VIEWS[0].name: refined}, step=1), u_conf, q_conf
+
+
+def semi_refine(episode: Episode, encoder, metric: MetricSpec) -> np.ndarray:
+    """Query confidences of :func:`semi_infer` before and after its update.
+
+    A (2, n_query, ways) array: row 0 scores the queries against the
+    initial full-view prototypes (plain inductive inference, bitwise
+    what ``soft_kmeans(…, T=0)`` returns), row 1 against the refined
+    ones. Each set is encoded once.
+    """
+    emb_q, protos, refined, _ = _semi_update(episode, encoder, metric, None)
+    return np.stack([confidence(emb_q, protos, metric), confidence(emb_q, refined, metric)])
 
 
 def predict_labels(conf) -> np.ndarray:

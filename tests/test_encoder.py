@@ -149,6 +149,27 @@ class TestEncode:
         assert embedding_dim(None, 5) == 5
         assert embedding_dim(tiny_encoder(), 6) == 8
 
+    @pytest.mark.parametrize("params", [None, tiny_encoder(hidden=8)], ids=["identity", "init"])
+    def test_stacked_batch_equals_per_slice_calls(self, params):
+        x = np.random.default_rng(10).normal(size=(3, 5, 6))
+        for view in VIEWS:
+            stacked = encode_batch(params, x, view)
+            assert stacked.shape == (3, 5, 6 if params is None else 8)
+            for i in range(3):
+                assert np.array_equal(stacked[i], encode_batch(params, x[i], view))
+
+    def test_stacked_batch_rejected_on_tape_or_in_train_mode(self):
+        p = tiny_encoder()
+        x = np.zeros((2, 3, 6))
+        with pytest.raises(ContractError):
+            encode_batch(p, x, tape=nk.Tape())
+        with pytest.raises(ContractError):
+            encode_batch(p, nk.Tape().param(x))
+        with pytest.raises(ContractError):
+            encode_batch(p, x, mode="train", rng=np.random.default_rng(0))
+        with pytest.raises(ContractError):
+            encode_batch(p, np.zeros((1, 2, 3, 6)))
+
     def test_per_position_layout(self):
         flat = np.arange(12.0).reshape(2, 6)
         pp = per_position(flat, positions=3, channels=2)
@@ -302,6 +323,53 @@ class TestCheckpointIO:
         with pytest.raises(FormatError) as exc:
             load_tensors(path)
         assert exc.value.offset == 25 + 8
+
+    def test_non_finite_save_rejected_before_touching_file(self, tmp_path):
+        path = tmp_path / "t.mctp"
+        save_tensors(path, {"x": np.ones(3)})
+        before = path.read_bytes()
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DomainError, match="'b.w'"):
+                save_tensors(path, {"a": np.ones(2), "b.w": np.array([1.0, bad])})
+        assert path.read_bytes() == before
+        assert not (tmp_path / "fresh.mctp").exists()
+        with pytest.raises(DomainError):
+            save_tensors(tmp_path / "fresh.mctp", {"x": np.array(np.nan)})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.mctp"]
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        import errno
+
+        from mct import checkpoint
+
+        path = tmp_path / "m.mctp"
+        save_tensors(path, {"x": np.ones(3)})
+        before = path.read_bytes()
+
+        class TornFile:
+            """Writes half of what it is given, then reports a full disk."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(checkpoint, "open", lambda f, m: TornFile(open(f, m)), raising=False)
+        with pytest.raises(OSError):
+            save_tensors(path, {"x": np.full(3, 2.0), "y": np.zeros((4, 4))})
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        np.testing.assert_array_equal(load_tensors(path)["x"], np.ones(3))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.mctp"]
 
     def test_model_state_round_trip_all_kinds(self, tmp_path):
         rng = np.random.default_rng(1)

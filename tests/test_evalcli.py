@@ -21,9 +21,10 @@ from mct.evalcli import (
     _gradcheck_fixture,
     _gradcheck_loss,
 )
+from mct import evalcli
 from mct.metric import MetricSpec
-from mct.transduce import soft_kmeans
-from mct.encoder import VIEWS
+from mct.transduce import refine, semi_infer, soft_kmeans
+from mct.encoder import VIEWS, EncoderParams
 
 EUCLID = ModelState(metric=MetricSpec.euclid())
 
@@ -153,6 +154,70 @@ class TestEvaluate:
         a = soft_kmeans(ep, None, VIEWS[0], MetricSpec.euclid(), 3)
         b = soft_kmeans(shuffled, None, VIEWS[0], MetricSpec.euclid(), 3)
         np.testing.assert_array_equal(a, b)
+
+
+def trained_like_state(kind):
+    encoder = EncoderParams.init(16, np.random.default_rng(6), hidden=32, positions=2, channels=16)
+    rng = np.random.default_rng(7)
+    metric = {
+        "euclid": MetricSpec.euclid,
+        "scaled": lambda: MetricSpec.scaled(0.3),
+        "instance": lambda: MetricSpec.instance(32, rng),
+        "pair": lambda: MetricSpec.pair(32, rng),
+    }[kind]()
+    return ModelState(metric=metric, encoder=encoder)
+
+
+def per_episode_records(state, source, protocol):
+    """One episode at a time through ``refine`` or ``soft_kmeans``/``semi_infer`` (oracle)."""
+    records = []
+    for i in range(protocol.n_episodes):
+        seed = derive_seed(protocol.master_seed, i)
+        if protocol.mode == "semi":
+            ep = sample_episode(source, protocol.ways, protocol.shots, protocol.queries, seed,
+                                unlabeled=protocol.unlabeled_count,
+                                distractors=protocol.distractors)
+            conf0 = soft_kmeans(ep, state.encoder, VIEWS[0], state.metric, 0)
+            conf = semi_infer(ep, state.encoder, state.metric)[2]
+        else:
+            ep = sample_episode(source, protocol.ways, protocol.shots, protocol.queries, seed)
+            views = VIEWS if protocol.ensemble else VIEWS[:1]
+            steps = protocol.T if protocol.mode == "transductive" else 0
+            trace = refine(ep, state.encoder, views, state.metric, steps)
+            conf0, conf = trace[0], trace[-1]
+        records.append(EpisodeRecord(
+            index=i, seed=seed,
+            accuracy=float(np.mean(np.argmax(conf, axis=1) + 1 == ep.query_y)),
+            nll=nll(conf0, ep.query_y), nll_final=nll(conf, ep.query_y),
+        ))
+    return tuple(records)
+
+
+class TestBatchedEvaluate:
+    @pytest.mark.parametrize("kind", ["euclid", "scaled", "instance", "pair"])
+    @pytest.mark.parametrize("n_episodes", [1, 5, 9])
+    def test_bytes_equal_per_episode_scoring(self, kind, n_episodes, monkeypatch):
+        state = trained_like_state(kind)
+        for mode, ensemble in (("transductive", True), ("transductive", False),
+                               ("inductive", True)):
+            protocol = EvalProtocol(n_episodes=n_episodes, T=10, mode=mode,
+                                    ensemble=ensemble, master_seed=5)
+            batched = evaluate(state, PLAIN_SPEC, protocol)
+            assert batched.records == per_episode_records(state, PLAIN_SPEC, protocol)
+            with monkeypatch.context() as m:
+                m.setattr(evalcli, "_BATCH", 1)
+                one_by_one = render_jsonl(evaluate(state, PLAIN_SPEC, protocol))
+            for workers in (1, 3):
+                again = evaluate(state, PLAIN_SPEC, replace(protocol, workers=workers))
+                assert render_jsonl(again) == one_by_one
+
+    @pytest.mark.parametrize("kind", ["euclid", "instance"])
+    def test_semi_records_equal_two_pass_scoring(self, kind):
+        state = trained_like_state(kind)
+        protocol = EvalProtocol(n_episodes=3, mode="semi", unlabeled=4, distractors=1,
+                                master_seed=8)
+        report = evaluate(state, PLAIN_SPEC, protocol)
+        assert report.records == per_episode_records(state, PLAIN_SPEC, protocol)
 
 
 class TestRendering:

@@ -217,6 +217,23 @@ class TestPairwise:
             prepared = pairwise(spec, A, B, query=query_terms(spec, A))
             assert np.array_equal(prepared, per_slice)
 
+    @pytest.mark.parametrize("ways", [1, 5, 15])
+    def test_column_filled_sq_diff_equals_one_reduction(self, ways):
+        from mct.metric import _sq_diff
+
+        rng = np.random.default_rng(ways)
+        for width in (3, 8, 64):
+            A = rng.normal(size=(6, 11, width))
+            B = rng.normal(size=(6, ways, width))
+            B[0, 0] = A[0, 0]  # an exact zero
+            diff = A[:, :, None, :] - B[:, None, :, :]
+            expected = (diff * diff).sum(axis=-1)
+            got = _sq_diff(A, B)
+            assert got.shape == (6, 11, ways)
+            assert np.array_equal(got, expected)
+            assert got[0, 0, 0] == 0.0
+            assert np.array_equal(_sq_diff(A[2], B[2]), expected[2])
+
     def test_stacks_and_prepared_terms_stay_off_the_tape(self):
         spec = MetricSpec.instance(3, np.random.default_rng(8))
         a, b = np.ones((2, 3)), np.full((4, 3), 2.0)

@@ -80,6 +80,20 @@ class TestSoftmaxNeg:
         p = nk.softmax_neg(d)
         np.testing.assert_allclose(p.sum(axis=1), np.ones(64), rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("ways", [1, 5, 15])
+    def test_stacked_column_max_equals_row_reduction(self, ways):
+        rng = np.random.default_rng(ways)
+        d = rng.uniform(0.0, 30.0, size=(4, 9, ways))
+        d[0, 0] = 0.0  # ties at the row maximum
+        d[1, 2, -1] = 0.0
+        z = -d
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        expected = e / e.sum(axis=-1, keepdims=True)
+        got = nk.softmax_neg(d)
+        assert np.array_equal(got, expected)
+        for i in range(4):
+            assert np.array_equal(got[i], nk.softmax_neg(d[i]))
+
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
             nk.softmax_neg(np.array([1.0, np.nan]))

@@ -19,7 +19,9 @@ from mct.transduce import (
     mct_infer,
     predict_labels,
     refine,
+    refine_batch,
     semi_infer,
+    semi_refine,
     soft_kmeans,
     update_prototypes,
 )
@@ -256,6 +258,16 @@ class TestSemiInfer:
         np.testing.assert_array_equal(protos.by_view["full"], init)
         check_confidence(u_conf, ep.ways)  # returned confidences stay soft
 
+    @pytest.mark.parametrize("kind", METRIC_KINDS)
+    def test_semi_refine_rows_are_inductive_and_refined(self, kind):
+        encoder, width = ENCODERS["init"]
+        metric = metric_of(kind, width)
+        ep, _ = synth_episode(seed=12, unlabeled=6)
+        trace = semi_refine(ep, encoder, metric)
+        assert trace.shape == (2, ep.query_x.shape[0], ep.ways)
+        assert np.array_equal(trace[0], soft_kmeans(ep, encoder, VIEWS[0], metric, 0))
+        assert np.array_equal(trace[1], semi_infer(ep, encoder, metric)[2])
+
     def test_refinement_moves_prototypes(self):
         ep, _ = synth_episode(seed=11, unlabeled=10)
         protos, _, q_conf = semi_infer(ep, None, EUCLID)
@@ -387,3 +399,53 @@ class TestRefine:
             assert (record.accuracy, record.nll, record.nll_final) == (
                 accuracy, nll(conf0, ep.query_y), nll(conf, ep.query_y)
             )
+
+
+def batch_of(count, seed=30, **kw):
+    return [synth_episode(seed=seed + i, **kw)[0] for i in range(count)]
+
+
+class TestRefineBatch:
+    @pytest.mark.parametrize("kind", METRIC_KINDS)
+    @pytest.mark.parametrize("encoder_name", sorted(ENCODERS))
+    def test_slices_equal_per_episode_refine(self, kind, encoder_name):
+        encoder, width = ENCODERS[encoder_name]
+        metric = metric_of(kind, width)
+        episodes = batch_of(7, shots=2, queries=2)
+        for views in (VIEWS[:1], VIEWS):
+            for T in (0, 10):
+                solo = [refine(ep, encoder, views, metric, T) for ep in episodes]
+                for count in (1, 3, 4, 7):
+                    batch = refine_batch(episodes[:count], encoder, views, metric, T)
+                    assert batch.shape == (count, T + 1, 10, 5)
+                    for i in range(count):
+                        assert np.array_equal(batch[i], solo[i]), (len(views), T, count, i)
+
+    def test_episodes_with_other_label_orders_do_not_mix(self):
+        # support rows listed in another class order: the class sums use
+        # each episode's own labels
+        ep, _ = synth_episode(seed=40, shots=2, queries=2)
+        order = np.argsort(-ep.support_y, kind="stable")
+        flipped = Episode(
+            ways=ep.ways, shots=ep.shots,
+            support_x=ep.support_x[order], support_y=ep.support_y[order],
+            query_x=ep.query_x, query_y=ep.query_y,
+        )
+        other, _ = synth_episode(seed=41, shots=2, queries=2)
+        batch = refine_batch([flipped, other], None, VIEWS, EUCLID, 3)
+        assert np.array_equal(batch[0], refine(flipped, None, VIEWS, EUCLID, 3))
+        assert np.array_equal(batch[1], refine(other, None, VIEWS, EUCLID, 3))
+        check_confidence(batch[0, -1], ep.ways)
+
+    def test_mixed_shapes_and_empty_batches_rejected(self):
+        a, b = batch_of(1)[0], batch_of(1, queries=10)[0]
+        with pytest.raises(ContractError):
+            refine_batch([a, b], None, VIEWS, EUCLID, 1)
+        with pytest.raises(ContractError):
+            refine_batch([a, batch_of(1, ways=4)[0]], None, VIEWS, EUCLID, 1)
+        with pytest.raises(ContractError):
+            refine_batch([], None, VIEWS, EUCLID, 1)
+        with pytest.raises(ContractError):
+            refine_batch([a], None, (), EUCLID, 1)
+        with pytest.raises(ContractError):
+            refine_batch([a], None, VIEWS, EUCLID, -1)
