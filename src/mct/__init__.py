@@ -73,7 +73,6 @@ from .transduce import (
     refine,
     refine_batch,
     semi_infer,
-    semi_refine,
     soft_kmeans,
     update_prototypes,
 )
@@ -97,7 +96,7 @@ __all__ = [
     # transduction
     "Prototypes", "init_prototypes", "confidence", "update_prototypes",
     "refine", "refine_batch", "soft_kmeans", "mct_infer", "semi_infer",
-    "semi_refine", "predict_labels",
+    "predict_labels",
     "check_confidence",
     # training
     "TrainConfig", "TrainState", "StepReport", "GlobalClassifier",

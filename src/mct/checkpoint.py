@@ -16,6 +16,7 @@ scalars carrying the non-tensor settings.
 from __future__ import annotations
 
 import os
+import shutil
 import struct
 import uuid
 from dataclasses import dataclass
@@ -39,8 +40,9 @@ def save_tensors(path, named: dict[str, np.ndarray]) -> None:
 
     A non-finite value is a :class:`DomainError` naming its tensor,
     raised before the file is touched. The bytes go to a fresh file
-    beside ``path`` that then replaces it, so a write that fails midway
-    leaves the previous file as it was.
+    beside the target that then replaces it, so a write that fails
+    midway leaves the previous file as it was. A symlink is written
+    through to the file it names, and a replaced file keeps its mode.
     """
     chunks = [struct.pack("<4sII", _MAGIC, _VERSION, len(named))]
     for name in sorted(named):
@@ -53,13 +55,15 @@ def save_tensors(path, named: dict[str, np.ndarray]) -> None:
         chunks.append(struct.pack("<I", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(arr.astype("<f8").tobytes())
-    path = os.fspath(path)
+    path = os.path.realpath(path)
     tmp = f"{path}.{uuid.uuid4().hex[:12]}.tmp"
     try:
         with open(tmp, "xb") as fh:
             fh.write(b"".join(chunks))
             fh.flush()
             os.fsync(fh.fileno())
+        if os.path.exists(path):
+            shutil.copymode(path, tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -49,7 +49,7 @@ from .metatrain import (
     train,
 )
 from .metric import METRIC_KINDS, MetricSpec, ScalerParams
-from .transduce import predict_labels, refine_batch, semi_refine
+from .transduce import _semi_refine, predict_labels, refine_batch
 
 __all__ = [
     "EpisodeRecord",
@@ -158,7 +158,7 @@ def _score_semi(state: ModelState, source, protocol: EvalProtocol, index: int) -
         unlabeled=protocol.unlabeled_count, distractors=protocol.distractors,
     )
     # baseline and refinement both use the plain view here
-    conf0, conf = semi_refine(episode, state.encoder, state.metric)
+    conf0, conf = _semi_refine(episode, state.encoder, state.metric)
     return _record(index, seed, episode, conf0, conf)
 
 

@@ -33,6 +33,8 @@ __all__ = [
 METRIC_KINDS = ("euclid", "scaled", "instance", "pair")
 
 _NORM_FLOOR = 1e-12
+# entries of one untaped squared-difference temporary (256 KB of float64)
+_SQ_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -217,26 +219,24 @@ def _scale_rows(scaler: ScalerParams, x, tape: nk.Tape | None):
 def _sq_diff(a, b):
     """All-pairs squared distances via an explicit (..., n, m, l) difference.
 
-    Untaped stacks fill the (..., n, m) result one prototype column at a
-    time from (..., n, l) temporaries; every entry is the same sum of
-    the same squares, so the values do not change.
+    Untaped, the difference is formed for as many prototype columns at
+    a time as fit in ``_SQ_BLOCK`` entries, and at least one: a small
+    call is one block, a stack of views goes column by column. Every
+    entry is the same sum of the same squares, so the values do not
+    depend on the blocking.
     """
     av, bv = nk.value_of(a), nk.value_of(b)
     *lead, n, l = av.shape
     m = bv.shape[-2]
     if not isinstance(a, nk.Var) and not isinstance(b, nk.Var):
-        if lead:
-            out = np.empty((*lead, n, m))
-            diff = np.empty_like(av)
-            for j in range(m):
-                np.subtract(av, bv[..., j:j + 1, :], out=diff)
-                diff *= diff
-                out[..., j] = diff.sum(axis=-1)
-            return out
-        # squared in place: one large temporary fewer, same values
-        diff = av.reshape(n, 1, l) - bv.reshape(1, m, l)
-        diff *= diff
-        return diff.sum(axis=-1)
+        cols = max(1, _SQ_BLOCK // max(av.size, 1))
+        parts = []
+        for j in range(0, max(m, 1), cols):
+            # squared in place: one large temporary fewer, same values
+            diff = av[..., :, None, :] - bv[..., None, j:j + cols, :]
+            diff *= diff
+            parts.append(diff.sum(axis=-1))
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
     diff = nk.sub(nk.reshape(a, (*lead, n, 1, l)), nk.reshape(b, (*lead, 1, m, l)))
     return nk.asum(nk.mul(diff, diff), axis=-1)
 

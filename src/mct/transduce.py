@@ -42,7 +42,6 @@ __all__ = [
     "soft_kmeans",
     "mct_infer",
     "semi_infer",
-    "semi_refine",
     "predict_labels",
     "check_confidence",
 ]
@@ -273,7 +272,7 @@ def semi_infer(
     return Prototypes(by_view={VIEWS[0].name: refined}, step=1), u_conf, q_conf
 
 
-def semi_refine(episode: Episode, encoder, metric: MetricSpec) -> np.ndarray:
+def _semi_refine(episode: Episode, encoder, metric: MetricSpec) -> np.ndarray:
     """Query confidences of :func:`semi_infer` before and after its update.
 
     A (2, n_query, ways) array: row 0 scores the queries against the

@@ -371,6 +371,18 @@ class TestCheckpointIO:
         np.testing.assert_array_equal(load_tensors(path)["x"], np.ones(3))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.mctp"]
 
+    def test_write_follows_symlink_and_keeps_mode(self, tmp_path):
+        target = tmp_path / "real.mctp"
+        save_tensors(target, {"x": np.ones(3)})
+        target.chmod(0o640)
+        link = tmp_path / "link.mctp"
+        link.symlink_to(target)
+        save_tensors(link, {"x": np.full(3, 2.0)})
+        assert link.is_symlink()
+        np.testing.assert_array_equal(load_tensors(target)["x"], np.full(3, 2.0))
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.mctp", "real.mctp"]
+
     def test_model_state_round_trip_all_kinds(self, tmp_path):
         rng = np.random.default_rng(1)
         enc = tiny_encoder()

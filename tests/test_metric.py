@@ -218,21 +218,40 @@ class TestPairwise:
             assert np.array_equal(prepared, per_slice)
 
     @pytest.mark.parametrize("ways", [1, 5, 15])
-    def test_column_filled_sq_diff_equals_one_reduction(self, ways):
+    def test_blocked_sq_diff_equals_one_reduction(self, ways):
         from mct.metric import _sq_diff
 
         rng = np.random.default_rng(ways)
-        for width in (3, 8, 64):
-            A = rng.normal(size=(6, 11, width))
-            B = rng.normal(size=(6, ways, width))
-            B[0, 0] = A[0, 0]  # an exact zero
-            diff = A[:, :, None, :] - B[:, None, :, :]
+        for lead, width in (((6,), 3), ((6,), 8), ((6,), 64), ((16,), 64), ((), 700)):
+            A = rng.normal(size=(*lead, 11, width))
+            B = rng.normal(size=(*lead, ways, width))
+            B[..., 0, :] = A[..., 0, :]  # an exact zero
+            diff = A[..., :, None, :] - B[..., None, :, :]
             expected = (diff * diff).sum(axis=-1)
             got = _sq_diff(A, B)
-            assert got.shape == (6, 11, ways)
+            assert got.shape == (*lead, 11, ways)
             assert np.array_equal(got, expected)
-            assert got[0, 0, 0] == 0.0
-            assert np.array_equal(_sq_diff(A[2], B[2]), expected[2])
+            assert np.all(got[..., 0, 0] == 0.0)
+            assert _sq_diff(A, B[..., :0, :]).shape == (*lead, 11, 0)
+            assert _sq_diff(A[..., :0, :], B).shape == (*lead, 0, ways)
+            if lead:
+                assert np.array_equal(_sq_diff(A[2], B[2]), expected[2])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_sq_diff_promotes_like_numpy(self, dtype):
+        from mct.metric import _sq_diff
+
+        rng = np.random.default_rng(3)
+        A = (rng.normal(size=(4, 11, 64)) * 8).astype(dtype)
+        B = rng.normal(size=(4, 5, 64))
+        got = _sq_diff(A, B)
+        diff = A[..., :, None, :] - B[..., None, :, :]
+        assert got.dtype == np.float64
+        assert np.array_equal(got, (diff * diff).sum(axis=-1))
+        for i in range(4):
+            assert np.array_equal(got[i], _sq_diff(A[i], B[i]))
+        stacked = pairwise(MetricSpec.euclid(), A, B)
+        assert np.array_equal(stacked[1], pairwise(MetricSpec.euclid(), A[1], B[1]))
 
     def test_stacks_and_prepared_terms_stay_off_the_tape(self):
         spec = MetricSpec.instance(3, np.random.default_rng(8))

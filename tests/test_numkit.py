@@ -80,8 +80,8 @@ class TestSoftmaxNeg:
         p = nk.softmax_neg(d)
         np.testing.assert_allclose(p.sum(axis=1), np.ones(64), rtol=0, atol=1e-9)
 
-    @pytest.mark.parametrize("ways", [1, 5, 15])
-    def test_stacked_column_max_equals_row_reduction(self, ways):
+    @pytest.mark.parametrize("ways", [1, 5, 15, 200])
+    def test_class_major_max_equals_row_reduction(self, ways):
         rng = np.random.default_rng(ways)
         d = rng.uniform(0.0, 30.0, size=(4, 9, ways))
         d[0, 0] = 0.0  # ties at the row maximum
@@ -93,6 +93,8 @@ class TestSoftmaxNeg:
         assert np.array_equal(got, expected)
         for i in range(4):
             assert np.array_equal(got[i], nk.softmax_neg(d[i]))
+            assert np.array_equal(got[i, 3], nk.softmax_neg(d[i, 3]))
+        assert nk.softmax_neg(d[:, :0]).shape == (4, 0, ways)
 
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):

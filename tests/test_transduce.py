@@ -12,6 +12,7 @@ from mct.errors import ContractError
 from mct.evalcli import EvalProtocol, evaluate, nll
 from mct.metric import METRIC_KINDS, MetricSpec
 from mct.transduce import (
+    _semi_refine,
     check_confidence,
     confidence,
     init_from_embeddings,
@@ -21,7 +22,6 @@ from mct.transduce import (
     refine,
     refine_batch,
     semi_infer,
-    semi_refine,
     soft_kmeans,
     update_prototypes,
 )
@@ -259,11 +259,11 @@ class TestSemiInfer:
         check_confidence(u_conf, ep.ways)  # returned confidences stay soft
 
     @pytest.mark.parametrize("kind", METRIC_KINDS)
-    def test_semi_refine_rows_are_inductive_and_refined(self, kind):
+    def test_semi_scoring_rows_are_inductive_and_refined(self, kind):
         encoder, width = ENCODERS["init"]
         metric = metric_of(kind, width)
         ep, _ = synth_episode(seed=12, unlabeled=6)
-        trace = semi_refine(ep, encoder, metric)
+        trace = _semi_refine(ep, encoder, metric)
         assert trace.shape == (2, ep.query_x.shape[0], ep.ways)
         assert np.array_equal(trace[0], soft_kmeans(ep, encoder, VIEWS[0], metric, 0))
         assert np.array_equal(trace[1], semi_infer(ep, encoder, metric)[2])
