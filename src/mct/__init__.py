@@ -61,6 +61,7 @@ from .metatrain import (
     lr_at,
     train,
     train_step,
+    training_loss,
 )
 from .metric import METRIC_KINDS, MetricSpec, ScalerParams, distance, pairwise, scaler_eval
 from .transduce import (
@@ -101,7 +102,7 @@ __all__ = [
     # training
     "TrainConfig", "TrainState", "StepReport", "GlobalClassifier",
     "LrSchedule", "lr_at", "instance_loss", "dimension_loss",
-    "train", "train_step",
+    "training_loss", "train", "train_step",
     # checkpoints
     "ModelState", "save_state", "load_state", "save_tensors", "load_tensors",
     # evaluation

@@ -9,10 +9,10 @@ summary) and as a plain-text table; both renderings are byte-stable
 given (model, seed, protocol); the worker count is accepted for
 compatibility and changes nothing.
 
-``gradcheck`` drives the full training loss on small random episodes
-and compares every tape gradient entry against central finite
-differences; the CLI wires a failure to exit code 3 so CI can gate
-on it.
+``gradcheck`` drives ``metatrain.training_loss``, the objective that
+training differentiates, on small random episodes and compares every
+tape gradient entry against central finite differences; the CLI wires
+a failure to exit code 3 so CI can gate on it.
 
 Subcommands: train, eval, gradcheck, make-synth. A config file of
 key=value lines supplies defaults; explicit flags win.
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import numkit as nk
 from .checkpoint import ModelState, load_state, save_state
-from .encoder import VIEWS, EncoderParams, embedding_dim, encode_batch, per_position
+from .encoder import VIEWS, EncoderParams, embedding_dim
 from .episodes import (
     EmbeddingTable,
     SyntheticSpec,
@@ -44,9 +44,8 @@ from .metatrain import (
     GlobalClassifier,
     LrSchedule,
     TrainConfig,
-    dimension_loss,
-    instance_loss,
     train,
+    training_loss,
 )
 from .metric import METRIC_KINDS, MetricSpec, ScalerParams
 from .transduce import _semi_refine, predict_labels, refine_batch
@@ -294,25 +293,16 @@ class GradcheckReport:
 
 
 def _gradcheck_loss(named: dict[str, np.ndarray], fixture, tape: nk.Tape | None):
-    """Full training loss rebuilt from flat parameter arrays."""
+    """The training loss, rebuilt from flat parameter arrays."""
     episode, kind, lam, shape = fixture
     encoder = EncoderParams.from_named(
         named, dropout=0.0, positions=shape["positions"], channels=shape["channels"]
     )
     metric = MetricSpec.from_named(kind, named)
     classifier = GlobalClassifier(weight=named["classifier.w"], classes=shape["classes"])
-    l_i = instance_loss(episode, encoder, VIEWS[shape["view"]], metric, tape)
-    emb = nk.concat([
-        encode_batch(encoder, episode.support_x, VIEWS[0], "eval", tape),
-        encode_batch(encoder, episode.query_x, VIEWS[0], "eval", tape),
-    ], axis=0)
-    l_d = dimension_loss(
-        per_position(emb, shape["positions"], shape["channels"]),
-        np.concatenate([episode.support_g, episode.query_g]),
-        classifier,
-        tape,
-    )
-    return nk.add(nk.mul(lam, l_i), l_d)
+    return training_loss(
+        episode, encoder, metric, classifier, VIEWS[shape["view"]], tape, lam=lam
+    )[0]
 
 
 def _gradcheck_fixture(trial: int, seed: int):
@@ -327,6 +317,14 @@ def _gradcheck_fixture(trial: int, seed: int):
         dim, rng, hidden=hidden, n_blocks=2,
         positions=positions, channels=channels, dropout=0.0,
     )
+    # zero biases can leave a relu layer dead, which puts the loss on a
+    # kink or makes every embedding zero; small random biases avoid both
+    def bias():
+        return 0.1 * rng.standard_normal(hidden)
+
+    encoder = replace(encoder, b_in=bias(), blocks=tuple(
+        (w1, bias(), w2, bias()) for w1, _, w2, _ in encoder.blocks
+    ))
     kind = METRIC_KINDS[trial % len(METRIC_KINDS)]
     if kind == "instance":
         metric = MetricSpec(kind="instance", scaler=ScalerParams.init(hidden, rng, hidden=8))

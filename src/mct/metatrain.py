@@ -5,9 +5,10 @@ transduction step with confidences computed in h's embedding space,
 updates prototypes in the full-path space with those confidences, and
 scores the instance loss there. The dimension loss classifies every
 position of the flattened feature map against the item's global class.
-The total L = lambda * L_I + L_D trains encoder, metric, and classifier
-jointly by SGD with Nesterov momentum and weight decay, on a
-piecewise-constant learning-rate schedule.
+:func:`training_loss` builds the total L = lambda * L_I + L_D, which both
+:func:`train_step` and ``evalcli.gradcheck`` differentiate. It trains
+encoder, metric, and classifier jointly by SGD with Nesterov momentum
+and weight decay, on a piecewise-constant learning-rate schedule.
 
 Everything is deterministic given the config seed: episode draws, view
 selection, input perturbation, and dropout all derive from it.
@@ -46,6 +47,7 @@ __all__ = [
     "StepReport",
     "instance_loss",
     "dimension_loss",
+    "training_loss",
     "train_step",
     "train",
 ]
@@ -193,13 +195,13 @@ def _cross_entropy(logits, one_hot_rows):
     return nk.mean(nk.sub(nk.logsumexp(logits, axis=-1), true_logit))
 
 
-def _transduced_full_prototypes(
+def _instance_loss_from_embeddings(
     episode, metric, emb_s_full, emb_q_full, emb_s_h, emb_q_h,
     tape, t_steps: int, detach: bool,
 ):
     """Confidences in h-space drive prototype updates in full space."""
     protos_h = init_from_embeddings(emb_s_h, episode.support_y, episode.ways)
-    protos_full = init_from_embeddings(emb_s_full, episode.support_y, episode.ways)
+    protos = init_from_embeddings(emb_s_full, episode.support_y, episode.ways)
     for _ in range(t_steps):
         conf = nk.softmax_neg(pairwise(metric, emb_q_h, protos_h, tape))
         if detach:
@@ -207,23 +209,23 @@ def _transduced_full_prototypes(
         protos_h = update_prototypes(
             emb_s_h, episode.support_y, episode.ways, emb_q_h, conf, tape
         )
-        protos_full = update_prototypes(
+        protos = update_prototypes(
             emb_s_full, episode.support_y, episode.ways, emb_q_full, conf, tape
         )
-    return protos_full
-
-
-def _instance_loss_from_embeddings(
-    episode, metric, emb_s_full, emb_q_full, emb_s_h, emb_q_h,
-    tape, t_steps: int, detach: bool,
-):
-    protos = _transduced_full_prototypes(
-        episode, metric, emb_s_full, emb_q_full, emb_s_h, emb_q_h,
-        tape, t_steps, detach,
-    )
     d = pairwise(metric, emb_q_full, protos, tape)
     true_d = nk.asum(nk.mul(d, one_hot(episode.query_y, episode.ways)), axis=1)
     return nk.mean(nk.add(true_d, nk.logsumexp(nk.neg(d), axis=-1)))
+
+
+def _embed(episode, encoder, view, tape, mode, rng):
+    """Full-path support and query embeddings, then ``view``'s (reused if full)."""
+    emb_s_full = encode_batch(encoder, episode.support_x, VIEWS[0], mode, tape, rng)
+    emb_q_full = encode_batch(encoder, episode.query_x, VIEWS[0], mode, tape, rng)
+    if view.name == "full":
+        return emb_s_full, emb_q_full, emb_s_full, emb_q_full
+    emb_s_h = encode_batch(encoder, episode.support_x, view, mode, tape, rng)
+    emb_q_h = encode_batch(encoder, episode.query_x, view, mode, tape, rng)
+    return emb_s_full, emb_q_full, emb_s_h, emb_q_h
 
 
 def instance_loss(
@@ -244,17 +246,46 @@ def instance_loss(
     prototypes live in the full-path space. Equals the mean over queries
     of d(x̃, P_ỹ) plus log-sum-exp over classes of -d(x̃, P_c).
     """
-    emb_s_full = encode_batch(encoder, episode.support_x, VIEWS[0], mode, tape, rng)
-    emb_q_full = encode_batch(encoder, episode.query_x, VIEWS[0], mode, tape, rng)
-    if view.name == "full":
-        emb_s_h, emb_q_h = emb_s_full, emb_q_full
-    else:
-        emb_s_h = encode_batch(encoder, episode.support_x, view, mode, tape, rng)
-        emb_q_h = encode_batch(encoder, episode.query_x, view, mode, tape, rng)
     return _instance_loss_from_embeddings(
-        episode, metric, emb_s_full, emb_q_full, emb_s_h, emb_q_h,
+        episode, metric, *_embed(episode, encoder, view, tape, mode, rng),
         tape, t_steps, detach_confidence,
     )
+
+
+def training_loss(
+    episode: Episode,
+    encoder: EncoderParams | None,
+    metric: MetricSpec,
+    classifier: GlobalClassifier,
+    view: ViewSpec,
+    tape: nk.Tape | None = None,
+    *,
+    lam: float,
+    t_steps: int = 1,
+    detach_confidence: bool = False,
+    mode: str = "eval",
+    rng: np.random.Generator | None = None,
+):
+    """The training objective L = lam * L_I + L_D, as ``(L, L_I, L_D)``.
+
+    L_I is :func:`instance_loss` with confidences from ``view``; L_D is
+    :func:`dimension_loss` over the full-path embeddings L_I scores.
+    """
+    if episode.support_g is None or episode.query_g is None:
+        raise ContractError("training requires global class labels on every episode")
+    embs = _embed(episode, encoder, view, tape, mode, rng)
+    l_i = _instance_loss_from_embeddings(
+        episode, metric, *embs, tape, t_steps, detach_confidence
+    )
+    if encoder is None:
+        positions, channels = 1, episode.dim
+    else:
+        positions, channels = encoder.positions, encoder.channels
+    l_d = dimension_loss(
+        per_position(nk.concat(embs[:2], axis=0), positions, channels),
+        np.concatenate([episode.support_g, episode.query_g]), classifier, tape,
+    )
+    return nk.add(nk.mul(lam, l_i), l_d), l_i, l_d
 
 
 def dimension_loss(
@@ -303,16 +334,6 @@ def _step_rng(seed: int, step: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, step, 1]))
 
 
-def _rebuild_metric(metric: MetricSpec, updated: dict[str, np.ndarray]) -> MetricSpec:
-    if metric.kind == "euclid":
-        return metric
-    if metric.kind == "scaled":
-        return MetricSpec.scaled(float(updated["metric.s"]))
-    from .metric import ScalerParams
-
-    return MetricSpec(kind=metric.kind, scaler=ScalerParams.from_named(updated))
-
-
 def train_step(
     episode: Episode,
     state: TrainState,
@@ -320,63 +341,41 @@ def train_step(
     rng: np.random.Generator,
     step_index: int,
 ) -> StepReport:
-    """One optimization step; mutates ``state`` in place."""
+    """One optimization step; mutates ``state`` in place unless it diverges."""
     h = view_by_name(config.views[int(rng.integers(len(config.views)))])
-    support_x, query_x = episode.support_x, episode.query_x
     if config.weak_strong:
-        support_x = perturb_input(support_x, "weak", rng, config.perturb)
-        query_x = perturb_input(query_x, "strong", rng, config.perturb)
-    perturbed = Episode(
-        ways=episode.ways, shots=episode.shots,
-        support_x=support_x, support_y=episode.support_y,
-        query_x=query_x, query_y=episode.query_y,
-        support_g=episode.support_g, query_g=episode.query_g,
-    )
+        episode = replace(
+            episode,
+            support_x=perturb_input(episode.support_x, "weak", rng, config.perturb),
+            query_x=perturb_input(episode.query_x, "strong", rng, config.perturb),
+        )
     tape = nk.Tape()
     enc = state.encoder
-    full = VIEWS[0]
-    emb_s_full = encode_batch(enc, support_x, full, "train", tape, rng)
-    emb_q_full = encode_batch(enc, query_x, full, "train", tape, rng)
-    if h.name == "full":
-        emb_s_h, emb_q_h = emb_s_full, emb_q_full
-    else:
-        emb_s_h = encode_batch(enc, support_x, h, "train", tape, rng)
-        emb_q_h = encode_batch(enc, query_x, h, "train", tape, rng)
-    l_i = _instance_loss_from_embeddings(
-        perturbed, state.metric, emb_s_full, emb_q_full, emb_s_h, emb_q_h,
-        tape, config.t_train, config.detach_confidence,
+    loss, l_i, l_d = training_loss(
+        episode, enc, state.metric, state.classifier, h, tape,
+        lam=config.lam, t_steps=config.t_train,
+        detach_confidence=config.detach_confidence, mode="train", rng=rng,
     )
-    if perturbed.support_g is None or perturbed.query_g is None:
-        raise ContractError(
-            "training requires global class labels on every episode"
-        )
-    if enc is None:
-        positions, channels = 1, episode.dim
-    else:
-        positions, channels = enc.positions, enc.channels
-    all_emb = nk.concat([emb_s_full, emb_q_full], axis=0)
-    l_d = dimension_loss(
-        per_position(all_emb, positions, channels),
-        np.concatenate([perturbed.support_g, perturbed.query_g]),
-        state.classifier,
-        tape,
-    )
-    loss = nk.add(nk.mul(config.lam, l_i), l_d)
     grads = nk.grad(tape, loss)
     lr = lr_at(step_index, config.schedule)
+    velocities = dict(state.velocities)
     updated = {
         name: _nesterov_update(
-            name, var.value, grads[var], state.velocities,
+            name, var.value, grads[var], velocities,
             lr, config.momentum, config.weight_decay,
         )
         for name, var in tape.named_params.items()
     }
+    for name, value in updated.items():
+        if not np.isfinite(value).all():
+            raise DomainError(f"update at step {step_index} made {name} non-finite")
+    state.velocities = velocities
     if enc is not None:
         state.encoder = EncoderParams.from_named(
             updated, dropout=enc.dropout,
             positions=enc.positions, channels=enc.channels,
         )
-    state.metric = _rebuild_metric(state.metric, updated)
+    state.metric = MetricSpec.from_named(state.metric.kind, updated)
     state.classifier = replace(state.classifier, weight=updated["classifier.w"])
     state.step = step_index + 1
     return StepReport(
@@ -432,9 +431,11 @@ def train(
             source, config.ways, config.shots, config.queries,
             derive_seed(config.seed, step),
         )
-        reports.append(
-            train_step(episode, state, config, _step_rng(config.seed, step), step)
-        )
+        try:
+            report = train_step(episode, state, config, _step_rng(config.seed, step), step)
+        except DomainError as exc:
+            raise DomainError(f"training diverged at step {step}: {exc}") from exc
+        reports.append(report)
         if config.checkpoint_every and (step + 1) % config.checkpoint_every == 0:
             save_state(config.checkpoint_path, state.to_model_state())
     return state, reports

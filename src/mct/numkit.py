@@ -13,14 +13,13 @@ rather than cached.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import ContractError, DomainError
 
 __all__ = [
-    "Tensor",
     "Tape",
     "Var",
     "grad",
@@ -47,62 +46,6 @@ __all__ = [
     "logsumexp",
     "softmax_neg",
 ]
-
-
-class Tensor:
-    """An immutable, finite, row-major float64 array.
-
-    Construction validates the two invariants every array entering the
-    library must satisfy: the flat data length matches the product of the
-    extents, and every entry is finite. NaN or infinity anywhere is a
-    :class:`DomainError`.
-    """
-
-    __slots__ = ("_array",)
-
-    def __init__(self, data, shape: Sequence[int] | None = None):
-        arr = np.array(data, dtype=np.float64)
-        if shape is not None:
-            shape = tuple(int(s) for s in shape)
-            if any(s <= 0 for s in shape):
-                raise DomainError(f"extents must be positive, got {shape}")
-            expected = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            if arr.size != expected:
-                raise DomainError(
-                    f"data length {arr.size} does not match shape {shape}"
-                )
-            arr = arr.reshape(shape)
-        elif any(s <= 0 for s in arr.shape):
-            raise DomainError(f"extents must be positive, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("tensor entries must be finite")
-        arr.flags.writeable = False
-        self._array = arr
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self._array.shape
-
-    @property
-    def array(self) -> np.ndarray:
-        """Read-only ndarray view of the contents."""
-        return self._array
-
-    @property
-    def data(self) -> np.ndarray:
-        """Read-only flat (row-major) view of the contents."""
-        return self._array.reshape(-1)
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape})"
-
-
-def as_finite_array(data, name: str = "array") -> np.ndarray:
-    """Convert to a float64 ndarray, rejecting non-finite entries."""
-    arr = np.asarray(data, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite")
-    return arr
 
 
 # --------------------------------------------------------------------------
@@ -204,14 +147,6 @@ class Tape:
     @property
     def named_params(self) -> dict[str, Var]:
         return dict(self._named)
-
-    def const(self, value) -> Var:
-        """Track ``value`` as a non-parameter leaf (no gradient kept)."""
-        return Var(np.asarray(value, dtype=np.float64), self)
-
-    @property
-    def params(self) -> tuple[Var, ...]:
-        return tuple(self._params)
 
     def __len__(self) -> int:
         return len(self._records)

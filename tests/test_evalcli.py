@@ -22,6 +22,7 @@ from mct.evalcli import (
     _gradcheck_loss,
 )
 from mct import evalcli
+from mct.metatrain import GlobalClassifier, training_loss
 from mct.metric import MetricSpec
 from mct.transduce import refine, semi_infer, soft_kmeans
 from mct.encoder import VIEWS, EncoderParams
@@ -276,6 +277,28 @@ class TestGradcheck:
         with pytest.raises(ContractError):
             gradcheck(trials=0)
 
+    @pytest.mark.parametrize("trial", range(4))
+    def test_loss_is_training_loss_of_rebuilt_model(self, trial):
+        named, fixture = _gradcheck_fixture(trial, seed=0)
+        episode, kind, lam, shape = fixture
+        encoder = EncoderParams.from_named(
+            named, dropout=0.0, positions=shape["positions"], channels=shape["channels"]
+        )
+        metric = MetricSpec.from_named(kind, named)
+        clf = GlobalClassifier(weight=named["classifier.w"], classes=shape["classes"])
+        loss, _, _ = training_loss(
+            episode, encoder, metric, clf, VIEWS[shape["view"]], lam=lam
+        )
+        assert np.array_equal(_gradcheck_loss(named, fixture, None), loss)
+
+    @pytest.mark.parametrize("trials, seed", [(2, 278550621), (3, 880104451)])
+    def test_fixture_seeds_that_once_degenerated_pass(self, trials, seed):
+        # with zero encoder biases these seeds left a relu layer dead: one
+        # put the loss on a kink (rel err 1.75), the other zeroed every
+        # embedding so normalization raised
+        rep = gradcheck(trials=trials, tolerance=1e-4, seed=seed)
+        assert rep.passed, rep.worst_param
+
 
 @pytest.fixture()
 def table_file(tmp_path):
@@ -337,6 +360,14 @@ class TestCli:
         ])
         assert code == 0
         assert "accuracy" in capsys.readouterr().out
+
+    def test_diverging_train_names_step_and_writes_nothing(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.mctp"
+        with np.errstate(all="ignore"):
+            code = main(["train", "--lr", "50", "--steps", "30", "--out", str(ckpt)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: training diverged at step ")
+        assert not ckpt.exists()
 
     def test_gradcheck_exit_codes(self, capsys):
         assert main(["gradcheck", "--trials", "1", "--tolerance", "0"]) == 3

@@ -1,0 +1,33 @@
+"""Every exported name resolves, in the package and in each module."""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+import mct
+
+MODULES = [
+    "checkpoint", "encoder", "episodes", "errors",
+    "evalcli", "metatrain", "metric", "numkit", "transduce",
+]
+
+
+@pytest.mark.parametrize("name", ["mct"] + [f"mct.{m}" for m in MODULES])
+def test_all_names_resolve(name):
+    module = importlib.import_module(name)
+    assert len(set(module.__all__)) == len(module.__all__)
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert not missing
+
+
+def test_every_module_is_listed():
+    found = {p.stem for p in Path(mct.__file__).parent.glob("*.py")}
+    assert found - {"__init__"} == set(MODULES)
+
+
+def test_training_loss_exported_beside_its_parts():
+    for name in ("training_loss", "instance_loss", "dimension_loss"):
+        assert name in mct.__all__
+        assert getattr(mct, name) is getattr(mct.metatrain, name)
+    assert "Tensor" not in mct.numkit.__all__

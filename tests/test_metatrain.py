@@ -5,7 +5,9 @@ import pytest
 
 from mct import numkit as nk
 from mct.checkpoint import load_state
-from mct.encoder import EncoderParams, PerturbPolicy, VIEWS, encode_batch, per_position, view_by_name
+from mct.encoder import (
+    EncoderParams, PerturbPolicy, VIEWS, encode_batch, per_position, perturb_input, view_by_name,
+)
 from mct.episodes import Episode, EmbeddingTable, SyntheticSpec, gen_synthetic, sample_episode
 from mct.errors import ContractError, DomainError
 from mct.metatrain import (
@@ -19,6 +21,7 @@ from mct.metatrain import (
     lr_at,
     train,
     train_step,
+    training_loss,
 )
 from mct.metric import MetricSpec
 from mct.transduce import confidence, init_from_embeddings, update_prototypes
@@ -211,6 +214,58 @@ class TestDimensionLoss:
             dimension_loss(np.ones((2, 3)), [0, 5], clf)
 
 
+def encoded_model(seed):
+    rng = np.random.default_rng(seed)
+    encoder = EncoderParams.init(16, rng)
+    metric = MetricSpec.instance(64, rng)
+    clf = GlobalClassifier.init(encoder.channels, range(20), rng)
+    return encoder, metric, clf
+
+
+class TestTrainingLoss:
+    @pytest.mark.parametrize("view", ["full", "aug_drop"])
+    def test_train_step_reports_training_loss_bitwise(self, view):
+        # replay train_step's rng draws by hand: the view pick, the weak and
+        # strong perturbations, then the train-mode encodes inside the loss
+        ep = sample_episode(POOL_SPEC, 4, 1, 3, rng_seed=21)
+        encoder, metric, clf = encoded_model(8)
+        cfg = tiny_config(views=(view,))
+        rng = np.random.default_rng(9)
+        rng.integers(1)
+        perturbed = Episode(
+            ways=ep.ways, shots=ep.shots,
+            support_x=perturb_input(ep.support_x, "weak", rng, cfg.perturb),
+            support_y=ep.support_y,
+            query_x=perturb_input(ep.query_x, "strong", rng, cfg.perturb),
+            query_y=ep.query_y, support_g=ep.support_g, query_g=ep.query_g,
+        )
+        loss, l_i, l_d = training_loss(
+            perturbed, encoder, metric, clf, view_by_name(view), nk.Tape(),
+            lam=cfg.lam, mode="train", rng=rng,
+        )
+        state = TrainState(metric=metric, encoder=encoder, classifier=clf)
+        report = train_step(ep, state, cfg, np.random.default_rng(9), step_index=0)
+        assert report.view == view
+        assert report.loss == float(nk.value_of(loss))
+        assert report.loss_instance == float(nk.value_of(l_i))
+        assert report.loss_dimension == float(nk.value_of(l_d))
+
+    @pytest.mark.parametrize("view", VIEWS, ids=lambda v: v.name)
+    def test_instance_part_is_instance_loss_bitwise(self, view):
+        ep = sample_episode(POOL_SPEC, 4, 2, 3, rng_seed=22)
+        encoder, metric, clf = encoded_model(10)
+        l_i = instance_loss(ep, encoder, view, metric)
+        _, part, _ = training_loss(ep, encoder, metric, clf, view, lam=0.5)
+        assert np.array_equal(nk.value_of(part), nk.value_of(l_i))
+
+    def test_missing_global_labels_rejected(self):
+        ep, _ = gen_synthetic(SyntheticSpec(input_dim=16), 4, 1, 3, rng_seed=0)
+        assert ep.support_g is None
+        encoder, metric, clf = encoded_model(12)
+        with pytest.raises(ContractError, match="global class labels"):
+            training_loss(ep, encoder, metric, clf, VIEWS[0], lam=0.5)
+
+
 class TestTrainStep:
     def test_two_runs_bitwise_identical(self):
         s1, _ = train(POOL_SPEC, tiny_config())
@@ -295,6 +350,23 @@ class TestTrainStep:
         bare = SyntheticSpec(input_dim=16)  # no pool: no global ids
         with pytest.raises(ContractError):
             train(bare, tiny_config())
+
+    def test_non_finite_update_names_step_and_parameter(self):
+        # identity encoder + euclid metric: the classifier is the only
+        # parameter, and an infinite rate makes its update non-finite
+        ep = sample_episode(POOL_SPEC, 4, 1, 3, rng_seed=99)
+        clf = GlobalClassifier.init(16, range(20), np.random.default_rng(0))
+        state = TrainState(metric=EUCLID, encoder=None, classifier=clf)
+        cfg = tiny_config(schedule=LrSchedule(initial=float("inf")))
+        with pytest.raises(DomainError, match="step 3 .*classifier.w"):
+            train_step(ep, state, cfg, np.random.default_rng(1), step_index=3)
+        assert state.classifier is clf and state.step == 0 and not state.velocities
+
+    def test_diverging_run_names_its_step(self):
+        cfg = tiny_config(steps=30, schedule=LrSchedule(initial=50.0))
+        with pytest.raises(DomainError, match=r"^training diverged at step \d+: "):
+            with np.errstate(all="ignore"):
+                train(POOL_SPEC, cfg)
 
     def test_checkpointing_round_trip(self, tmp_path):
         path = tmp_path / "ck.mctp"

@@ -31,32 +31,6 @@ def rel_err(a, b, floor=1e-4):
     return np.max(np.abs(a - b) / denom)
 
 
-class TestTensor:
-    def test_round_trip_shape_and_data(self):
-        t = nk.Tensor([1.0, 2.0, 3.0, 4.0], shape=(2, 2))
-        assert t.shape == (2, 2)
-        np.testing.assert_array_equal(t.data, [1.0, 2.0, 3.0, 4.0])
-
-    def test_rejects_nan_and_inf(self):
-        with pytest.raises(DomainError):
-            nk.Tensor([1.0, np.nan])
-        with pytest.raises(DomainError):
-            nk.Tensor([np.inf, 0.0])
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(DomainError):
-            nk.Tensor([1.0, 2.0, 3.0], shape=(2, 2))
-
-    def test_rejects_nonpositive_extent(self):
-        with pytest.raises(DomainError):
-            nk.Tensor([], shape=(0,))
-
-    def test_immutable(self):
-        t = nk.Tensor([1.0, 2.0])
-        with pytest.raises(ValueError):
-            t.array[0] = 5.0
-
-
 class TestSoftmaxNeg:
     def test_equal_distances_give_uniform(self):
         p = nk.softmax_neg(np.zeros(3))
