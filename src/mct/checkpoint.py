@@ -15,6 +15,7 @@ scalars carrying the non-tensor settings.
 
 from __future__ import annotations
 
+import math
 import os
 import shutil
 import struct
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import EncoderParams
-from .errors import DomainError, FormatError
+from .errors import ContractError, DomainError, FormatError
 from .metric import METRIC_KINDS, MetricSpec
 
 __all__ = ["save_tensors", "load_tensors", "ModelState", "save_state", "load_state"]
@@ -112,7 +113,7 @@ def load_tensors(path) -> dict[str, np.ndarray]:
         if any(e == 0 for e in extents):
             raise FormatError(f"zero extent in {extents}", offset=pos)
         pos += 4 * rank
-        size = int(np.prod(extents, dtype=np.int64)) if rank else 1
+        size = math.prod(extents)  # exact: a crafted file must not overflow it
         _need(blob, pos, 8 * size, f"data of {name!r}")
         data = np.frombuffer(blob, dtype="<f8", count=size, offset=pos)
         finite = np.isfinite(data)
@@ -158,19 +159,27 @@ class ModelState:
         def meta(key):
             return float(np.asarray(named[key]).reshape(()))
 
+        def integer(key, low, high=math.inf):
+            value = meta(key)
+            if not (value.is_integer() and low <= value < high):
+                raise ContractError(f"{key} must be an integer in [{low}, {high}), got {value!r}")
+            return int(value)
+
         try:
-            kind = METRIC_KINDS[int(meta("meta.metric_kind"))]
+            kind = METRIC_KINDS[integer("meta.metric_kind", 0, len(METRIC_KINDS))]
             metric = MetricSpec.from_named(kind, named)
             enc = None
-            if meta("meta.has_encoder"):
+            if integer("meta.has_encoder", 0, 2):
                 enc = EncoderParams.from_named(
                     named,
                     dropout=meta("meta.dropout"),
-                    positions=int(meta("meta.positions")),
-                    channels=int(meta("meta.channels")),
+                    positions=integer("meta.positions", 1),
+                    channels=integer("meta.channels", 1),
                 )
         except KeyError as exc:
             raise FormatError(f"checkpoint is missing tensor {exc.args[0]!r}") from None
+        except ValueError as exc:  # ContractError, DomainError, or a non-scalar meta tensor
+            raise FormatError(f"checkpoint tensors do not form a model: {exc}") from None
         return ModelState(
             metric=metric,
             encoder=enc,

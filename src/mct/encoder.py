@@ -88,9 +88,9 @@ class EncoderParams:
     channels: int = 16
 
     def __post_init__(self):
-        hidden = self.w_in.shape[1]
-        if self.w_in.ndim != 2 or self.b_in.shape != (hidden,):
+        if self.w_in.ndim != 2 or self.b_in.shape != self.w_in.shape[1:]:
             raise ContractError("input projection shapes are inconsistent")
+        hidden = self.w_in.shape[1]
         if len(self.blocks) < 1:
             raise ContractError("need at least one residual block")
         for w1, b1, w2, b2 in self.blocks:

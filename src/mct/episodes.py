@@ -358,7 +358,7 @@ def _sample_from_table(
         support_y=_labels_for(ways, shots),
         query_x=_class_major(qry_blocks),
         query_y=_labels_for(ways, queries),
-        unlabeled_x=_class_major(unl_blocks) if unl_blocks else None,
+        unlabeled_x=_class_major(unl_blocks) if unlabeled else None,
         support_g=np.concatenate(sup_g),
         query_g=np.concatenate(qry_g),
     )

@@ -7,7 +7,8 @@ log-likelihood both before the first transductive step and at the final
 step. Reports render as JSON lines (one record per episode plus a
 summary) and as a plain-text table; both renderings are byte-stable
 given (model, seed, protocol); the worker count is accepted for
-compatibility and changes nothing.
+compatibility and changes nothing. Every mode, semi included, refines
+a few same-shape episodes at a time through ``transduce.refine_batch``.
 
 ``gradcheck`` drives ``metatrain.training_loss``, the objective that
 training differentiates, on small random episodes and compares every
@@ -48,7 +49,7 @@ from .metatrain import (
     training_loss,
 )
 from .metric import METRIC_KINDS, MetricSpec, ScalerParams
-from .transduce import _semi_refine, predict_labels, refine_batch
+from .transduce import predict_labels, refine_batch
 
 __all__ = [
     "EpisodeRecord",
@@ -140,38 +141,24 @@ class Report:
 _BATCH = 4
 
 
-def _record(index: int, seed: int, episode, conf0, conf) -> EpisodeRecord:
-    return EpisodeRecord(
-        index=index,
-        seed=seed,
-        accuracy=float(np.mean(predict_labels(conf) == episode.query_y)),
-        nll=nll(conf0, episode.query_y),
-        nll_final=nll(conf, episode.query_y),
-    )
-
-
-def _score_semi(state: ModelState, source, protocol: EvalProtocol, index: int) -> EpisodeRecord:
-    seed = derive_seed(protocol.master_seed, index)
-    episode = sample_episode(
-        source, protocol.ways, protocol.shots, protocol.queries, seed,
-        unlabeled=protocol.unlabeled_count, distractors=protocol.distractors,
-    )
-    # baseline and refinement both use the plain view here
-    conf0, conf = _semi_refine(episode, state.encoder, state.metric)
-    return _record(index, seed, episode, conf0, conf)
-
-
 def _score_batch(state: ModelState, source, protocol: EvalProtocol, indices):
     seeds = [derive_seed(protocol.master_seed, i) for i in indices]
+    semi = protocol.mode == "semi"
+    # semi mode's fixed protocol: one update driven by the pool, plain view only
+    pool = dict(unlabeled=protocol.unlabeled_count, distractors=protocol.distractors) if semi else {}
+    views = VIEWS if protocol.ensemble and not semi else VIEWS[:1]
+    steps = {"inductive": 0, "transductive": protocol.T, "semi": 1}[protocol.mode]
     episodes = [
-        sample_episode(source, protocol.ways, protocol.shots, protocol.queries, seed)
+        sample_episode(source, protocol.ways, protocol.shots, protocol.queries, seed, **pool)
         for seed in seeds
     ]
-    views = VIEWS if protocol.ensemble else VIEWS[:1]
-    steps = protocol.T if protocol.mode == "transductive" else 0
     traces = refine_batch(episodes, state.encoder, views, state.metric, steps)
     return [
-        _record(i, seed, ep, trace[0], trace[-1])
+        EpisodeRecord(
+            index=i, seed=seed,
+            accuracy=float(np.mean(predict_labels(trace[-1]) == ep.query_y)),
+            nll=nll(trace[0], ep.query_y), nll_final=nll(trace[-1], ep.query_y),
+        )
         for i, seed, ep, trace in zip(indices, seeds, episodes, traces)
     ]
 
@@ -181,20 +168,18 @@ def evaluate(state: ModelState, source, protocol: EvalProtocol) -> Report:
 
     ``mean_nll`` comes from the confidences before the first
     transductive step, ``mean_nll_final`` from the returned step-T
-    confidences. Episode i is seeded from (master_seed, i). Inductive
-    and transductive episodes are sampled in index order and refined a
-    few at a time through one ``refine_batch`` call, in this process;
-    semi-mode episodes are scored one by one. ``protocol.workers`` is
+    confidences. Episode i is seeded from (master_seed, i). Episodes of
+    every mode are sampled in index order and refined a few at a time
+    through one ``refine_batch`` call, in this process. Semi-mode
+    episodes carry an unlabeled pool that drives one update in the plain
+    view, whatever ``T`` and ``ensemble`` say. ``protocol.workers`` is
     validated but changes neither the computation nor the result.
     """
     n = protocol.n_episodes
-    if protocol.mode == "semi":
-        records = [_score_semi(state, source, protocol, i) for i in range(n)]
-    else:
-        records = []
-        for start in range(0, n, _BATCH):
-            batch = range(start, min(start + _BATCH, n))
-            records += _score_batch(state, source, protocol, batch)
+    records = []
+    for start in range(0, n, _BATCH):
+        batch = range(start, min(start + _BATCH, n))
+        records += _score_batch(state, source, protocol, batch)
     acc = np.array([r.accuracy for r in records])
     nll0 = np.array([r.nll for r in records])
     nll_t = np.array([r.nll_final for r in records])

@@ -199,22 +199,23 @@ def _instance_loss_from_embeddings(
     episode, metric, emb_s_full, emb_q_full, emb_s_h, emb_q_h,
     tape, t_steps: int, detach: bool,
 ):
-    """Confidences in h-space drive prototype updates in full space."""
+    """Confidences in h-space drive prototype updates in full space; only read updates are made."""
+    if t_steps < 1:
+        raise ContractError("the instance loss needs at least one transduction step")
     protos_h = init_from_embeddings(emb_s_h, episode.support_y, episode.ways)
-    protos = init_from_embeddings(emb_s_full, episode.support_y, episode.ways)
-    for _ in range(t_steps):
+    for step in range(t_steps):
+        if step:
+            protos_h = update_prototypes(
+                emb_s_h, episode.support_y, episode.ways, emb_q_h, conf, tape
+            )
         conf = nk.softmax_neg(pairwise(metric, emb_q_h, protos_h, tape))
         if detach:
             conf = nk.value_of(conf)
-        protos_h = update_prototypes(
-            emb_s_h, episode.support_y, episode.ways, emb_q_h, conf, tape
-        )
-        protos = update_prototypes(
-            emb_s_full, episode.support_y, episode.ways, emb_q_full, conf, tape
-        )
+    protos = update_prototypes(
+        emb_s_full, episode.support_y, episode.ways, emb_q_full, conf, tape
+    )
     d = pairwise(metric, emb_q_full, protos, tape)
-    true_d = nk.asum(nk.mul(d, one_hot(episode.query_y, episode.ways)), axis=1)
-    return nk.mean(nk.add(true_d, nk.logsumexp(nk.neg(d), axis=-1)))
+    return _cross_entropy(nk.neg(d), one_hot(episode.query_y, episode.ways))
 
 
 def _embed(episode, encoder, view, tape, mode, rng):
@@ -334,6 +335,8 @@ def _step_rng(seed: int, step: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, step, 1]))
 
 
+# a diverging step's overflow is reported, with the step, by the finite checks
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train_step(
     episode: Episode,
     state: TrainState,

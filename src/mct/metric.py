@@ -223,18 +223,20 @@ def _sq_diff(a, b):
     a time as fit in ``_SQ_BLOCK`` entries, and at least one: a small
     call is one block, a stack of views goes column by column. Every
     entry is the same sum of the same squares, so the values do not
-    depend on the blocking.
+    depend on the blocking. One temporary serves every block: a fresh
+    one per block refaults whatever pages the allocator gave back.
     """
     av, bv = nk.value_of(a), nk.value_of(b)
     *lead, n, l = av.shape
     m = bv.shape[-2]
     if not isinstance(a, nk.Var) and not isinstance(b, nk.Var):
-        cols = max(1, _SQ_BLOCK // max(av.size, 1))
+        cols = max(1, min(m, _SQ_BLOCK // max(av.size, 1)))
+        buf = np.empty((*lead, n, cols, l), dtype=np.result_type(av, bv))
         parts = []
         for j in range(0, max(m, 1), cols):
-            # squared in place: one large temporary fewer, same values
-            diff = av[..., :, None, :] - bv[..., None, j:j + cols, :]
-            diff *= diff
+            diff = buf[..., :min(cols, m - j), :]
+            np.subtract(av[..., :, None, :], bv[..., None, j:j + cols, :], out=diff)
+            diff *= diff  # squared in place
             parts.append(diff.sum(axis=-1))
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
     diff = nk.sub(nk.reshape(a, (*lead, n, 1, l)), nk.reshape(b, (*lead, 1, m, l)))

@@ -7,11 +7,12 @@ weight to that class's prototype, while every support item keeps weight
 exactly 1, and the process repeats for T steps. The multi-view variant
 runs one prototype set per encoder view, averages the per-view
 confidences into a single ensemble at every step, and updates all views
-with that shared ensemble, each in its own embedding space. Inference
-runs through :func:`refine_batch`, which refines a batch of same-shape
-episodes at once and returns the ensemble at every step; :func:`refine`
-is its one-episode form, and ``soft_kmeans`` (one view) and
-``mct_infer`` keep its last step.
+with that shared ensemble, each in its own embedding space; an
+episode's unlabeled pool, if it has one, drives the update in place of
+the queries. :func:`refine_batch` runs it for a batch of same-shape
+episodes and returns the query ensemble at every step; :func:`refine`
+is its one-episode form, ``soft_kmeans`` and ``mct_infer`` keep its
+last step, and :func:`semi_infer` is the pooled one-update reference.
 
 Confidence matrices are plain (n, ways) float64 arrays whose rows sum
 to one; prototype matrices are (ways, embed_dim), row c-1 for class c.
@@ -142,19 +143,20 @@ def refine_batch(
 
     At every step each view scores the queries against its own
     prototypes; the ensemble confidence is the exact arithmetic mean of
-    those local confidences, and every view's prototypes are then
-    updated with the shared ensemble weights in the view's own
-    embedding space. Episodes never mix. Returns an
-    (E, T+1, n_query, ways) array whose entry [i, t] is episode i's
-    ensemble at step t, so [i, 0] is plain inductive inference.
+    those local confidences. Every view's prototypes are then updated in
+    its own embedding space with the ensemble weights of the episode's
+    unlabeled pool, scored the same way, or else of its queries.
+    Episodes never mix. Returns an (E, T+1, n_query, ways) array whose
+    entry [i, t] is episode i's query ensemble at step t, so [i, 0] is
+    plain inductive inference.
 
-    Untaped. The E episodes must share one shape (ways, support and
-    query sizes). Each view encodes all support sets in one call and
-    all query sets in another; the embeddings of every (episode, view)
-    pair are carried as one (E*V, n, l) stack, so each step makes one
-    distance call, one softmax and one prototype update for the whole
-    batch, and the support class sums and query-side metric terms are
-    computed once. Every value is bitwise equal to running the
+    Untaped. The E episodes must share one shape (ways, support, query
+    and pool sizes; a pool must not be empty). Each row set of the batch
+    is encoded in one call per view and carried as an (E*V, n, l) stack,
+    so a step makes one distance call and one softmax per scored set and
+    one prototype update; class sums and query-side metric terms are
+    computed once. Queries and pool never share a stack: the row count
+    changes BLAS rounding. Every value is bitwise equal to running the
     episodes and views one by one.
     """
     if T < 0:
@@ -163,37 +165,56 @@ def refine_batch(
         raise ContractError("need at least one view")
     if len(episodes) < 1:
         raise ContractError("need at least one episode")
-    first = episodes[0]
-    ways = first.ways
-    shape = (ways, first.support_x.shape, first.query_x.shape)
-    if any((ep.ways, ep.support_x.shape, ep.query_x.shape) != shape for ep in episodes):
+    # np.shape(None) is (), unlike the shape of any pool
+    if len({(ep.ways, ep.support_x.shape, ep.query_x.shape, np.shape(ep.unlabeled_x))
+            for ep in episodes}) != 1:
         raise ContractError("episodes of one batch must share one shape")
-    n_ev, n_q = len(episodes) * len(views), first.query_x.shape[0]
-    support_x = np.stack([ep.support_x for ep in episodes])
-    query_x = np.stack([ep.query_x for ep in episodes])
-    # (E, V, n, l): episode-major, so each episode's views are adjacent
-    emb_s = np.stack([encode_batch(encoder, support_x, v) for v in views], axis=1)
-    emb_q = np.stack([encode_batch(encoder, query_x, v) for v in views], axis=1)
-    flat_q = emb_q.reshape(n_ev, n_q, -1)
+    first = episodes[0]
+    pooled = first.unlabeled_x is not None
+    if pooled and first.unlabeled_x.shape[0] == 0:
+        raise ContractError("an unlabeled pool must not be empty")
+    ways, n_e, n_v = first.ways, len(episodes), len(views)
+
+    def embed(rows):
+        # (E, V, n, l): episode-major, so each episode's views are adjacent
+        x = np.stack(rows)
+        return np.stack([encode_batch(encoder, x, v) for v in views], axis=1)
+
+    def flat(emb):
+        return emb.reshape(n_e * n_v, emb.shape[2], -1)
+
+    def ensemble(emb, terms, protos):
+        """(E, n, ways): the mean over views of one row set's confidences."""
+        local = nk.softmax_neg(pairwise(
+            metric, flat(emb), protos.reshape(n_e * n_v, ways, -1), query=terms
+        )).reshape(*emb.shape[:3], ways)
+        out = local[:, 0]
+        for v in range(1, n_v):
+            out = out + local[:, v]
+        return out / n_v
+
+    emb_s = embed([ep.support_x for ep in episodes])
+    emb_q = embed([ep.query_x for ep in episodes])
+    q_terms = query_terms(metric, flat(emb_q))
+    # the rows whose confidences weight each update: the pool, else the queries
+    emb_d, d_terms = emb_q, q_terms
+    if pooled:
+        emb_d = embed([ep.unlabeled_x for ep in episodes])
+        d_terms = query_terms(metric, flat(emb_d))
     counts = np.stack([class_counts(ep.support_y, ways) for ep in episodes])[:, None, :, None]
     indicator = np.stack([one_hot(ep.support_y, ways).T for ep in episodes])[:, None]
     class_sums = np.matmul(indicator, emb_s)
     protos = class_sums / counts
-    q_terms = query_terms(metric, flat_q)
-    trace = np.empty((len(episodes), T + 1, n_q, ways))
+    trace = np.empty((n_e, T + 1, first.query_x.shape[0], ways))
     for t in range(T + 1):
-        local = nk.softmax_neg(pairwise(
-            metric, flat_q, protos.reshape(n_ev, ways, -1), query=q_terms
-        )).reshape(len(episodes), len(views), n_q, ways)
-        ensemble = local[:, 0]
-        for v in range(1, len(views)):
-            ensemble = ensemble + local[:, v]
-        ensemble = ensemble / len(views)
-        trace[:, t] = ensemble
+        conf = ensemble(emb_q, q_terms, protos)
+        trace[:, t] = conf
         if t < T:
-            weights = np.ascontiguousarray(ensemble.transpose(0, 2, 1))[:, None]
-            mass = ensemble.sum(axis=1)[:, None, :, None]
-            protos = (class_sums + np.matmul(weights, emb_q)) / (counts + mass)
+            if pooled:
+                conf = ensemble(emb_d, d_terms, protos)
+            weights = np.ascontiguousarray(conf.transpose(0, 2, 1))[:, None]
+            mass = conf.sum(axis=1)[:, None, :, None]
+            protos = (class_sums + np.matmul(weights, emb_d)) / (counts + mass)
     return trace
 
 
@@ -230,26 +251,6 @@ def mct_infer(
     return refine(episode, encoder, views, metric, T)[-1]
 
 
-def _semi_update(episode: Episode, encoder, metric: MetricSpec, conf_floor: float | None):
-    """Full-view query embeddings, initial and refined prototypes, unlabeled confidences."""
-    if episode.unlabeled_x is None or episode.unlabeled_x.shape[0] == 0:
-        raise ContractError("semi_infer needs a nonempty unlabeled set")
-    full = VIEWS[0]
-    emb_s = encode_batch(encoder, episode.support_x, full)
-    emb_u = encode_batch(encoder, episode.unlabeled_x, full)
-    emb_q = encode_batch(encoder, episode.query_x, full)
-    protos = init_from_embeddings(emb_s, episode.support_y, episode.ways)
-    u_conf = confidence(emb_u, protos, metric)
-    mass = u_conf
-    if conf_floor is not None:
-        keep = u_conf.max(axis=1) >= conf_floor
-        mass = u_conf * keep[:, None]
-    refined = update_prototypes(
-        emb_s, episode.support_y, episode.ways, emb_u, mass
-    )
-    return emb_q, protos, refined, u_conf
-
-
 def semi_infer(
     episode: Episode,
     encoder,
@@ -267,21 +268,19 @@ def semi_infer(
 
     Returns (refined prototypes, unlabeled confidences, query confidences).
     """
-    emb_q, _, refined, u_conf = _semi_update(episode, encoder, metric, conf_floor)
-    q_conf = confidence(emb_q, refined, metric)
+    if episode.unlabeled_x is None or episode.unlabeled_x.shape[0] == 0:
+        raise ContractError("semi_infer needs a nonempty unlabeled set")
+    full = VIEWS[0]
+    emb_s = encode_batch(encoder, episode.support_x, full)
+    emb_u = encode_batch(encoder, episode.unlabeled_x, full)
+    protos = init_from_embeddings(emb_s, episode.support_y, episode.ways)
+    u_conf = confidence(emb_u, protos, metric)
+    mass = u_conf
+    if conf_floor is not None:
+        mass = u_conf * (u_conf.max(axis=1) >= conf_floor)[:, None]
+    refined = update_prototypes(emb_s, episode.support_y, episode.ways, emb_u, mass)
+    q_conf = confidence(encode_batch(encoder, episode.query_x, full), refined, metric)
     return Prototypes(by_view={VIEWS[0].name: refined}, step=1), u_conf, q_conf
-
-
-def _semi_refine(episode: Episode, encoder, metric: MetricSpec) -> np.ndarray:
-    """Query confidences of :func:`semi_infer` before and after its update.
-
-    A (2, n_query, ways) array: row 0 scores the queries against the
-    initial full-view prototypes (plain inductive inference, bitwise
-    what ``soft_kmeans(…, T=0)`` returns), row 1 against the refined
-    ones. Each set is encoded once.
-    """
-    emb_q, protos, refined, _ = _semi_update(episode, encoder, metric, None)
-    return np.stack([confidence(emb_q, protos, metric), confidence(emb_q, refined, metric)])
 
 
 def predict_labels(conf) -> np.ndarray:

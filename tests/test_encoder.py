@@ -412,3 +412,68 @@ class TestCheckpointIO:
         back = load_state(path)
         assert back.encoder is None and back.classifier is None
         assert back.metric.kind == "euclid"
+
+
+def crafted_checkpoint(path, **changes):
+    """A valid instance-metric checkpoint with some tensors replaced (None drops one)."""
+    state = ModelState(
+        metric=MetricSpec.instance(8, np.random.default_rng(1)), encoder=tiny_encoder()
+    )
+    named = dict(state.to_named())
+    for key, value in changes.items():
+        if value is None:
+            named.pop(key)
+        else:
+            named[key] = np.asarray(value, dtype=np.float64)
+    save_tensors(path, named)
+    return named
+
+
+MALFORMED_META = {
+    "kind_past_the_end": {"meta.metric_kind": 7.0},
+    "kind_negative": {"meta.metric_kind": -1.0},
+    "kind_fractional": {"meta.metric_kind": 2.5},
+    "kind_not_scalar": {"meta.metric_kind": [2.0, 2.0]},
+    "encoder_flag_fractional": {"meta.has_encoder": 0.5},
+    "encoder_flag_two": {"meta.has_encoder": 2.0},
+    "dropout_out_of_range": {"meta.dropout": 1.5},
+    "positions_mismatch": {"meta.positions": 3.0},
+    "positions_fractional": {"meta.positions": 2.5},
+    "shape_negated": {"meta.positions": -2.0, "meta.channels": -4.0},
+}
+
+
+class TestMalformedModelState:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_META))
+    def test_bad_meta_is_a_format_error(self, tmp_path, case):
+        path = tmp_path / "bad.mctp"
+        crafted_checkpoint(path, **MALFORMED_META[case])
+        with pytest.raises(FormatError):
+            load_state(path)
+
+    def test_renamed_block_is_a_format_error(self, tmp_path):
+        path = tmp_path / "renamed.mctp"
+        named = crafted_checkpoint(path)
+        named["encoder.blockA.w1"] = named.pop("encoder.block0.w1")
+        save_tensors(path, named)
+        with pytest.raises(FormatError, match="residual block"):
+            load_state(path)
+
+    def test_one_dimensional_input_projection_is_a_format_error(self, tmp_path):
+        path = tmp_path / "flat.mctp"
+        crafted_checkpoint(path, **{"encoder.w_in": np.ones(8)})
+        with pytest.raises(FormatError):
+            load_state(path)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_META) + ["renamed_block"])
+    def test_cli_exits_two(self, tmp_path, capsys, case):
+        from mct.evalcli import main
+
+        path = tmp_path / "bad.mctp"
+        named = crafted_checkpoint(path, **MALFORMED_META.get(case, {}))
+        if case == "renamed_block":
+            named["encoder.blockA.w1"] = named.pop("encoder.block0.w1")
+            save_tensors(path, named)
+        assert main(["eval", "--checkpoint", str(path), "--episodes", "1", "--dim", "6"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("format error:") and err.count("\n") == 1

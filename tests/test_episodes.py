@@ -94,6 +94,13 @@ class TestTableSampling:
         # 5 episode classes and 2 distractor classes contribute 10 each
         assert ep.unlabeled_x.shape == (70, 4)
 
+    def test_distractors_without_unlabeled_give_no_pool_from_either_source(self):
+        table = small_table(classes=8, per_class=20)
+        spec = SyntheticSpec(input_dim=4, pool_classes=8)
+        for source in (table, spec):
+            ep = sample_episode(source, ways=5, shots=1, queries=5, rng_seed=3, distractors=2)
+            assert ep.unlabeled_x is None, type(source).__name__
+
     def test_class_index_is_read_only(self):
         t = small_table()
         with pytest.raises(TypeError):

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,13 +216,18 @@ class TestBatchedEvaluate:
                 again = evaluate(state, PLAIN_SPEC, replace(protocol, workers=workers))
                 assert render_jsonl(again) == one_by_one
 
-    @pytest.mark.parametrize("kind", ["euclid", "instance"])
-    def test_semi_records_equal_two_pass_scoring(self, kind):
+    @pytest.mark.parametrize("kind", ["euclid", "scaled", "instance", "pair"])
+    def test_semi_records_equal_two_pass_scoring(self, kind, monkeypatch):
         state = trained_like_state(kind)
-        protocol = EvalProtocol(n_episodes=3, mode="semi", unlabeled=4, distractors=1,
-                                master_seed=8)
-        report = evaluate(state, PLAIN_SPEC, protocol)
-        assert report.records == per_episode_records(state, PLAIN_SPEC, protocol)
+        for n_episodes in (1, 5, 9):
+            protocol = EvalProtocol(n_episodes=n_episodes, mode="semi", unlabeled=4,
+                                    distractors=1, master_seed=8)
+            report = evaluate(state, PLAIN_SPEC, protocol)
+            assert report.records == per_episode_records(state, PLAIN_SPEC, protocol)
+            with monkeypatch.context() as m:
+                m.setattr(evalcli, "_BATCH", 1)
+                one_by_one = render_jsonl(evaluate(state, PLAIN_SPEC, protocol))
+            assert render_jsonl(report) == one_by_one, n_episodes
 
 
 class TestRendering:
@@ -367,6 +376,26 @@ class TestCli:
             code = main(["train", "--lr", "50", "--steps", "30", "--out", str(ckpt)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: training diverged at step ")
+        assert not ckpt.exists()
+
+    def test_diverging_train_prints_one_line(self, tmp_path):
+        # a fresh interpreter with default warning filters, as a user runs it
+        src = Path(evalcli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+        )}
+        env.pop("PYTHONWARNINGS", None)
+        ckpt = tmp_path / "m.mctp"
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; from mct.evalcli import main; "
+             "sys.exit(main(sys.argv[1:]))",
+             "train", "--lr", "50", "--steps", "30", "--out", str(ckpt)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert run.returncode == 1
+        assert run.stderr == (
+            "error: training diverged at step 4: softmax_neg input must be finite\n"
+        )
         assert not ckpt.exists()
 
     def test_gradcheck_exit_codes(self, capsys):

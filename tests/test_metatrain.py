@@ -368,6 +368,11 @@ class TestTrainStep:
             with np.errstate(all="ignore"):
                 train(POOL_SPEC, cfg)
 
+    def test_instance_loss_needs_a_transduction_step(self):
+        ep, _ = gen_synthetic(POOL_SPEC, 3, 1, 2, 0)
+        with pytest.raises(ContractError):
+            instance_loss(ep, None, VIEWS[0], EUCLID, t_steps=0)
+
     def test_checkpointing_round_trip(self, tmp_path):
         path = tmp_path / "ck.mctp"
         cfg = tiny_config(steps=4, checkpoint_every=2, checkpoint_path=str(path))

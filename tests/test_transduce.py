@@ -12,7 +12,6 @@ from mct.errors import ContractError
 from mct.evalcli import EvalProtocol, evaluate, nll
 from mct.metric import METRIC_KINDS, MetricSpec
 from mct.transduce import (
-    _semi_refine,
     check_confidence,
     confidence,
     init_from_embeddings,
@@ -263,7 +262,7 @@ class TestSemiInfer:
         encoder, width = ENCODERS["init"]
         metric = metric_of(kind, width)
         ep, _ = synth_episode(seed=12, unlabeled=6)
-        trace = _semi_refine(ep, encoder, metric)
+        trace = refine(ep, encoder, VIEWS[:1], metric, 1)
         assert trace.shape == (2, ep.query_x.shape[0], ep.ways)
         assert np.array_equal(trace[0], soft_kmeans(ep, encoder, VIEWS[0], metric, 0))
         assert np.array_equal(trace[1], semi_infer(ep, encoder, metric)[2])
@@ -436,6 +435,53 @@ class TestRefineBatch:
         assert np.array_equal(batch[0], refine(flipped, None, VIEWS, EUCLID, 3))
         assert np.array_equal(batch[1], refine(other, None, VIEWS, EUCLID, 3))
         check_confidence(batch[0, -1], ep.ways)
+
+    @pytest.mark.parametrize("kind", METRIC_KINDS)
+    @pytest.mark.parametrize("encoder_name", sorted(ENCODERS))
+    def test_pool_driven_rows_equal_semi_infer(self, kind, encoder_name):
+        encoder, width = ENCODERS[encoder_name]
+        metric = metric_of(kind, width)
+        episodes = batch_of(5, seed=50, unlabeled=3)
+        batch = refine_batch(episodes, encoder, VIEWS[:1], metric, 1)
+        assert batch.shape == (5, 2, 75, 5)
+        for ep, trace in zip(episodes, batch):
+            assert np.array_equal(trace[0], soft_kmeans(ep, encoder, VIEWS[0], metric, 0))
+            assert np.array_equal(trace[1], semi_infer(ep, encoder, metric)[2])
+
+    def test_pool_drives_every_step_and_view(self):
+        # with a pool the queries only score: moving them changes no
+        # prototype, so the other query rows keep their confidences
+        ep = batch_of(1, seed=60, unlabeled=4)[0]
+        moved = Episode(
+            ways=ep.ways, shots=ep.shots,
+            support_x=ep.support_x, support_y=ep.support_y,
+            query_x=np.concatenate([ep.query_x[:1] + 50.0, ep.query_x[1:]]),
+            query_y=ep.query_y, unlabeled_x=ep.unlabeled_x,
+        )
+        a = refine(ep, None, VIEWS, EUCLID, 3)
+        b = refine(moved, None, VIEWS, EUCLID, 3)
+        assert np.array_equal(a[:, 1:], b[:, 1:])
+        no_pool = refine(Episode(
+            ways=ep.ways, shots=ep.shots, support_x=ep.support_x, support_y=ep.support_y,
+            query_x=ep.query_x, query_y=ep.query_y,
+        ), None, VIEWS, EUCLID, 3)
+        assert np.array_equal(a[0], no_pool[0])
+        assert not np.array_equal(a[-1], no_pool[-1])
+
+    def test_mixed_ragged_and_empty_pools_rejected(self):
+        with_pool = batch_of(1, seed=70, unlabeled=2)[0]
+        without = batch_of(1, seed=70)[0]
+        ragged = batch_of(1, seed=72, unlabeled=3)[0]
+        empty = Episode(
+            ways=without.ways, shots=without.shots,
+            support_x=without.support_x, support_y=without.support_y,
+            query_x=without.query_x, query_y=without.query_y,
+            unlabeled_x=np.empty((0, without.dim)),
+        )
+        for batch in ([with_pool, without], [without, with_pool],
+                      [with_pool, ragged], [empty], [empty, empty]):
+            with pytest.raises(ContractError):
+                refine_batch(batch, None, VIEWS, EUCLID, 1)
 
     def test_mixed_shapes_and_empty_batches_rejected(self):
         a, b = batch_of(1)[0], batch_of(1, queries=10)[0]
