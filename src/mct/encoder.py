@@ -238,7 +238,7 @@ def encode_batch(
     else:
         named = lambda k: tape.param(plain[k], name=k)
 
-    h = nk.relu(nk.add(nk.matmul(h, named("encoder.w_in")), named("encoder.b_in")))
+    h = nk.relu(nk.affine(h, named("encoder.w_in"), named("encoder.b_in")))
     if drop_on:
         h = _dropout(h, params.dropout, rng)
     last = len(params.blocks) - 1
@@ -247,15 +247,13 @@ def encode_batch(
             # rng draws for the skipped branch are not consumed: the drop
             # view is its own deterministic function of the seed
             continue
-        branch = nk.relu(nk.add(
-            nk.matmul(h, named(f"encoder.block{i}.w1")),
-            named(f"encoder.block{i}.b1"),
+        branch = nk.relu(nk.affine(
+            h, named(f"encoder.block{i}.w1"), named(f"encoder.block{i}.b1")
         ))
         if drop_on:
             branch = _dropout(branch, params.dropout, rng)
-        branch = nk.add(
-            nk.matmul(branch, named(f"encoder.block{i}.w2")),
-            named(f"encoder.block{i}.b2"),
+        branch = nk.affine(
+            branch, named(f"encoder.block{i}.w2"), named(f"encoder.block{i}.b2")
         )
         h = nk.add(h, branch)
     return h

@@ -448,10 +448,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--spread", type=float, default=4.0)
     p_eval.add_argument("--std", type=float, default=1.0)
     p_eval.add_argument("--mode", choices=MODES, default="transductive")
-    p_eval.add_argument("--transduction-steps", type=int, default=10)
+    p_eval.add_argument("--transduction-steps", type=int, default=None,
+                        help="default 10; semi mode takes none")
     p_eval.add_argument("--metric", choices=METRIC_KINDS, default=None,
                         help="override the checkpoint metric (fresh seeded init)")
-    p_eval.add_argument("--ensemble", choices=("on", "off"), default="on")
+    p_eval.add_argument("--ensemble", choices=("on", "off"), default=None,
+                        help="default on; semi mode takes none")
     p_eval.add_argument("--episodes", type=int, default=1000)
     p_eval.add_argument("--ways", type=int, default=5)
     p_eval.add_argument("--shots", type=int, default=1)
@@ -541,6 +543,14 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.mode == "semi":
+        given = [flag for flag, value in (
+            ("--transduction-steps", args.transduction_steps), ("--ensemble", args.ensemble),
+        ) if value is not None]
+        if given:
+            print(f"error: semi mode always makes one plain-view update and takes no "
+                  f"{' or '.join(given)}", file=sys.stderr)
+            return 2
     source = _make_source(args)
     if args.checkpoint:
         state = load_state(args.checkpoint)
@@ -552,8 +562,9 @@ def _cmd_eval(args) -> int:
         state = ModelState(metric=_fresh_metric(kind, _source_dim(source), args.seed))
     protocol = EvalProtocol(
         ways=args.ways, shots=args.shots, queries=args.queries,
-        n_episodes=args.episodes, T=args.transduction_steps,
-        mode=args.mode, ensemble=args.ensemble == "on",
+        n_episodes=args.episodes,
+        T=10 if args.transduction_steps is None else args.transduction_steps,
+        mode=args.mode, ensemble=args.ensemble != "off",
         master_seed=args.seed, unlabeled=args.unlabeled,
         distractors=args.distractors, workers=args.workers,
     )

@@ -190,11 +190,6 @@ class StepReport:
     lr: float
 
 
-def _cross_entropy(logits, one_hot_rows):
-    true_logit = nk.asum(nk.mul(logits, one_hot_rows), axis=1)
-    return nk.mean(nk.sub(nk.logsumexp(logits, axis=-1), true_logit))
-
-
 def _instance_loss_from_embeddings(
     episode, metric, emb_s_full, emb_q_full, emb_s_h, emb_q_h,
     tape, t_steps: int, detach: bool,
@@ -215,7 +210,7 @@ def _instance_loss_from_embeddings(
         emb_s_full, episode.support_y, episode.ways, emb_q_full, conf, tape
     )
     d = pairwise(metric, emb_q_full, protos, tape)
-    return _cross_entropy(nk.neg(d), one_hot(episode.query_y, episode.ways))
+    return nk.cross_entropy(nk.neg(d), one_hot(episode.query_y, episode.ways))
 
 
 def _embed(episode, encoder, view, tape, mode, rng):
@@ -312,7 +307,7 @@ def dimension_loss(
     targets = np.zeros((rows, len(classifier.classes)))
     targets[np.arange(rows), np.repeat(cols, positions)] = 1.0
     w = classifier.weight if tape is None else tape.param(classifier.weight, name="classifier.w")
-    return _cross_entropy(nk.matmul(per_pos_emb, w), targets)
+    return nk.cross_entropy(nk.matmul(per_pos_emb, w), targets)
 
 
 def _nesterov_update(

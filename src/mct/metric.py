@@ -33,8 +33,7 @@ __all__ = [
 METRIC_KINDS = ("euclid", "scaled", "instance", "pair")
 
 _NORM_FLOOR = 1e-12
-# entries of one untaped squared-difference temporary (256 KB of float64)
-_SQ_BLOCK = 1 << 15
+_sq_diff = nk.sq_dist
 
 
 @dataclass(frozen=True)
@@ -126,13 +125,9 @@ def scaler_eval(scaler: ScalerParams, features, tape: nk.Tape | None = None, *, 
         named = plain.__getitem__
     else:
         named = lambda k: tape.param(plain[k], name=k)
-    h = nk.relu(nk.add(nk.matmul(features, named("metric.scaler.w1")),
-                       named("metric.scaler.b1")))
-    h = nk.add(nk.matmul(h, named("metric.scaler.w2")), named("metric.scaler.b2"))
-    g = nk.add(
-        nk.mul(nk.exp(named("metric.scaler.alpha")), nk.sigmoid(h)),
-        nk.exp(named("metric.scaler.beta")),
-    )
+    h = nk.relu(nk.affine(features, named("metric.scaler.w1"), named("metric.scaler.b1")))
+    h = nk.affine(h, named("metric.scaler.w2"), named("metric.scaler.b2"))
+    g = nk.calibrated_sigmoid(h, named("metric.scaler.alpha"), named("metric.scaler.beta"))
     if single:
         return nk.reshape(g, ())
     return g if blocks == 1 else g.reshape(fv.shape[0], 1)
@@ -192,18 +187,6 @@ class MetricSpec:
         return MetricSpec(kind=kind, scaler=ScalerParams.from_named(named))
 
 
-def _normalize(x, tape: nk.Tape | None):
-    """Project rows onto the unit sphere; tiny norms are a domain error."""
-    xv = nk.value_of(x)
-    norms_v = np.sqrt((xv * xv).sum(axis=-1))
-    if np.any(norms_v < _NORM_FLOOR):
-        raise DomainError(
-            f"cannot normalize embeddings with norm below {_NORM_FLOOR}"
-        )
-    norms = nk.sqrt(nk.asum(nk.mul(x, x), axis=-1, keepdims=True))
-    return nk.div(x, norms)
-
-
 def _scale_rows(scaler: ScalerParams, x, tape: nk.Tape | None):
     """g of every row as a column: (n, 1) for a row set, (V, n, 1) for a stack.
 
@@ -214,33 +197,6 @@ def _scale_rows(scaler: ScalerParams, x, tape: nk.Tape | None):
         return scaler_eval(scaler, x, tape)
     g = scaler_eval(scaler, xv.reshape(-1, xv.shape[-1]), blocks=xv.shape[0])
     return g.reshape(*xv.shape[:-1], 1)
-
-
-def _sq_diff(a, b):
-    """All-pairs squared distances via an explicit (..., n, m, l) difference.
-
-    Untaped, the difference is formed for as many prototype columns at
-    a time as fit in ``_SQ_BLOCK`` entries, and at least one: a small
-    call is one block, a stack of views goes column by column. Every
-    entry is the same sum of the same squares, so the values do not
-    depend on the blocking. One temporary serves every block: a fresh
-    one per block refaults whatever pages the allocator gave back.
-    """
-    av, bv = nk.value_of(a), nk.value_of(b)
-    *lead, n, l = av.shape
-    m = bv.shape[-2]
-    if not isinstance(a, nk.Var) and not isinstance(b, nk.Var):
-        cols = max(1, min(m, _SQ_BLOCK // max(av.size, 1)))
-        buf = np.empty((*lead, n, cols, l), dtype=np.result_type(av, bv))
-        parts = []
-        for j in range(0, max(m, 1), cols):
-            diff = buf[..., :min(cols, m - j), :]
-            np.subtract(av[..., :, None, :], bv[..., None, j:j + cols, :], out=diff)
-            diff *= diff  # squared in place
-            parts.append(diff.sum(axis=-1))
-        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
-    diff = nk.sub(nk.reshape(a, (*lead, n, 1, l)), nk.reshape(b, (*lead, 1, m, l)))
-    return nk.asum(nk.mul(diff, diff), axis=-1)
 
 
 def query_terms(spec: MetricSpec, a) -> np.ndarray | None:
@@ -254,7 +210,7 @@ def query_terms(spec: MetricSpec, a) -> np.ndarray | None:
     """
     if spec.kind != "instance":
         return None
-    return _normalize(a, None) / _scale_rows(spec.scaler, a, None)
+    return nk.unit_rows(a, _NORM_FLOOR) / _scale_rows(spec.scaler, a, None)
 
 
 def pairwise(spec: MetricSpec, a, b, tape: nk.Tape | None = None, *, query=None):
@@ -283,9 +239,9 @@ def pairwise(spec: MetricSpec, a, b, tape: nk.Tape | None = None, *, query=None)
     *lead, n, _ = av.shape
     m = bv.shape[-2]
     if spec.kind == "instance" and query is not None:
-        return _sq_diff(query, _normalize(b, None) / _scale_rows(spec.scaler, b, None))
-    a_hat = _normalize(a, tape)
-    b_hat = _normalize(b, tape)
+        return _sq_diff(query, nk.unit_rows(b, _NORM_FLOOR) / _scale_rows(spec.scaler, b, None))
+    a_hat = nk.unit_rows(a, _NORM_FLOOR)
+    b_hat = nk.unit_rows(b, _NORM_FLOOR)
     if spec.kind == "instance":
         g_a = _scale_rows(spec.scaler, a, tape)  # raw embeddings feed g
         g_b = _scale_rows(spec.scaler, b, tape)

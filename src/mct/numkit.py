@@ -9,6 +9,23 @@ to raw numpy, so forward code is written once and runs in both modes.
 Graphs stay small because the primitives are batched (whole support or
 query sets per call), so the tape is rebuilt for every loss evaluation
 rather than cached.
+
+Five fused primitives each record one node for a group the model's hot
+path would otherwise build from several: :func:`sq_dist` (all-pairs
+squared distances), :func:`cross_entropy`, :func:`affine` (x @ w + b),
+:func:`unit_rows` (row normalization) and :func:`calibrated_sigmoid`
+(exp(alpha) * sigmoid(h) + exp(beta)). Each runs the numpy operations of
+that group in the group's order, forward and backward, so its value and
+gradients are bitwise those of the composition, which stays available
+from the elementary primitives and serves as their reference.
+
+Bitwise equality also needs the adjoint order kept. :func:`grad` sums
+the contributions to a Var as ``prev + gi`` in the order it meets them,
+and float addition is not associative. So a fused node gives each input
+as many contributions, in the same order, as the group did: an input
+that entered the group twice is listed twice among the node's inputs,
+as ``mul(x, x)`` lists x. No backward writes into an array saved from
+the forward pass, since ``grad`` may run more than once on one tape.
 """
 
 from __future__ import annotations
@@ -18,6 +35,9 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import ContractError, DomainError
+
+# entries of one squared-difference temporary in sq_dist (256 KB of float64)
+_SQ_BLOCK = 1 << 15
 
 __all__ = [
     "Tape",
@@ -45,6 +65,11 @@ __all__ = [
     "tile_rows",
     "logsumexp",
     "softmax_neg",
+    "sq_dist",
+    "cross_entropy",
+    "affine",
+    "unit_rows",
+    "calibrated_sigmoid",
 ]
 
 
@@ -131,11 +156,14 @@ class Tape:
         A ``name`` makes the leaf shared: asking again for the same name
         returns the same Var, so a parameter used by several forward
         passes on one tape accumulates one gradient. The value must
-        match on reuse.
+        match on reuse; the very array the leaf holds matches without a
+        comparison.
         """
         if name is not None and name in self._named:
             existing = self._named[name]
-            if not np.array_equal(existing.value, np.asarray(value, dtype=np.float64)):
+            if value is not existing.value and not np.array_equal(
+                existing.value, np.asarray(value, dtype=np.float64)
+            ):
                 raise ContractError(f"param {name!r} reused with a different value")
             return existing
         v = Var(np.asarray(value, dtype=np.float64), self)
@@ -551,3 +579,184 @@ def softmax_neg(distances):
         return (-out * (g - inner),)
 
     return _apply(out, (_as_var(distances, tape),), backward, tape)
+
+
+# --------------------------------------------------------------------------
+# Fused primitives: one node each for a group of the primitives above
+# --------------------------------------------------------------------------
+
+
+def sq_dist(a, b):
+    """All-pairs squared distances, ``out[..., i, j] = sum_k (a_ik - b_jk)**2``.
+
+    ``a`` is (..., n, l) and ``b`` (..., m, l); taped calls take plain
+    (n, l) row sets. The differences are formed for as many columns j
+    at a time as fit in ``_SQ_BLOCK`` entries, and at least one, in one
+    temporary that serves every block: a small call is one block, a
+    stack of views goes column by column. Every entry is the same sum of
+    the same squares, so the values do not depend on the blocking. A
+    fresh temporary per block would refault whatever pages the
+    allocator gave back.
+
+    Replaces reshape, reshape, sub, mul(diff, diff) and asum. The
+    backward never forms an (n, m, l) array: it builds the adjoint of
+    one column at a time, ``t + t`` with ``t = g_ij * (a_i - b_j)`` as
+    the square's two operands gave it, sums the columns in order for
+    the a side and each column over its rows for the b side. Those are
+    the orders numpy reduces the (n, m, l) adjoint in, except for
+    width-1 rows, which it sums pairwise; those take the full adjoint.
+    """
+    tape = _tape_of(a, b)
+    av, bv = value_of(a), value_of(b)
+    if tape is not None and (av.ndim, bv.ndim) != (2, 2):
+        raise ContractError("sq_dist differentiates plain (n, l) row sets only")
+    *lead, n, l = av.shape
+    m = bv.shape[-2]
+    cols = max(1, min(m, _SQ_BLOCK // max(av.size, 1)))
+    buf = np.empty((*lead, n, cols, l), dtype=np.result_type(av, bv))
+    parts = []
+    for j in range(0, max(m, 1), cols):
+        diff = buf[..., :min(cols, m - j), :]
+        np.subtract(av[..., :, None, :], bv[..., None, j:j + cols, :], out=diff)
+        diff *= diff  # squared in place
+        parts.append(diff.sum(axis=-1))
+    out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+    if tape is None:
+        return out
+
+    def backward(g):
+        if l == 1:
+            t = g[:, :, None] * (av[:, None, :] - bv[None, :, :])
+            d = t + t
+            return (-d).sum(axis=0), d.sum(axis=1)
+        ga = np.zeros_like(av) if m == 0 else None
+        gb = np.empty_like(bv)
+        d = np.empty_like(av)
+        for j in range(m):
+            np.subtract(av, bv[j], out=d)
+            d *= g[:, j, None]
+            d += d
+            if ga is None:
+                ga = d.copy()
+            else:
+                ga += d
+            np.negative(d, out=d)
+            d.sum(axis=0, out=gb[j])
+        return gb, ga
+
+    # b's reshape came last in the group, so its adjoint lands first
+    return _apply(out, (_as_var(b, tape), _as_var(a, tape)), backward, tape)
+
+
+def cross_entropy(logits, targets):
+    """Mean over rows of ``logsumexp(logits_i) - <logits_i, targets_i>``.
+
+    ``targets`` is a constant (n, c) array, one-hot rows for the usual
+    classification loss. Replaces mul, asum, logsumexp, sub and mean.
+    The logits enter that group twice, so the node lists them twice:
+    logsumexp's adjoint first, then the product's. An empty class axis
+    is a :class:`ContractError`, non-finite logits a :class:`DomainError`.
+    """
+    if isinstance(targets, Var):
+        raise ContractError("cross_entropy targets must be constant")
+    tape = _tape_of(logits)
+    lv, tv = value_of(logits), value_of(targets)
+    if lv.ndim != 2 or tv.shape != lv.shape:
+        raise ContractError(
+            f"cross_entropy expects (n, c) logits and targets, got {lv.shape} and {tv.shape}"
+        )
+    if lv.shape[1] == 0:
+        raise ContractError("cross_entropy needs at least one class")
+    if not np.all(np.isfinite(lv)):
+        raise DomainError("cross_entropy logits must be finite")
+    true_logit = (lv * tv).sum(axis=1)
+    m = lv.max(axis=-1, keepdims=True)
+    shifted = np.exp(lv - m)
+    total = shifted.sum(axis=-1, keepdims=True)
+    lse = np.squeeze(m + np.log(total), axis=-1)
+    out = (lse - true_logit).mean()
+    if tape is None:
+        return out
+    softmax = shifted / total
+
+    def backward(g):
+        g_rows = np.broadcast_to(g, lse.shape) / lse.size
+        return g_rows[:, None] * softmax, -g_rows[:, None] * tv
+
+    v = _as_var(logits, tape)
+    return _apply(out, (v, v), backward, tape)
+
+
+def affine(x, w, b):
+    """``x @ w + b``: one node for a matmul and its bias add.
+
+    ``w`` is 2-D and ``b`` broadcasts over the rows. Untaped calls also
+    take a stack of row sets, as :func:`matmul` does.
+    """
+    tape = _tape_of(x, w, b)
+    xv, wv, bv = value_of(x), value_of(w), value_of(b)
+    if xv.ndim < 2 or wv.ndim != 2 or (tape is not None and xv.ndim != 2):
+        raise ContractError("affine expects 2-D weights and rows (or, untaped, stacks of rows)")
+    out = xv @ wv
+    out += bv
+    if tape is None:
+        return out
+
+    def backward(g):
+        return _unbroadcast(g, bv.shape), g @ wv.T, xv.T @ g
+
+    # the add's adjoint reached b before the matmul's reached x and w
+    vars_ = (_as_var(b, tape), _as_var(x, tape), _as_var(w, tape))
+    return _apply(out, vars_, backward, tape)
+
+
+def unit_rows(x, floor: float):
+    """Rows of ``x`` (along the last axis) scaled to unit Euclidean norm.
+
+    A row whose norm is below ``floor`` is a :class:`DomainError`; the
+    norms are computed once, for that check and the division. Replaces
+    mul(x, x), asum, sqrt and div. x enters that group three times, so
+    the node lists it three times: the dividend's adjoint first, then
+    the square's two.
+    """
+    tape = _tape_of(x)
+    xv = value_of(x)
+    norms = np.sqrt((xv * xv).sum(axis=-1, keepdims=True))
+    if np.any(norms < floor):
+        raise DomainError(f"cannot normalize rows with norm below {floor}")
+    out = xv / norms
+    if tape is None:
+        return out
+
+    def backward(g):
+        g_norms = _unbroadcast(-g * xv / (norms * norms), norms.shape)
+        square = _expand_reduced(g_norms * 0.5 / norms, xv.shape, -1, True) * xv
+        return g / norms, square, square
+
+    v = _as_var(x, tape)
+    return _apply(out, (v, v, v), backward, tape)
+
+
+def calibrated_sigmoid(h, alpha, beta):
+    """``exp(alpha) * sigmoid(h) + exp(beta)`` for scalar ``alpha``, ``beta``.
+
+    Strictly positive for every parameter setting. Replaces exp, sigmoid,
+    mul, exp and add.
+    """
+    tape = _tape_of(h, alpha, beta)
+    hv, av, bv = value_of(h), value_of(alpha), value_of(beta)
+    ea, sig, eb = np.exp(av), _sigmoid_value(hv), np.exp(bv)
+    out = ea * sig + eb
+    if tape is None:
+        return out
+
+    def backward(g):
+        return (
+            _unbroadcast(g, bv.shape) * eb,
+            g * ea * sig * (1.0 - sig),
+            _unbroadcast(g * sig, av.shape) * ea,
+        )
+
+    # the group's backward reached beta's exp, then the sigmoid, then alpha's exp
+    vars_ = (_as_var(beta, tape), _as_var(h, tape), _as_var(alpha, tape))
+    return _apply(out, vars_, backward, tape)

@@ -474,3 +474,60 @@ class TestCli:
         ])
         assert code == 0
         assert "accuracy" in capsys.readouterr().out
+
+    def test_python_dash_m_runs_without_warning(self, tmp_path):
+        src = Path(evalcli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+        )}
+        env.pop("PYTHONWARNINGS", None)
+        out = tmp_path / "t.mcte"
+        run = subprocess.run(
+            [sys.executable, "-m", "mct", "make-synth", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run.returncode == 0
+        assert "RuntimeWarning" not in run.stderr
+        assert load_embeddings(out).rows.shape == (1000, 16)
+
+    @pytest.mark.parametrize("flags,config", [
+        (["--transduction-steps", "10"], ""),
+        (["--transduction-steps", "1"], ""),
+        (["--ensemble", "on"], ""),
+        (["--ensemble", "off"], ""),
+        (["--ensemble", "off", "--transduction-steps", "2"], ""),
+        ([], "transduction-steps=10\n"),
+        ([], "ensemble=on\n"),
+    ])
+    def test_semi_mode_rejects_flags_it_would_ignore(
+        self, table_file, tmp_path, capsys, flags, config
+    ):
+        args = ["eval", "--source", str(table_file), "--mode", "semi", "--episodes", "2",
+                "--report", str(tmp_path / "r.jsonl"), *flags]
+        if config:
+            cfg = tmp_path / "mct.cfg"
+            cfg.write_text(config)
+            args += ["--config", str(cfg)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: semi mode") and err.count("\n") == 1
+        named = [f for f in flags if f.startswith("--")] or ["--" + config.split("=")[0]]
+        assert all(f in err for f in named)
+        assert not (tmp_path / "r.jsonl").exists()
+
+    def test_semi_mode_runs_without_those_flags(self, table_file, tmp_path):
+        report = tmp_path / "r.jsonl"
+        assert main(["eval", "--source", str(table_file), "--mode", "semi", "--queries", "4",
+                     "--unlabeled", "4", "--episodes", "2", "--report", str(report)]) == 0
+        summary = json.loads(report.read_text().strip().split("\n")[-1])
+        assert summary["config"]["T"] == 10 and summary["config"]["ensemble"] is True
+
+    @pytest.mark.parametrize("mode", ["transductive", "inductive"])
+    def test_explicit_defaults_leave_reports_unchanged(self, table_file, tmp_path, mode):
+        reports = []
+        for name, extra in (("a", []), ("b", ["--transduction-steps", "10", "--ensemble", "on"])):
+            path = tmp_path / f"{name}.jsonl"
+            assert main(["eval", "--source", str(table_file), "--mode", mode,
+                         "--episodes", "3", "--report", str(path), *extra]) == 0
+            reports.append(path.read_bytes())
+        assert reports[0] == reports[1]

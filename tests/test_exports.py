@@ -8,7 +8,7 @@ import pytest
 import mct
 
 MODULES = [
-    "checkpoint", "encoder", "episodes", "errors",
+    "__main__", "checkpoint", "encoder", "episodes", "errors",
     "evalcli", "metatrain", "metric", "numkit", "transduce",
 ]
 

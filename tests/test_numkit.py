@@ -313,3 +313,222 @@ class TestShapeBackward:
     def test_matmul_rejects_non_2d(self):
         with pytest.raises(ContractError):
             nk.matmul(np.ones(3), np.ones((3, 2)))
+
+
+# --------------------------------------------------------------------------
+# Fused primitives against the compositions they replace
+# --------------------------------------------------------------------------
+
+
+def ref_sq_dist(a, b):
+    (n, l), m = nk.value_of(a).shape, nk.value_of(b).shape[0]
+    diff = nk.sub(nk.reshape(a, (n, 1, l)), nk.reshape(b, (1, m, l)))
+    return nk.asum(nk.mul(diff, diff), axis=-1)
+
+
+def ref_cross_entropy(logits, targets):
+    true_logit = nk.asum(nk.mul(logits, targets), axis=1)
+    return nk.mean(nk.sub(nk.logsumexp(logits, axis=-1), true_logit))
+
+
+def ref_affine(x, w, b):
+    return nk.add(nk.matmul(x, w), b)
+
+
+def ref_unit_rows(x, floor):
+    return nk.div(x, nk.sqrt(nk.asum(nk.mul(x, x), axis=-1, keepdims=True)))
+
+
+def ref_calibrated_sigmoid(h, alpha, beta):
+    return nk.add(nk.mul(nk.exp(alpha), nk.sigmoid(h)), nk.exp(beta))
+
+
+def taped(build, values):
+    """Value of ``build`` on tracked ``values`` and every value's gradient.
+
+    The loss weights the output with fixed random numbers, so each
+    entry's adjoint differs.
+    """
+    tape = nk.Tape()
+    params = [tape.param(v) for v in values]
+    out = build(*params)
+    weights = np.random.default_rng(0).standard_normal(np.shape(nk.value_of(out)))
+    grads = nk.grad(tape, nk.asum(nk.mul(out, weights)))
+    return nk.value_of(out), [grads[p] for p in params]
+
+
+def assert_same_as_reference(fused, reference, values):
+    """Bitwise equal values and gradients, on the tape and off it."""
+    assert np.array_equal(fused(*values), reference(*values))
+    got, got_grads = taped(fused, values)
+    want, want_grads = taped(reference, values)
+    assert np.array_equal(got, want)
+    for g, w in zip(got_grads, want_grads):
+        assert g.shape == w.shape and np.array_equal(g, w)
+
+
+def one_hot_rows(rng, n, c):
+    out = np.zeros((n, c))
+    out[np.arange(n), rng.integers(0, c, n)] = 1.0
+    return out
+
+
+class TestFusedPrimitives:
+    @pytest.mark.parametrize("n,m,l", [
+        (6, 3, 8), (120, 15, 64), (11, 9, 2), (5, 9, 1), (1, 4, 3), (7, 1, 5), (4, 0, 3),
+    ])
+    def test_sq_dist(self, n, m, l):
+        rng = np.random.default_rng(n * 100 + m * 10 + l)
+        a, b = rng.normal(size=(n, l)), rng.normal(size=(m, l))
+        if m:
+            b[0] = a[0]  # an exact zero distance
+        assert_same_as_reference(nk.sq_dist, ref_sq_dist, [a, b])
+
+    @pytest.mark.parametrize("n,c", [(8, 5), (120, 15), (1, 1), (6, 20)])
+    def test_cross_entropy(self, n, c):
+        rng = np.random.default_rng(n + c)
+        targets = one_hot_rows(rng, n, c)
+        assert_same_as_reference(
+            lambda x: nk.cross_entropy(x, targets),
+            lambda x: ref_cross_entropy(x, targets),
+            [3.0 * rng.normal(size=(n, c))],
+        )
+
+    @pytest.mark.parametrize("n,d,h", [(5, 3, 4), (120, 16, 64), (1, 8, 1)])
+    def test_affine(self, n, d, h):
+        rng = np.random.default_rng(n + d + h)
+        values = [rng.normal(size=(n, d)), rng.normal(size=(d, h)), rng.normal(size=h)]
+        assert_same_as_reference(nk.affine, ref_affine, values)
+
+    @pytest.mark.parametrize("n,l", [(6, 4), (120, 64), (3, 1)])
+    def test_unit_rows(self, n, l):
+        x = np.random.default_rng(n + l).normal(size=(n, l))
+        assert_same_as_reference(
+            lambda v: nk.unit_rows(v, 1e-12), lambda v: ref_unit_rows(v, 1e-12), [x]
+        )
+
+    @pytest.mark.parametrize("n", [1, 9, 300])
+    def test_calibrated_sigmoid(self, n):
+        rng = np.random.default_rng(n)
+        h = 10.0 * rng.normal(size=(n, 1))  # both branches of the stable sigmoid
+        values = [h, np.asarray(rng.normal()), np.asarray(rng.normal())]
+        assert_same_as_reference(nk.calibrated_sigmoid, ref_calibrated_sigmoid, values)
+
+    def test_stacked_untaped_calls_equal_composition(self):
+        rng = np.random.default_rng(4)
+        x, w, b = rng.normal(size=(3, 5, 4)), rng.normal(size=(4, 6)), rng.normal(size=6)
+        assert np.array_equal(nk.affine(x, w, b), ref_affine(x, w, b))
+        assert np.array_equal(nk.unit_rows(x, 1e-12), ref_unit_rows(x, 1e-12))
+        h = rng.normal(size=(3, 5, 1))
+        assert np.array_equal(
+            nk.calibrated_sigmoid(h, 0.3, -0.2), ref_calibrated_sigmoid(h, 0.3, -0.2)
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shared_inputs_accumulate_in_the_same_order(self, seed):
+        # x, h, the logits and alpha each reach one fused node twice or
+        # more (x as rows and weights of affine, h as both sides of
+        # sq_dist, alpha as both scalars of the sigmoid) and a later node
+        # too, so each adjoint sums contributions whose order shows in the
+        # bits; a scalar's sum can round alike in either order, so several
+        # seeds run
+        rng = np.random.default_rng(seed)
+        values = [rng.normal(size=(6, 6)), rng.normal(size=6), rng.normal(size=(6, 1)),
+                  rng.normal(size=(4, 6)), np.asarray(rng.normal())]
+        targets = one_hot_rows(rng, 6, 4)
+        weights, pair_weights = rng.normal(size=(6, 4)), rng.normal(size=(6, 6))
+
+        def build(sq_dist, cross_entropy, affine, unit_rows, calibrated_sigmoid):
+            def loss(x, b, w1, protos, alpha):
+                h = nk.add(unit_rows(x, 1e-12), affine(x, x, b))
+                logits = nk.neg(sq_dist(h, protos))
+                g = calibrated_sigmoid(affine(h, w1, alpha), alpha, alpha)
+                terms = [
+                    cross_entropy(logits, targets),
+                    nk.asum(nk.mul(logits, weights)),
+                    nk.asum(nk.mul(sq_dist(h, h), pair_weights)),
+                    nk.mul(alpha, nk.asum(g)),
+                    nk.asum(nk.mul(h, h)),
+                    nk.asum(nk.mul(x, x)),
+                ]
+                total = terms[0]
+                for t in terms[1:]:
+                    total = nk.add(total, t)
+                return total
+            return loss
+
+        fused = build(nk.sq_dist, nk.cross_entropy, nk.affine, nk.unit_rows,
+                      nk.calibrated_sigmoid)
+        reference = build(ref_sq_dist, ref_cross_entropy, ref_affine, ref_unit_rows,
+                          ref_calibrated_sigmoid)
+        assert_same_as_reference(fused, reference, values)
+
+    def test_grad_twice_on_one_tape(self):
+        rng = np.random.default_rng(12)
+        targets = one_hot_rows(rng, 5, 3)
+        tape = nk.Tape()
+        x, w, b, w2 = (tape.param(v) for v in (
+            rng.normal(size=(5, 4)), rng.normal(size=(4, 4)), rng.normal(size=4),
+            rng.normal(size=(4, 1)),
+        ))
+        alpha = tape.param(np.asarray(0.1))
+        h = nk.unit_rows(nk.relu(nk.affine(x, w, b)), 1e-12)
+        g = nk.calibrated_sigmoid(nk.affine(h, w2, alpha), alpha, alpha)
+        d = nk.div(nk.sq_dist(h, nk.reshape(nk.mean(h, axis=0), (1, 4))), nk.mul(g, g))
+        logits = nk.concat([nk.neg(d), nk.neg(nk.mul(d, 2.0)), d], axis=1)
+        loss = nk.cross_entropy(logits, targets)
+        first = nk.grad(tape, loss)
+        second = nk.grad(tape, loss)
+        for p in (x, w, b, w2, alpha):
+            assert np.array_equal(first[p], second[p])
+
+    @pytest.mark.parametrize("op,shapes", [
+        (nk.sq_dist, [(5, 3), (4, 3)]),
+        (lambda x: nk.cross_entropy(x, np.eye(3)), [(3, 3)]),
+        (nk.affine, [(5, 3), (3, 2), (2,)]),
+        (lambda x: nk.unit_rows(x, 1e-12), [(5, 3)]),
+        (nk.calibrated_sigmoid, [(5, 1), (), ()]),
+    ])
+    def test_one_record_each(self, op, shapes):
+        tape = nk.Tape()
+        rng = np.random.default_rng(1)
+        op(*(tape.param(rng.normal(size=s) + 2.0) for s in shapes))
+        assert len(tape) == 1
+
+    def test_sq_dist_stays_off_the_tape_for_stacks(self):
+        tape = nk.Tape()
+        with pytest.raises(ContractError):
+            nk.sq_dist(tape.param(np.ones((2, 3, 4))), np.ones((2, 5, 4)))
+
+    def test_cross_entropy_checks(self):
+        tape = nk.Tape()
+        with pytest.raises(ContractError):
+            nk.cross_entropy(np.zeros((2, 3)), tape.param(np.eye(3)[:2]))
+        with pytest.raises(ContractError):
+            nk.cross_entropy(np.zeros((2, 3)), np.eye(3))
+        with pytest.raises(ContractError):
+            nk.cross_entropy(np.zeros((2, 0)), np.zeros((2, 0)))
+        with pytest.raises(DomainError):
+            nk.cross_entropy(np.array([[0.0, np.inf]]), np.array([[1.0, 0.0]]))
+
+    def test_unit_rows_floor(self):
+        with pytest.raises(DomainError):
+            nk.unit_rows(np.array([[1.0, 0.0], [0.0, 1e-13]]), 1e-12)
+        assert np.array_equal(nk.unit_rows(np.array([[3.0, 4.0]]), 1e-12), [[0.6, 0.8]])
+
+
+class TestParamReuse:
+    def test_same_object_and_equal_copy_share_one_leaf(self):
+        tape = nk.Tape()
+        w = np.arange(6.0).reshape(2, 3)
+        leaf = tape.param(w, name="w")
+        assert tape.param(w, name="w") is leaf
+        assert tape.param(w.copy(), name="w") is leaf
+        assert len(tape.named_params) == 1
+
+    def test_different_value_raises(self):
+        tape = nk.Tape()
+        w = np.arange(6.0).reshape(2, 3)
+        tape.param(w, name="w")
+        with pytest.raises(ContractError):
+            tape.param(w + 1.0, name="w")
