@@ -167,6 +167,8 @@ class ModelState:
 
         try:
             kind = METRIC_KINDS[integer("meta.metric_kind", 0, len(METRIC_KINDS))]
+            if kind == "scaled":  # files store a scalar with extent (1,)
+                named = {**named, "metric.s": np.asarray(named["metric.s"]).reshape(())}
             metric = MetricSpec.from_named(kind, named)
             enc = None
             if integer("meta.has_encoder", 0, 2):
@@ -176,6 +178,8 @@ class ModelState:
                     positions=integer("meta.positions", 1),
                     channels=integer("meta.channels", 1),
                 )
+            if metric.stack or (enc is not None and enc.stack):
+                raise ContractError("a model holds one parameter set, not a stack")
         except KeyError as exc:
             raise FormatError(f"checkpoint is missing tensor {exc.args[0]!r}") from None
         except ValueError as exc:  # ContractError, DomainError, or a non-scalar meta tensor

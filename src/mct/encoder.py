@@ -77,7 +77,9 @@ class EncoderParams:
     maps hidden -> hidden applied as h + relu(h w1 + b1) w2 + b2, with
     no nonlinearity after the addition so that a zeroed branch leaves h
     bitwise untouched. The flat hidden width factors as
-    positions * channels; the feature map is that reshape.
+    positions * channels; the feature map is that reshape. Every array
+    may carry one shared leading axis of P parameter sets (see
+    :attr:`stack`), which only untaped eval-mode calls encode.
     """
 
     w_in: np.ndarray
@@ -88,14 +90,14 @@ class EncoderParams:
     channels: int = 16
 
     def __post_init__(self):
-        if self.w_in.ndim != 2 or self.b_in.shape != self.w_in.shape[1:]:
+        if self.w_in.ndim not in (2, 3) or self.b_in.shape != (*self.stack, self.hidden):
             raise ContractError("input projection shapes are inconsistent")
-        hidden = self.w_in.shape[1]
         if len(self.blocks) < 1:
             raise ContractError("need at least one residual block")
+        hidden = self.hidden
+        square, row = (*self.stack, hidden, hidden), (*self.stack, hidden)
         for w1, b1, w2, b2 in self.blocks:
-            if (w1.shape != (hidden, hidden) or b1.shape != (hidden,)
-                    or w2.shape != (hidden, hidden) or b2.shape != (hidden,)):
+            if w1.shape != square or b1.shape != row or w2.shape != square or b2.shape != row:
                 raise ContractError("residual block shapes are inconsistent")
         if self.positions * self.channels != hidden:
             raise ContractError(
@@ -105,12 +107,17 @@ class EncoderParams:
             raise DomainError("dropout must lie in [0, 1)")
 
     @property
+    def stack(self) -> tuple[int, ...]:
+        """Leading shape of the parameter sets: () for one set, (P,) for P."""
+        return self.w_in.shape[:-2]
+
+    @property
     def input_dim(self) -> int:
-        return self.w_in.shape[0]
+        return self.w_in.shape[-2]
 
     @property
     def hidden(self) -> int:
-        return self.w_in.shape[1]
+        return self.w_in.shape[-1]
 
     @staticmethod
     def init(
@@ -210,15 +217,20 @@ def encode_batch(
     take a stack of E row sets, (E, n, input_dim), and return
     (E, n, positions*channels) with every slice bitwise equal to its own
     call, since each slice's products go to a matrix product of their own.
+    Likewise, params holding P parameter sets encode one row set into a
+    (P, n, positions*channels) stack, slice p bitwise set p's call.
     """
     if mode not in ("train", "eval"):
         raise ContractError(f"mode must be 'train' or 'eval', got {mode!r}")
     xv = nk.value_of(x)
-    if xv.ndim == 3:
-        if tape is not None or isinstance(x, nk.Var) or mode != "eval":
-            raise ContractError("only untaped eval-mode calls take stacked row sets")
-    elif xv.ndim != 2:
+    if xv.ndim not in (2, 3):
         raise ContractError("encode_batch expects (n, input_dim) rows")
+    stacked = params is not None and params.stack != ()
+    if xv.ndim == 3 or stacked:
+        if tape is not None or isinstance(x, nk.Var) or mode != "eval":
+            raise ContractError("only untaped eval-mode calls take stacked row or parameter sets")
+        if xv.ndim == 3 and stacked:
+            raise ContractError("stacked parameter sets encode one shared row set")
     h = x
     if view.augment:
         h = nk.flip_last(h)
@@ -278,9 +290,12 @@ def encode(
 
 
 def per_position(flat, positions: int, channels: int):
-    """View (n, positions*channels) embeddings as (n*positions, channels)."""
-    n = nk.value_of(flat).shape[0]
-    return nk.reshape(flat, (n * positions, channels))
+    """View (n, positions*channels) embeddings as (n*positions, channels).
+
+    A stack (P, n, positions*channels) keeps its leading axis.
+    """
+    *stack, n, _ = nk.value_of(flat).shape
+    return nk.reshape(flat, (*stack, n * positions, channels))
 
 
 # --------------------------------------------------------------------------

@@ -323,14 +323,17 @@ def _sample_from_table(
     eligible = [c for c in classes if index[c].size >= need]
     if len(eligible) < ways:
         raise CapacityError(
-            f"need {ways} classes with ≥ {need} items, table has {len(eligible)}"
+            f"need {ways} classes with ≥ {need} items each ({shots} shots + {queries}"
+            f" queries + {unlabeled} unlabeled); the table has {len(classes)} classes,"
+            f" {len(eligible)} of them that large"
         )
     if distractors:
         pool_ok = [c for c in classes if index[c].size >= unlabeled]
         if len(pool_ok) < ways + distractors:
             raise CapacityError(
-                f"need {ways + distractors} classes for distractor sampling,"
-                f" table has {len(pool_ok)}"
+                f"need {ways + distractors} classes ({ways} ways + {distractors} distractors)"
+                f" with ≥ {unlabeled} unlabeled items each; the table has {len(classes)}"
+                f" classes, {len(pool_ok)} of them that large"
             )
     rng = np.random.default_rng(rng_seed)
     chosen = rng.choice(np.array(eligible), size=ways, replace=False)

@@ -132,17 +132,23 @@ class GlobalClassifier:
     """Linear classifier over channel vectors for the dimension loss.
 
     One column per global training class; ``classes`` maps column order
-    to the original class ids.
+    to the original class ids. ``weight`` may carry a leading axis of P
+    parameter sets (see :attr:`stack`).
     """
 
     weight: np.ndarray
     classes: tuple[int, ...]
 
     def __post_init__(self):
-        if self.weight.ndim != 2 or self.weight.shape[1] != len(self.classes):
+        if self.weight.ndim not in (2, 3) or self.weight.shape[-1] != len(self.classes):
             raise ContractError("classifier needs one column per global class")
         if len(set(self.classes)) != len(self.classes):
             raise ContractError("global class ids must be unique")
+
+    @property
+    def stack(self) -> tuple[int, ...]:
+        """Leading shape of the parameter sets: () for one set, (P,) for P."""
+        return self.weight.shape[:-2]
 
     @staticmethod
     def init(
@@ -266,9 +272,20 @@ def training_loss(
 
     L_I is :func:`instance_loss` with confidences from ``view``; L_D is
     :func:`dimension_loss` over the full-path embeddings L_I scores.
+
+    Untaped, the encoder, metric and classifier may hold P parameter
+    sets under one shared leading axis (their ``stack``); every part of
+    the result is then a (P,) array whose entry p is bitwise the loss of
+    set p alone. The encoder must be present then, so that every set
+    scores its own embeddings; a tape differentiates one set only.
     """
     if episode.support_g is None or episode.query_g is None:
         raise ContractError("training requires global class labels on every episode")
+    stacks = {p.stack for p in (encoder, metric, classifier) if p is not None} - {None}
+    if len(stacks) > 1:
+        raise ContractError(f"parameter sets must share one leading axis, got {sorted(stacks)}")
+    if any(stacks) and (tape is not None or encoder is None):
+        raise ContractError("only untaped calls with an encoder take a stack of parameter sets")
     embs = _embed(episode, encoder, view, tape, mode, rng)
     l_i = _instance_loss_from_embeddings(
         episode, metric, *embs, tape, t_steps, detach_confidence
@@ -278,7 +295,7 @@ def training_loss(
     else:
         positions, channels = encoder.positions, encoder.channels
     l_d = dimension_loss(
-        per_position(nk.concat(embs[:2], axis=0), positions, channels),
+        per_position(nk.concat(embs[:2], axis=-2), positions, channels),
         np.concatenate([episode.support_g, episode.query_g]), classifier, tape,
     )
     return nk.add(nk.mul(lam, l_i), l_d), l_i, l_d
@@ -294,12 +311,13 @@ def dimension_loss(
 
     ``per_pos_emb`` holds (items * positions, channels) rows, position
     within item fastest; each item's global label applies to all its
-    positions.
+    positions. Untaped, a stack (P, rows, channels) against a stacked
+    classifier gives P losses.
     """
     if global_labels is None:
         raise ContractError("dimension loss needs global class labels")
     labels = np.asarray(global_labels)
-    rows = nk.value_of(per_pos_emb).shape[0]
+    rows = nk.value_of(per_pos_emb).shape[-2]
     if labels.size == 0 or rows % labels.size != 0:
         raise ContractError("per-position rows must be a multiple of the item count")
     positions = rows // labels.size

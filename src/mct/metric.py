@@ -42,7 +42,9 @@ class ScalerParams:
 
     Two affine maps with a rectifier between them, a final sigmoid, and
     the positivity calibration exp(alpha)*sigmoid(h) + exp(beta). Both
-    alpha and beta start at zero.
+    alpha and beta start at zero. Every array may carry one shared
+    leading axis of P parameter sets (see :attr:`stack`), which only
+    untaped calls evaluate.
     """
 
     w1: np.ndarray
@@ -53,16 +55,22 @@ class ScalerParams:
     beta: np.ndarray
 
     def __post_init__(self):
-        if self.w1.ndim != 2 or self.b1.shape != (self.w1.shape[1],):
+        if self.w1.ndim not in (2, 3) or self.b1.shape != (*self.stack, self.w1.shape[-1]):
             raise ContractError("scaler first layer shapes are inconsistent")
-        if self.w2.shape != (self.w1.shape[1], 1) or self.b2.shape != (1,):
+        stack, hidden = self.stack, self.w1.shape[-1]
+        if self.w2.shape != (*stack, hidden, 1) or self.b2.shape != (*stack, 1):
             raise ContractError("scaler second layer shapes are inconsistent")
-        if np.ndim(self.alpha) != 0 or np.ndim(self.beta) != 0:
-            raise ContractError("alpha and beta must be scalars")
+        if np.shape(self.alpha) != self.stack or np.shape(self.beta) != self.stack:
+            raise ContractError("alpha and beta must be scalars, one per parameter set")
+
+    @property
+    def stack(self) -> tuple[int, ...]:
+        """Leading shape of the parameter sets: () for one set, (P,) for P."""
+        return self.w1.shape[:-2]
 
     @property
     def in_dim(self) -> int:
-        return self.w1.shape[0]
+        return self.w1.shape[-2]
 
     @staticmethod
     def init(in_dim: int, rng: np.random.Generator, *, hidden: int = 32) -> "ScalerParams":
@@ -87,13 +95,15 @@ class ScalerParams:
 
     @staticmethod
     def from_named(named: dict[str, np.ndarray], prefix: str = "metric.scaler") -> "ScalerParams":
+        w1 = named[f"{prefix}.w1"]
+        stack = np.shape(w1)[:-2]
         return ScalerParams(
-            w1=named[f"{prefix}.w1"],
+            w1=w1,
             b1=named[f"{prefix}.b1"],
             w2=named[f"{prefix}.w2"],
             b2=named[f"{prefix}.b2"],
-            alpha=np.asarray(named[f"{prefix}.alpha"]).reshape(()),
-            beta=np.asarray(named[f"{prefix}.beta"]).reshape(()),
+            alpha=np.asarray(named[f"{prefix}.alpha"]).reshape(stack),
+            beta=np.asarray(named[f"{prefix}.beta"]).reshape(stack),
         )
 
 
@@ -106,16 +116,22 @@ def scaler_eval(scaler: ScalerParams, features, tape: nk.Tape | None = None, *, 
     a batch of its own: the result is bitwise what one call per run
     returns, which a single batch is not, since BLAS sums a row's
     products in an order that depends on the number of rows.
+
+    A stacked scaler of P parameter sets is evaluated untaped on P row
+    sets (P, n, l) and returns (P, n, 1), each set bitwise its own call's.
     """
     fv = nk.value_of(features)
     single = fv.ndim == 1
     if single:
         features = nk.reshape(features, (1, fv.shape[0]))
         fv = nk.value_of(features)
-    if fv.ndim != 2 or fv.shape[1] != scaler.in_dim:
+    stack = scaler.stack
+    if fv.ndim < 2 or fv.shape[:-2] != stack or fv.shape[-1] != scaler.in_dim:
         raise ContractError(
             f"scaler expects rows of width {scaler.in_dim}, got {fv.shape}"
         )
+    if stack and (tape is not None or blocks != 1):
+        raise ContractError("stacked scalers are evaluated untaped, one run per set")
     if blocks != 1:
         if tape is not None or blocks < 1 or fv.shape[0] % blocks:
             raise ContractError(f"cannot split {fv.shape[0]} untaped rows into {blocks} runs")
@@ -127,7 +143,10 @@ def scaler_eval(scaler: ScalerParams, features, tape: nk.Tape | None = None, *, 
         named = lambda k: tape.param(plain[k], name=k)
     h = nk.relu(nk.affine(features, named("metric.scaler.w1"), named("metric.scaler.b1")))
     h = nk.affine(h, named("metric.scaler.w2"), named("metric.scaler.b2"))
-    g = nk.calibrated_sigmoid(h, named("metric.scaler.alpha"), named("metric.scaler.beta"))
+    alpha, beta = named("metric.scaler.alpha"), named("metric.scaler.beta")
+    if stack:
+        alpha, beta = alpha[:, None, None], beta[:, None, None]
+    g = nk.calibrated_sigmoid(h, alpha, beta)
     if single:
         return nk.reshape(g, ())
     return g if blocks == 1 else g.reshape(fv.shape[0], 1)
@@ -135,10 +154,14 @@ def scaler_eval(scaler: ScalerParams, features, tape: nk.Tape | None = None, *, 
 
 @dataclass(frozen=True)
 class MetricSpec:
-    """A distance kind with exactly the parameters that kind needs."""
+    """A distance kind with exactly the parameters that kind needs.
+
+    ``s`` is a float, or a (P,) array for P parameter sets; a stacked
+    scaler likewise holds P sets (see :attr:`stack`).
+    """
 
     kind: str
-    s: float | None = None
+    s: float | np.ndarray | None = None
     scaler: ScalerParams | None = None
 
     def __post_init__(self):
@@ -147,13 +170,22 @@ class MetricSpec:
         if self.kind == "scaled":
             if self.s is None or self.scaler is not None:
                 raise ContractError("scaled kind takes s and nothing else")
-            if not np.isfinite(self.s):
+            if np.ndim(self.s) > 1:
+                raise ContractError("s must be a scalar, or one per parameter set")
+            if not np.all(np.isfinite(self.s)):
                 raise DomainError("s must be finite")
         elif self.kind in ("instance", "pair"):
             if self.scaler is None or self.s is not None:
                 raise ContractError(f"{self.kind} kind takes a scaler and nothing else")
         elif self.s is not None or self.scaler is not None:
             raise ContractError("euclid kind takes no parameters")
+
+    @property
+    def stack(self) -> tuple[int, ...] | None:
+        """Leading shape of the parameter sets; None for euclid, which has none."""
+        if self.kind == "scaled":
+            return np.shape(self.s)
+        return None if self.scaler is None else self.scaler.stack
 
     @staticmethod
     def euclid() -> "MetricSpec":
@@ -173,7 +205,7 @@ class MetricSpec:
 
     def to_named(self) -> dict[str, np.ndarray]:
         if self.kind == "scaled":
-            return {"metric.s": np.asarray(float(self.s))}
+            return {"metric.s": np.asarray(self.s, dtype=np.float64)}
         if self.scaler is not None:
             return self.scaler.to_named()
         return {}
@@ -183,17 +215,19 @@ class MetricSpec:
         if kind == "euclid":
             return MetricSpec.euclid()
         if kind == "scaled":
-            return MetricSpec.scaled(float(np.asarray(named["metric.s"]).reshape(())))
+            s = np.asarray(named["metric.s"], dtype=np.float64)
+            return MetricSpec(kind="scaled", s=float(s) if s.ndim == 0 else s)
         return MetricSpec(kind=kind, scaler=ScalerParams.from_named(named))
 
 
 def _scale_rows(scaler: ScalerParams, x, tape: nk.Tape | None):
     """g of every row as a column: (n, 1) for a row set, (V, n, 1) for a stack.
 
-    A stack goes to ``scaler_eval`` as one (V*n, l) batch in V runs.
+    A stack goes to ``scaler_eval`` as one (V*n, l) batch in V runs,
+    unless the scaler holds one parameter set per row set.
     """
     xv = nk.value_of(x)
-    if xv.ndim == 2:
+    if xv.ndim == 2 or scaler.stack:
         return scaler_eval(scaler, x, tape)
     g = scaler_eval(scaler, xv.reshape(-1, xv.shape[-1]), blocks=xv.shape[0])
     return g.reshape(*xv.shape[:-1], 1)
@@ -221,23 +255,26 @@ def pairwise(spec: MetricSpec, a, b, tape: nk.Tape | None = None, *, query=None)
     to exactly zero under every kind. Untaped calls also take stacks of
     V row sets, (V, n, l) against (V, m, l), and return (V, n, m) with
     every slice bitwise equal to the unstacked call; ``query`` may then
-    carry ``query_terms(spec, a)`` so that they are not recomputed.
+    carry ``query_terms(spec, a)`` so that they are not recomputed. A
+    spec of P parameter sets scores the stack's row set p with set p.
     """
     av, bv = nk.value_of(a), nk.value_of(b)
     if (av.ndim not in (2, 3) or bv.ndim != av.ndim
             or av.shape[:-2] != bv.shape[:-2] or av.shape[-1] != bv.shape[-1]):
         raise ContractError("pairwise expects row sets of one embedding width")
-    if tape is not None and (av.ndim != 2 or query is not None):
-        raise ContractError("only plain (n, l) row sets are differentiated")
+    if tape is not None and (av.ndim != 2 or query is not None or spec.stack):
+        raise ContractError("only plain (n, l) row sets and one parameter set are differentiated")
     if query is not None and np.shape(query) != av.shape:
         raise ContractError("query terms must match the query rows")
     if spec.kind == "euclid":
         return _sq_diff(a, b)
     if spec.kind == "scaled":
-        s = float(spec.s) if tape is None else tape.param(np.asarray(float(spec.s)), name="metric.s")
+        if tape is not None:
+            s = tape.param(np.asarray(float(spec.s)), name="metric.s")
+        else:
+            s = float(spec.s) if np.ndim(spec.s) == 0 else spec.s[:, None, None]
         return nk.mul(s, _sq_diff(a, b))
-    *lead, n, _ = av.shape
-    m = bv.shape[-2]
+    n, m = av.shape[-2], bv.shape[-2]
     if spec.kind == "instance" and query is not None:
         return _sq_diff(query, nk.unit_rows(b, _NORM_FLOOR) / _scale_rows(spec.scaler, b, None))
     a_hat = nk.unit_rows(a, _NORM_FLOOR)
@@ -251,7 +288,8 @@ def pairwise(spec: MetricSpec, a, b, tape: nk.Tape | None = None, *, query=None)
         pairs = nk.concat([nk.repeat_rows(a, m), nk.tile_rows(b, n)], axis=1)
     else:
         pairs = np.concatenate([np.repeat(av, m, axis=1), np.tile(bv, (1, n, 1))], axis=-1)
-    g = nk.reshape(_scale_rows(spec.scaler, pairs, tape), (*lead, n, m))
+    g = _scale_rows(spec.scaler, pairs, tape)
+    g = nk.reshape(g, (*nk.value_of(g).shape[:-2], n, m))
     return nk.div(_sq_diff(a_hat, b_hat), nk.mul(g, g))
 
 

@@ -353,11 +353,12 @@ def matmul(a, b):
 
 
 def transpose(x):
+    """Swap the last two axes; untaped calls also take stacks of matrices."""
     tape = _tape_of(x)
     xv = value_of(x)
-    if xv.ndim != 2:
-        raise ContractError("transpose expects a 2-D operand")
-    out = np.ascontiguousarray(xv.T)
+    if xv.ndim < 2 or (tape is not None and xv.ndim != 2):
+        raise ContractError("transpose expects a 2-D operand (or, untaped, a stack of them)")
+    out = np.ascontiguousarray(np.swapaxes(xv, -1, -2))
     if tape is None:
         return out
     return _apply(out, (_as_var(x, tape),), lambda g: (g.T,), tape)
@@ -656,25 +657,29 @@ def cross_entropy(logits, targets):
     The logits enter that group twice, so the node lists them twice:
     logsumexp's adjoint first, then the product's. An empty class axis
     is a :class:`ContractError`, non-finite logits a :class:`DomainError`.
+    Untaped calls also take a stack of P logit sets, (P, n, c) against
+    the same (n, c) targets, and return the P losses, each bitwise its
+    own call's.
     """
     if isinstance(targets, Var):
         raise ContractError("cross_entropy targets must be constant")
     tape = _tape_of(logits)
     lv, tv = value_of(logits), value_of(targets)
-    if lv.ndim != 2 or tv.shape != lv.shape:
+    if (lv.ndim not in (2, 3) or (tape is not None and lv.ndim != 2)
+            or tv.shape != lv.shape[-2:]):
         raise ContractError(
             f"cross_entropy expects (n, c) logits and targets, got {lv.shape} and {tv.shape}"
         )
-    if lv.shape[1] == 0:
+    if lv.shape[-1] == 0:
         raise ContractError("cross_entropy needs at least one class")
     if not np.all(np.isfinite(lv)):
         raise DomainError("cross_entropy logits must be finite")
-    true_logit = (lv * tv).sum(axis=1)
+    true_logit = (lv * tv).sum(axis=-1)
     m = lv.max(axis=-1, keepdims=True)
     shifted = np.exp(lv - m)
     total = shifted.sum(axis=-1, keepdims=True)
     lse = np.squeeze(m + np.log(total), axis=-1)
-    out = (lse - true_logit).mean()
+    out = (lse - true_logit).mean(axis=-1)
     if tape is None:
         return out
     softmax = shifted / total
@@ -691,14 +696,16 @@ def affine(x, w, b):
     """``x @ w + b``: one node for a matmul and its bias add.
 
     ``w`` is 2-D and ``b`` broadcasts over the rows. Untaped calls also
-    take a stack of row sets, as :func:`matmul` does.
+    take a stack of row sets, as :func:`matmul` does, and a stack of P
+    weight sets, (P, d, h) with (P, h) biases: row set p (or the one
+    shared row set) meets weight set p in a matrix product of its own.
     """
     tape = _tape_of(x, w, b)
     xv, wv, bv = value_of(x), value_of(w), value_of(b)
-    if xv.ndim < 2 or wv.ndim != 2 or (tape is not None and xv.ndim != 2):
-        raise ContractError("affine expects 2-D weights and rows (or, untaped, stacks of rows)")
+    if xv.ndim < 2 or wv.ndim not in (2, 3) or (tape is not None and (xv.ndim, wv.ndim) != (2, 2)):
+        raise ContractError("affine expects 2-D weights and rows (or, untaped, stacks of them)")
     out = xv @ wv
-    out += bv
+    out += bv if wv.ndim == 2 else bv[..., None, :]
     if tape is None:
         return out
 

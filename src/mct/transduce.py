@@ -81,7 +81,11 @@ def class_counts(labels, ways: int) -> np.ndarray:
 
 
 def init_from_embeddings(support_emb, support_y, ways: int):
-    """Initial prototypes: the plain per-class mean of support embeddings."""
+    """Initial prototypes: the plain per-class mean of support embeddings.
+
+    Untaped calls also take a stack (P, n, l) of embeddings of one
+    support set and return (P, ways, l).
+    """
     y_t = one_hot(support_y, ways).T
     counts = class_counts(support_y, ways)
     return nk.div(nk.matmul(y_t, support_emb), counts[:, None])
@@ -117,18 +121,19 @@ def update_prototypes(
 
     Support items contribute weight exactly 1 each; item x̃ contributes
     weight conf[x̃, c] to class c. Each prototype is the weighted mean
-    of both pools.
+    of both pools. Untaped calls also take stacks, (P, n, l) embeddings
+    and (P, n, ways) confidences, and return (P, ways, l).
     """
     cv = nk.value_of(conf)
     qv = nk.value_of(query_emb)
-    if cv.shape != (qv.shape[0], ways):
+    if cv.shape[-2:] != (qv.shape[-2], ways):
         raise ContractError(
-            f"confidence shape {cv.shape} does not match {qv.shape[0]} items x {ways} classes"
+            f"confidence shape {cv.shape} does not match {qv.shape[-2]} items x {ways} classes"
         )
     y_t = one_hot(support_y, ways).T
     counts = class_counts(support_y, ways)[:, None]
     num = nk.add(nk.matmul(y_t, support_emb), nk.matmul(nk.transpose(conf), query_emb))
-    mass = nk.reshape(nk.asum(conf, axis=0), (ways, 1))
+    mass = nk.reshape(nk.asum(conf, axis=-2), (*cv.shape[:-2], ways, 1))
     return nk.div(num, nk.add(counts, mass))
 
 

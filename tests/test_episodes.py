@@ -86,6 +86,22 @@ class TestTableSampling:
         with pytest.raises(CapacityError):
             sample_episode(small_table(per_class=4), ways=5, shots=2, queries=5, rng_seed=0)
 
+    def test_capacity_messages_count_the_table_and_break_down_the_need(self):
+        t = small_table(classes=12, per_class=40)
+        with pytest.raises(CapacityError) as exc:
+            sample_episode(t, ways=5, shots=1, queries=15, rng_seed=0, unlabeled=30)
+        assert str(exc.value) == (
+            "need 5 classes with ≥ 46 items each (1 shots + 15 queries + 30 unlabeled);"
+            " the table has 12 classes, 0 of them that large"
+        )
+        with pytest.raises(CapacityError) as exc:
+            sample_episode(t, ways=5, shots=1, queries=15, rng_seed=0, unlabeled=5,
+                           distractors=10)
+        assert str(exc.value) == (
+            "need 15 classes (5 ways + 10 distractors) with ≥ 5 unlabeled items each;"
+            " the table has 12 classes, 12 of them that large"
+        )
+
     def test_unlabeled_pool_and_distractors(self):
         t = small_table(classes=8, per_class=20)
         ep = sample_episode(

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from mct import numkit as nk
-from mct.checkpoint import ModelState, load_state
+from mct.checkpoint import ModelState, load_state, save_state
 from mct.episodes import SyntheticSpec, derive_seed, load_embeddings, sample_episode
-from mct.errors import ContractError
+from mct.errors import ContractError, FormatError
 from mct.evalcli import (
     EvalProtocol,
+    GradcheckReport,
     Report,
     EpisodeRecord,
     evaluate,
@@ -27,7 +28,7 @@ from mct.evalcli import (
 )
 from mct import evalcli
 from mct.metatrain import GlobalClassifier, training_loss
-from mct.metric import MetricSpec
+from mct.metric import MetricSpec, ScalerParams
 from mct.transduce import refine, semi_infer, soft_kmeans
 from mct.encoder import VIEWS, EncoderParams
 
@@ -258,6 +259,145 @@ class TestRendering:
         assert "episodes" in table and "3" in table
 
 
+def _oracle_central_diff(named, fixture, key: str, i: int, step: float) -> float:
+    bumped = {k: np.array(v, dtype=np.float64) for k, v in named.items()}
+    flat = bumped[key].reshape(-1)
+    flat[i] += step
+    hi = float(nk.value_of(_gradcheck_loss(bumped, fixture, None)))
+    flat[i] -= 2 * step
+    lo = float(nk.value_of(_gradcheck_loss(bumped, fixture, None)))
+    return (hi - lo) / (2 * step)
+
+
+def _oracle_gradcheck(trials: int, tolerance: float, seed: int) -> GradcheckReport:
+    """gradcheck as a loop over entries: two unstacked losses per entry and step."""
+    worst_err, worst_param = 0.0, "none"
+    for trial in range(trials):
+        named, fixture = _gradcheck_fixture(trial, seed)
+        tape = nk.Tape()
+        grads = nk.grad(tape, _gradcheck_loss(named, fixture, tape))
+        by_name = {k: grads[v] for k, v in tape.named_params.items()}
+        for key in sorted(named):
+            an = np.asarray(by_name[key], dtype=np.float64).reshape(-1)
+            for i in range(an.size):
+                err = np.inf
+                for step in (1e-5, 1e-6, 1e-7):
+                    fd = _oracle_central_diff(named, fixture, key, i, step)
+                    a = float(an[i])
+                    err = abs(a - fd) / max(abs(a), abs(fd), 1e-4)
+                    if err < tolerance:
+                        break
+                if err > worst_err:
+                    worst_err, worst_param = err, f"{key}[{i}] (trial {trial})"
+    return GradcheckReport(
+        passed=worst_err < tolerance, trials=trials, tolerance=tolerance,
+        worst_rel_err=worst_err, worst_param=worst_param,
+    )
+
+
+def _bumped_sets(named, entries, step=1e-5):
+    """2k parameter sets for the k (key, index) ``entries`` of ``named``:
+    set j raises entry j by ``step``, set k + j lowers it from there by
+    2 * step, as gradcheck bumps them."""
+    k = len(entries)
+    stacked = {key: np.repeat(np.asarray(v, dtype=np.float64)[None], 2 * k, axis=0)
+               for key, v in named.items()}
+    for j, (key, i) in enumerate(entries):
+        flat = stacked[key].reshape(2 * k, -1)
+        flat[j, i] += step
+        flat[k + j, i] = flat[j, i] - 2 * step
+    return stacked
+
+
+def _assert_sets_are_their_own_calls(stacked, fixture, subsets=()):
+    """The stack's losses, and those of each subset of its sets, equal the
+    unstacked loss of every set bitwise."""
+    n_sets = len(next(iter(stacked.values())))
+    alone = np.array([
+        _gradcheck_loss({k: v[p] for k, v in stacked.items()}, fixture, None)
+        for p in range(n_sets)
+    ])
+    for sets in [list(range(n_sets)), *subsets]:
+        got = _gradcheck_loss({k: v[sets] for k, v in stacked.items()}, fixture, None)
+        assert got.shape == (len(sets),)
+        assert np.array_equal(got, alone[sets])
+
+
+class TestStackedLoss:
+    @pytest.mark.parametrize("trial", range(4))  # each metric kind, each view once
+    def test_every_bumped_set_is_bitwise_its_own_call(self, trial):
+        named, fixture = _gradcheck_fixture(trial, seed=0)
+        entries = [(k, i) for k in sorted(named) for i in range(np.size(named[k]))]
+        _assert_sets_are_their_own_calls(_bumped_sets(named, entries), fixture)
+
+    @pytest.mark.parametrize("view", range(4))
+    @pytest.mark.parametrize("trial", range(4))
+    def test_every_kind_and_view_with_each_group_bumped(self, trial, view):
+        named, (episode, kind, lam, shape) = _gradcheck_fixture(trial, seed=0)
+        firsts = [(k, 0) for k in sorted(named)]
+        k = len(firsts)
+        pairs = [[j, k + j] for j in range(k)]
+        _assert_sets_are_their_own_calls(
+            _bumped_sets(named, firsts), (episode, kind, lam, {**shape, "view": view}),
+            subsets=pairs + [[p] for p in range(2 * k)],
+        )
+
+    def test_tape_and_raw_inputs_reject_stacks(self):
+        for trial in range(4):
+            named, (episode, kind, lam, shape) = _gradcheck_fixture(trial, seed=0)
+            for sets in (1, 2):
+                stacked = {k: np.stack([v] * sets) for k, v in named.items()}
+                with pytest.raises(ContractError):
+                    _gradcheck_loss(stacked, (episode, kind, lam, shape), nk.Tape())
+                clf = GlobalClassifier(weight=np.zeros((sets, 4, 6)), classes=shape["classes"])
+                with pytest.raises(ContractError):
+                    training_loss(episode, None, MetricSpec.euclid(), clf, VIEWS[0], lam=lam)
+
+    def test_mismatched_leading_axes_are_contract_errors(self):
+        named, (episode, kind, lam, shape) = _gradcheck_fixture(2, seed=0)  # instance
+        two = {k: np.stack([v] * 2) for k, v in named.items()}
+        three = {k: np.stack([v] * 3) for k, v in named.items()}
+
+        def parts(enc, met, clf):
+            return (
+                EncoderParams.from_named(enc, dropout=0.0, positions=shape["positions"],
+                                         channels=shape["channels"]),
+                MetricSpec.from_named(kind, met),
+                GlobalClassifier(weight=clf["classifier.w"], classes=shape["classes"]),
+            )
+
+        for enc, met, clf in ((two, three, two), (two, two, three), (named, two, two),
+                              (two, two, named)):
+            encoder, metric, classifier = parts(enc, met, clf)
+            with pytest.raises(ContractError):
+                training_loss(episode, encoder, metric, classifier, VIEWS[0], lam=lam)
+        with pytest.raises(ContractError):
+            EncoderParams.from_named({**two, "encoder.b_in": three["encoder.b_in"]},
+                                     positions=shape["positions"], channels=shape["channels"])
+        with pytest.raises(ContractError):
+            EncoderParams.from_named({**two, "encoder.block1.w2": three["encoder.block1.w2"]},
+                                     positions=shape["positions"], channels=shape["channels"])
+        for part in ("metric.scaler.b1", "metric.scaler.w2", "metric.scaler.b2"):
+            with pytest.raises(ContractError):
+                ScalerParams.from_named({**two, part: three[part]})
+        with pytest.raises(ContractError):
+            replace(MetricSpec.from_named(kind, two).scaler, alpha=np.zeros(3))
+        with pytest.raises(ContractError):
+            MetricSpec(kind="scaled", s=np.ones((2, 2)))
+
+    def test_checkpoint_of_a_stack_is_a_format_error(self, tmp_path):
+        named, (_, kind, _, shape) = _gradcheck_fixture(2, seed=0)
+        state = ModelState(
+            metric=MetricSpec.from_named(kind, {k: np.stack([v] * 2) for k, v in named.items()}),
+            encoder=EncoderParams.from_named(named, positions=shape["positions"],
+                                             channels=shape["channels"]),
+        )
+        path = tmp_path / "stack.mctp"
+        save_state(path, state)
+        with pytest.raises(FormatError, match="one parameter set"):
+            load_state(path)
+
+
 class TestGradcheck:
     def test_two_kind_rotation_passes(self):
         rep = gradcheck(trials=8, tolerance=1e-4, seed=0)
@@ -307,6 +447,25 @@ class TestGradcheck:
         # embedding so normalization raised
         rep = gradcheck(trials=trials, tolerance=1e-4, seed=seed)
         assert rep.passed, rep.worst_param
+
+    @pytest.mark.parametrize("trial", [0, 1])
+    def test_stacked_differences_are_the_entry_loops(self, trial):
+        named, fixture = _gradcheck_fixture(trial, seed=0)
+        keys = sorted(named)
+        theta = np.concatenate([np.asarray(named[k]).reshape(-1) for k in keys])
+        fd = evalcli._central_diffs(named, fixture, theta, np.arange(theta.size), 1e-5)
+        loop = [_oracle_central_diff(named, fixture, k, i, 1e-5)
+                for k in keys for i in range(np.size(named[k]))]
+        assert np.array_equal(fd, loop)
+
+    @pytest.mark.parametrize("trials, tolerance, seed", [
+        (4, 1e-4, 0),  # every entry settles at the first step
+        (2, 1e-12, 0),  # every entry runs the whole ladder
+        (2, 1e-4, 278550621),
+        (3, 1e-4, 880104451),
+    ])
+    def test_stacked_ladder_reports_what_the_entry_loop_reports(self, trials, tolerance, seed):
+        assert gradcheck(trials, tolerance, seed) == _oracle_gradcheck(trials, tolerance, seed)
 
 
 @pytest.fixture()
@@ -514,6 +673,28 @@ class TestCli:
         named = [f for f in flags if f.startswith("--")] or ["--" + config.split("=")[0]]
         assert all(f in err for f in named)
         assert not (tmp_path / "r.jsonl").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["gradcheck", "--trials", "1"],
+        ["eval", "--episodes", "1", "--report", "{out}"],
+        ["train", "--steps", "1", "--out", "{out}"],
+        ["make-synth", "--out", "{out}"],
+    ])
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, command, from_config):
+        out = tmp_path / "out.bin"
+        args = [a.format(out=out) for a in command]
+        if from_config:
+            cfg = tmp_path / "mct.cfg"
+            cfg.write_text("seed=-1\n")
+            args += ["--config", str(cfg)]
+        else:
+            args += ["--seed", "-1"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "argument --seed: expected a non-negative integer, got '-1'" in err
+        assert not out.exists()
 
     def test_semi_mode_runs_without_those_flags(self, table_file, tmp_path):
         report = tmp_path / "r.jsonl"

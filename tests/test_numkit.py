@@ -424,6 +424,29 @@ class TestFusedPrimitives:
             nk.calibrated_sigmoid(h, 0.3, -0.2), ref_calibrated_sigmoid(h, 0.3, -0.2)
         )
 
+    def test_stacked_parameter_sets_equal_their_own_calls(self):
+        rng = np.random.default_rng(9)
+        x, w, b = rng.normal(size=(9, 8)), rng.normal(size=(5, 8, 7)), rng.normal(size=(5, 7))
+        rows = rng.normal(size=(5, 9, 8))
+        shared, own = nk.affine(x, w, b), nk.affine(rows, w, b)
+        logits, targets = rng.normal(size=(5, 9, 4)), one_hot_rows(rng, 9, 4)
+        losses = nk.cross_entropy(logits, targets)
+        assert shared.shape == own.shape == (5, 9, 7) and losses.shape == (5,)
+        for p in range(5):
+            assert np.array_equal(shared[p], nk.affine(x, w[p], b[p]))
+            assert np.array_equal(own[p], nk.affine(rows[p], w[p], b[p]))
+            assert np.array_equal(losses[p], nk.cross_entropy(logits[p], targets))
+            assert np.array_equal(nk.transpose(logits)[p], nk.transpose(logits[p]))
+
+    def test_tape_rejects_stacks_of_weights_logits_and_matrices(self):
+        tape = nk.Tape()
+        with pytest.raises(ContractError):
+            nk.affine(tape.param(np.ones((2, 3))), np.ones((4, 3, 2)), np.ones((4, 2)))
+        with pytest.raises(ContractError):
+            nk.cross_entropy(tape.param(np.ones((4, 2, 3))), np.eye(3)[:2])
+        with pytest.raises(ContractError):
+            nk.transpose(tape.param(np.ones((4, 2, 3))))
+
     @pytest.mark.parametrize("seed", range(4))
     def test_shared_inputs_accumulate_in_the_same_order(self, seed):
         # x, h, the logits and alpha each reach one fused node twice or
