@@ -170,7 +170,8 @@ class EmbeddingTable:
     """An immutable table of precomputed feature rows with class ids.
 
     Row values are quantized through single precision at construction so
-    that a table and its on-disk form carry identical numbers.
+    that a table and its on-disk form carry identical numbers. The sorted
+    class ids, their sizes and their row indices are computed once, here.
     """
 
     def __init__(self, rows, labels):
@@ -185,14 +186,16 @@ class EmbeddingTable:
         if lab.min() < 0:
             raise ContractError("class ids must be non-negative")
         # mirror the file format's precision so save/load is the identity
-        self._rows = _frozen_array(arr.astype(np.float32).astype(np.float64))
+        self._rows = arr.astype(np.float32).astype(np.float64)
+        self._rows.flags.writeable = False
         self._labels = _frozen_array(lab, dtype=np.int64)
-        index: dict[int, np.ndarray] = {}
-        for c in np.unique(lab):
-            idx = np.nonzero(lab == c)[0]
-            idx.flags.writeable = False
-            index[int(c)] = idx
-        self._class_index = index
+        # one stable sort groups every class's rows in ascending row order
+        order = np.argsort(lab, kind="stable")
+        order.flags.writeable = False
+        ids, starts = np.unique(lab[order], return_index=True)
+        self._class_ids = _frozen_array(ids, dtype=np.int64)
+        self._class_sizes = _frozen_array(np.diff(starts, append=lab.size), dtype=np.int64)
+        self._class_index = dict(zip(ids.tolist(), np.split(order, starts[1:])))
 
     @property
     def count(self) -> int:
@@ -217,7 +220,7 @@ class EmbeddingTable:
 
     @property
     def classes(self) -> list[int]:
-        return sorted(self._class_index)
+        return self._class_ids.tolist()
 
     def __repr__(self) -> str:
         return f"EmbeddingTable(count={self.count}, dim={self.dim}, classes={len(self._class_index)})"
@@ -263,10 +266,6 @@ class BayesOracle:
             (n_queries, self.means.shape[1])
         )
         return float(np.mean(self.predict(x) == labels))
-
-
-def _class_major(blocks: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate(blocks, axis=0)
 
 
 def _labels_for(ways: int, per: int) -> np.ndarray:
@@ -319,51 +318,42 @@ def _sample_from_table(
     if ways < 1 or shots < 1 or queries < 0 or unlabeled < 0 or distractors < 0:
         raise ContractError("episode sizes must be non-negative (ways, shots ≥ 1)")
     need = shots + queries + unlabeled
-    classes, index = table.classes, table.class_index
-    eligible = [c for c in classes if index[c].size >= need]
-    if len(eligible) < ways:
+    ids, sizes, index = table._class_ids, table._class_sizes, table._class_index
+    eligible = ids[sizes >= need]
+    if eligible.size < ways:
         raise CapacityError(
             f"need {ways} classes with ≥ {need} items each ({shots} shots + {queries}"
-            f" queries + {unlabeled} unlabeled); the table has {len(classes)} classes,"
-            f" {len(eligible)} of them that large"
+            f" queries + {unlabeled} unlabeled); the table has {ids.size} classes,"
+            f" {eligible.size} of them that large"
         )
-    if distractors:
-        pool_ok = [c for c in classes if index[c].size >= unlabeled]
-        if len(pool_ok) < ways + distractors:
-            raise CapacityError(
-                f"need {ways + distractors} classes ({ways} ways + {distractors} distractors)"
-                f" with ≥ {unlabeled} unlabeled items each; the table has {len(classes)}"
-                f" classes, {len(pool_ok)} of them that large"
-            )
+    pool_ok = sizes >= unlabeled
+    if distractors and np.count_nonzero(pool_ok) < ways + distractors:
+        raise CapacityError(
+            f"need {ways + distractors} classes ({ways} ways + {distractors} distractors)"
+            f" with ≥ {unlabeled} unlabeled items each; the table has {ids.size}"
+            f" classes, {np.count_nonzero(pool_ok)} of them that large"
+        )
     rng = np.random.default_rng(rng_seed)
-    chosen = rng.choice(np.array(eligible), size=ways, replace=False)
-    sup_blocks, qry_blocks, unl_blocks = [], [], []
-    sup_g, qry_g = [], []
-    for c in chosen:
-        idx = rng.permutation(index[int(c)])
-        sup_blocks.append(table.rows[idx[:shots]])
-        qry_blocks.append(table.rows[idx[shots : shots + queries]])
-        if unlabeled:
-            unl_blocks.append(table.rows[idx[shots + queries : need]])
-        sup_g.append(np.full(shots, int(c)))
-        qry_g.append(np.full(queries, int(c)))
+    chosen = rng.choice(eligible, size=ways, replace=False)
+    picks = np.array([rng.permutation(index[c])[:need] for c in chosen.tolist()])
+    # row order: every support pick, then every query pick, then the pool
+    take = [picks[:, :shots], picks[:, shots : shots + queries], picks[:, shots + queries :]]
     if distractors:
-        taken = {int(v) for v in chosen}
-        rest = [c for c in pool_ok if c not in taken]
-        extra = rng.choice(np.array(rest), size=distractors, replace=False)
-        for c in extra:
-            idx = rng.permutation(index[int(c)])
-            unl_blocks.append(table.rows[idx[:unlabeled]])
+        pool_ok[np.searchsorted(ids, chosen)] = False
+        extra = rng.choice(ids[pool_ok], size=distractors, replace=False)
+        take += [rng.permutation(index[c])[:unlabeled] for c in extra.tolist()]
+    rows = table.rows[np.concatenate(take, axis=None)]
+    n_sup, n_qry = ways * shots, ways * queries
     return Episode(
         ways=ways,
         shots=shots,
-        support_x=_class_major(sup_blocks),
+        support_x=rows[:n_sup],
         support_y=_labels_for(ways, shots),
-        query_x=_class_major(qry_blocks),
+        query_x=rows[n_sup : n_sup + n_qry],
         query_y=_labels_for(ways, queries),
-        unlabeled_x=_class_major(unl_blocks) if unlabeled else None,
-        support_g=np.concatenate(sup_g),
-        query_g=np.concatenate(qry_g),
+        unlabeled_x=rows[n_sup + n_qry :] if unlabeled else None,
+        support_g=np.repeat(chosen, shots),
+        query_g=np.repeat(chosen, queries),
     )
 
 

@@ -116,6 +116,8 @@ class EvalProtocol:
             raise ContractError("n_episodes and workers must be >= 1, T >= 0")
         if self.unlabeled is not None and self.unlabeled < 1:
             raise ContractError("unlabeled must be >= 1 when given")
+        if self.distractors < 0:
+            raise ContractError("distractors must be >= 0")
 
     @property
     def unlabeled_count(self) -> int:
@@ -432,7 +434,7 @@ def _read_config_file(path) -> dict[str, str]:
     return values
 
 
-def _seed(text: str) -> int:
+def _count(text: str) -> int:
     if not text.strip().isdecimal():
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
@@ -447,7 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="key=value file; explicit flags override it")
-        p.add_argument("--seed", type=_seed, default=0)
+        p.add_argument("--seed", type=_count, default=0)
 
     p_train = sub.add_parser("train", help="meta-train encoder, metric, classifier")
     add_common(p_train)
@@ -490,7 +492,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--queries", type=int, default=15)
     p_eval.add_argument("--unlabeled", type=int, default=None,
                         help="semi mode: unlabeled items per class (default 30/50)")
-    p_eval.add_argument("--distractors", type=int, default=0)
+    p_eval.add_argument("--distractors", type=_count, default=None,
+                        help="semi mode: out-of-episode pool classes (default 0)")
     p_eval.add_argument("--workers", type=int, default=1)
     p_eval.add_argument("--report", help="write JSON-lines records to this path")
 
@@ -574,13 +577,15 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     if args.mode == "semi":
-        given = [flag for flag, value in (
-            ("--transduction-steps", args.transduction_steps), ("--ensemble", args.ensemble),
-        ) if value is not None]
-        if given:
-            print(f"error: semi mode always makes one plain-view update and takes no "
-                  f"{' or '.join(given)}", file=sys.stderr)
-            return 2
+        why, flags = "always makes one plain-view update", (
+            ("--transduction-steps", args.transduction_steps), ("--ensemble", args.ensemble))
+    else:
+        why, flags = "draws no unlabeled pool", (
+            ("--unlabeled", args.unlabeled), ("--distractors", args.distractors))
+    given = [flag for flag, value in flags if value is not None]
+    if given:
+        print(f"error: {args.mode} mode {why} and takes no {' or '.join(given)}", file=sys.stderr)
+        return 2
     source = _make_source(args)
     if args.checkpoint:
         state = load_state(args.checkpoint)
@@ -596,7 +601,7 @@ def _cmd_eval(args) -> int:
         T=10 if args.transduction_steps is None else args.transduction_steps,
         mode=args.mode, ensemble=args.ensemble != "off",
         master_seed=args.seed, unlabeled=args.unlabeled,
-        distractors=args.distractors, workers=args.workers,
+        distractors=args.distractors or 0, workers=args.workers,
     )
     report = evaluate(state, source, protocol)
     if args.report:

@@ -1,5 +1,7 @@
 """Episode sampling invariants, Bayes-oracle anchors, and MCTE file IO."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,6 +146,172 @@ class TestTableSampling:
         sup = {tuple(r) for r in ep.support_x}
         qry = {tuple(r) for r in ep.query_x}
         assert not sup & qry
+
+
+def ragged_table(sizes, seed=0, dim=3):
+    """Shuffled labels with gapped class ids 0, 7, 14, ... and the given class sizes.
+
+    Column 0 of every row holds its row number, so a sampled row names
+    the row it came from.
+    """
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(7 * np.arange(len(sizes)), sizes)
+    rng.shuffle(labels)
+    rows = rng.normal(size=(labels.size, dim))
+    rows[:, 0] = np.arange(labels.size)
+    return EmbeddingTable(rows, labels)
+
+
+def _oracle_class_index(table):
+    """Row indices per class from one full-table scan per class."""
+    return {int(c): np.nonzero(table.labels == c)[0] for c in np.unique(table.labels)}
+
+
+def _oracle_sample_from_table(table, ways, shots, queries, rng_seed, *, unlabeled=0,
+                              distractors=0):
+    """Table sampling as a loop over classes: one row gather per class and part."""
+    need = shots + queries + unlabeled
+    classes, index = table.classes, table.class_index
+    eligible = [c for c in classes if index[c].size >= need]
+    if len(eligible) < ways:
+        raise CapacityError(
+            f"need {ways} classes with ≥ {need} items each ({shots} shots + {queries}"
+            f" queries + {unlabeled} unlabeled); the table has {len(classes)} classes,"
+            f" {len(eligible)} of them that large"
+        )
+    if distractors:
+        pool_ok = [c for c in classes if index[c].size >= unlabeled]
+        if len(pool_ok) < ways + distractors:
+            raise CapacityError(
+                f"need {ways + distractors} classes ({ways} ways + {distractors} distractors)"
+                f" with ≥ {unlabeled} unlabeled items each; the table has {len(classes)}"
+                f" classes, {len(pool_ok)} of them that large"
+            )
+    rng = np.random.default_rng(rng_seed)
+    chosen = rng.choice(np.array(eligible), size=ways, replace=False)
+    sup_blocks, qry_blocks, unl_blocks = [], [], []
+    sup_g, qry_g = [], []
+    for c in chosen:
+        idx = rng.permutation(index[int(c)])
+        sup_blocks.append(table.rows[idx[:shots]])
+        qry_blocks.append(table.rows[idx[shots : shots + queries]])
+        if unlabeled:
+            unl_blocks.append(table.rows[idx[shots + queries : need]])
+        sup_g.append(np.full(shots, int(c)))
+        qry_g.append(np.full(queries, int(c)))
+    if distractors:
+        taken = {int(v) for v in chosen}
+        rest = [c for c in pool_ok if c not in taken]
+        extra = rng.choice(np.array(rest), size=distractors, replace=False)
+        for c in extra:
+            idx = rng.permutation(index[int(c)])
+            unl_blocks.append(table.rows[idx[:unlabeled]])
+    return Episode(
+        ways=ways,
+        shots=shots,
+        support_x=np.concatenate(sup_blocks),
+        support_y=np.repeat(np.arange(1, ways + 1), shots),
+        query_x=np.concatenate(qry_blocks),
+        query_y=np.repeat(np.arange(1, ways + 1), queries),
+        unlabeled_x=np.concatenate(unl_blocks) if unlabeled else None,
+        support_g=np.concatenate(sup_g),
+        query_g=np.concatenate(qry_g),
+    )
+
+
+def assert_same_episode(got, want):
+    for f in fields(Episode):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray), f.name
+            assert a.dtype == b.dtype and a.shape == b.shape, f.name
+            assert np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+
+
+# sizes 9..24, shuffled labels, ids 0, 7, ..., 77
+RAGGED = ragged_table([12, 9, 24, 17, 9, 20, 13, 24, 10, 16, 11, 22], seed=5)
+
+
+class TestTableOracle:
+    def test_class_index_is_the_per_class_scan(self):
+        for table in (RAGGED, small_table(), ragged_table([1], seed=1),
+                      ragged_table([3, 1, 4, 1, 5, 9, 2, 6], seed=2)):
+            want = _oracle_class_index(table)
+            got = table.class_index
+            assert list(got) == list(want) == table.classes
+            assert all(type(c) is int for c in table.classes)
+            for c, idx in want.items():
+                assert got[c].dtype == idx.dtype and np.array_equal(got[c], idx)
+                assert not got[c].flags.writeable
+                with pytest.raises(ValueError):
+                    got[c][...] = 0
+
+    def test_table_arrays_are_read_only(self):
+        assert not RAGGED.rows.flags.writeable and not RAGGED.labels.flags.writeable
+
+    @pytest.mark.parametrize("ways,shots,queries,unlabeled,distractors", [
+        (5, 1, 4, 0, 0),    # inductive / transductive
+        (3, 3, 2, 0, 0),    # shots > 1
+        (4, 2, 0, 0, 0),    # no queries
+        (4, 2, 0, 3, 0),    # no queries, a pool
+        (5, 1, 3, 5, 0),    # unlabeled only
+        (5, 1, 3, 4, 3),    # semi with distractors
+        (3, 1, 2, 0, 4),    # distractors without a pool
+        (2, 4, 5, 6, 1),
+        (3, 1, 1, 9, 9),    # distractors take every class the episode did not
+        (12, 1, 4, 4, 0),   # every class is an episode class
+    ])
+    def test_episodes_equal_the_class_loop(self, ways, shots, queries, unlabeled, distractors):
+        kw = dict(unlabeled=unlabeled, distractors=distractors)
+        for seed in range(12):
+            got = sample_episode(RAGGED, ways, shots, queries, seed, **kw)
+            assert_same_episode(got, _oracle_sample_from_table(
+                RAGGED, ways, shots, queries, seed, **kw))
+
+    def test_distractors_can_use_every_remaining_class(self):
+        # 12 classes hold ≥ 9 rows; 3 ways + 9 distractors leave none out
+        for seed in range(5):
+            ep = sample_episode(RAGGED, 3, 1, 1, seed, unlabeled=9, distractors=9)
+            assert_same_episode(ep, _oracle_sample_from_table(
+                RAGGED, 3, 1, 1, seed, unlabeled=9, distractors=9))
+            pooled = RAGGED.labels[ep.unlabeled_x[:, 0].astype(np.int64)]
+            assert set(pooled.tolist()) == set(RAGGED.classes)
+            used = np.concatenate([ep.support_x[:, 0], ep.query_x[:, 0], ep.unlabeled_x[:, 0]])
+            assert np.unique(used).size == used.size
+        with pytest.raises(CapacityError):
+            sample_episode(RAGGED, 3, 1, 1, 0, unlabeled=9, distractors=10)
+
+    @pytest.mark.parametrize("need", range(8, 27))
+    def test_capacity_boundaries_match_the_class_loop(self, need):
+        queries, unlabeled = need // 3, need - 1 - need // 3
+        for ways, distractors in ((2, 0), (5, 0), (4, 6), (3, 9)):
+            args = (RAGGED, ways, 1, queries, need)
+            kw = dict(unlabeled=unlabeled, distractors=distractors)
+            try:
+                want = _oracle_sample_from_table(*args, **kw)
+            except CapacityError as exc:
+                with pytest.raises(CapacityError) as got:
+                    sample_episode(*args, **kw)
+                assert str(got.value) == str(exc)
+            else:
+                assert_same_episode(sample_episode(*args, **kw), want)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**63 - 1),
+        ways=st.integers(min_value=1, max_value=6),
+        shots=st.integers(min_value=1, max_value=3),
+        queries=st.integers(min_value=0, max_value=4),
+        unlabeled=st.integers(min_value=0, max_value=4),
+        distractors=st.integers(min_value=0, max_value=6),
+    )
+    def test_property_seed_sweep(self, seed, ways, shots, queries, unlabeled, distractors):
+        kw = dict(unlabeled=unlabeled, distractors=distractors)
+        got = sample_episode(RAGGED, ways, shots, queries, seed, **kw)
+        assert_same_episode(got, _oracle_sample_from_table(
+            RAGGED, ways, shots, queries, seed, **kw))
 
 
 class TestSynthetic:

@@ -154,6 +154,11 @@ class TestEvaluate:
         with pytest.raises(ContractError):
             EvalProtocol(T=-1)
 
+    def test_negative_distractors_are_a_contract_error(self):
+        with pytest.raises(ContractError, match="distractors"):
+            EvalProtocol(mode="semi", distractors=-1)
+        assert EvalProtocol(mode="semi", distractors=0).distractors == 0
+
     def test_inference_is_blind_to_query_labels(self):
         ep = sample_episode(PLAIN_SPEC, 5, 1, 15, rng_seed=77)
         shuffled = replace(ep, query_y=np.roll(ep.query_y, 7))
@@ -710,5 +715,59 @@ class TestCli:
             path = tmp_path / f"{name}.jsonl"
             assert main(["eval", "--source", str(table_file), "--mode", mode,
                          "--episodes", "3", "--report", str(path), *extra]) == 0
+            reports.append(path.read_bytes())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("mode", ["transductive", "inductive"])
+    @pytest.mark.parametrize("flags,config", [
+        (["--unlabeled", "4"], ""),
+        (["--distractors", "2"], ""),
+        (["--distractors", "0"], ""),
+        (["--unlabeled", "4", "--distractors", "1"], ""),
+        ([], "unlabeled=4\n"),
+        ([], "distractors=1\n"),
+    ])
+    def test_pool_flags_outside_semi_mode_are_usage_errors(
+        self, table_file, tmp_path, capsys, mode, flags, config
+    ):
+        args = ["eval", "--source", str(table_file), "--mode", mode, "--episodes", "2",
+                "--report", str(tmp_path / "r.jsonl"), *flags]
+        if config:
+            cfg = tmp_path / "mct.cfg"
+            cfg.write_text(config)
+            args += ["--config", str(cfg)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {mode} mode") and err.count("\n") == 1
+        named = [f for f in flags if f.startswith("--")] or ["--" + config.split("=")[0]]
+        assert all(f in err for f in named)
+        assert not (tmp_path / "r.jsonl").exists()
+
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_negative_distractors_is_a_usage_error(self, table_file, tmp_path, capsys,
+                                                   from_config):
+        report = tmp_path / "r.jsonl"
+        args = ["eval", "--source", str(table_file), "--mode", "semi", "--queries", "4",
+                "--unlabeled", "4", "--episodes", "2", "--report", str(report)]
+        if from_config:
+            cfg = tmp_path / "mct.cfg"
+            cfg.write_text("distractors=-1\n")
+            args += ["--config", str(cfg)]
+        else:
+            args += ["--distractors", "-1"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "argument --distractors: expected a non-negative integer, got '-1'" in err
+        assert not report.exists()
+
+    def test_semi_reports_with_explicit_zero_distractors_are_unchanged(self, table_file,
+                                                                      tmp_path):
+        reports = []
+        for name, extra in (("a", []), ("b", ["--distractors", "0"])):
+            path = tmp_path / f"{name}.jsonl"
+            assert main(["eval", "--source", str(table_file), "--mode", "semi", "--queries", "4",
+                         "--unlabeled", "4", "--episodes", "3", "--report", str(path),
+                         *extra]) == 0
             reports.append(path.read_bytes())
         assert reports[0] == reports[1]
