@@ -15,7 +15,6 @@ from .encoder import (
     PerturbPolicy,
     ViewSpec,
     embedding_dim,
-    encode,
     encode_batch,
     per_position,
     perturb_input,
@@ -63,17 +62,15 @@ from .metatrain import (
     train_step,
     training_loss,
 )
-from .metric import METRIC_KINDS, MetricSpec, ScalerParams, distance, pairwise, scaler_eval
+from .metric import METRIC_KINDS, MetricSpec, ScalerParams, pairwise, scaler_eval
 from .transduce import (
     Prototypes,
-    check_confidence,
     confidence,
     init_prototypes,
     mct_infer,
     predict_labels,
     refine,
     refine_batch,
-    semi_infer,
     soft_kmeans,
     update_prototypes,
 )
@@ -90,15 +87,13 @@ __all__ = [
     "save_embeddings", "load_embeddings",
     # encoder
     "EncoderParams", "ViewSpec", "VIEWS", "view_by_name", "embedding_dim",
-    "encode", "encode_batch", "per_position", "PerturbPolicy", "perturb_input",
+    "encode_batch", "per_position", "PerturbPolicy", "perturb_input",
     # metric
     "MetricSpec", "ScalerParams", "METRIC_KINDS",
-    "scaler_eval", "pairwise", "distance",
+    "scaler_eval", "pairwise",
     # transduction
     "Prototypes", "init_prototypes", "confidence", "update_prototypes",
-    "refine", "refine_batch", "soft_kmeans", "mct_infer", "semi_infer",
-    "predict_labels",
-    "check_confidence",
+    "refine", "refine_batch", "soft_kmeans", "mct_infer", "predict_labels",
     # training
     "TrainConfig", "TrainState", "StepReport", "GlobalClassifier",
     "LrSchedule", "lr_at", "instance_loss", "dimension_loss",

@@ -26,7 +26,6 @@ __all__ = [
     "ViewSpec",
     "VIEWS",
     "view_by_name",
-    "encode",
     "encode_batch",
     "per_position",
     "embedding_dim",
@@ -269,24 +268,6 @@ def encode_batch(
         )
         h = nk.add(h, branch)
     return h
-
-
-def encode(
-    params: EncoderParams | None,
-    x,
-    view: ViewSpec = VIEWS[0],
-    mode: str = "eval",
-    tape: nk.Tape | None = None,
-    rng: np.random.Generator | None = None,
-):
-    """Embed one input vector; returns a (positions, channels) map."""
-    xv = nk.value_of(x)
-    if xv.ndim != 1:
-        raise ContractError("encode expects a single input vector")
-    flat = encode_batch(params, nk.reshape(x, (1, xv.shape[0])), view, mode, tape, rng)
-    if params is None:
-        return nk.reshape(flat, (1, xv.shape[0]))
-    return nk.reshape(flat, (params.positions, params.channels))
 
 
 def per_position(flat, positions: int, channels: int):

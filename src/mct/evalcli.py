@@ -10,8 +10,9 @@ given (model, seed, protocol); the worker count is accepted for
 compatibility and changes nothing. Every mode, semi included, refines
 a few same-shape episodes at a time through ``transduce.refine_batch``.
 
-``gradcheck`` drives ``metatrain.training_loss``, the objective that
-training differentiates, on small random episodes and compares every
+``gradcheck`` rebuilds a small model from flat parameters as
+``train_step`` does, drives ``metatrain.training_loss`` with it on
+small random episodes, and compares every
 tape gradient entry against central finite differences; the CLI wires
 a failure to exit code 3 so CI can gate on it. Each step size of its
 ladder evaluates all the parameter sets it bumps as one stacked,
@@ -47,6 +48,7 @@ from .metatrain import (
     GlobalClassifier,
     LrSchedule,
     TrainConfig,
+    _model_from_named,
     train,
     training_loss,
 )
@@ -282,19 +284,13 @@ class GradcheckReport:
 
 
 def _gradcheck_loss(named: dict[str, np.ndarray], fixture, tape: nk.Tape | None):
-    """The training loss, rebuilt from flat parameter arrays."""
-    episode, kind, lam, shape = fixture
-    encoder = EncoderParams.from_named(
-        named, dropout=0.0, positions=shape["positions"], channels=shape["channels"]
-    )
-    metric = MetricSpec.from_named(kind, named)
-    classifier = GlobalClassifier(weight=named["classifier.w"], classes=shape["classes"])
-    return training_loss(
-        episode, encoder, metric, classifier, VIEWS[shape["view"]], tape, lam=lam
-    )[0]
+    """The training loss of the fixture's model with every tensor taken from ``named``."""
+    episode, model, view, lam = fixture
+    return training_loss(episode, *_model_from_named(model, named), view, tape, lam=lam)[0]
 
 
 def _gradcheck_fixture(trial: int, seed: int):
+    """One trial's flat parameters and (episode, model, view, lam) holding those tensors."""
     rng = np.random.default_rng(derive_seed(seed, trial))
     dim, hidden, positions, channels = 4, 8, 2, 4
     spec = SyntheticSpec(
@@ -315,25 +311,15 @@ def _gradcheck_fixture(trial: int, seed: int):
         (w1, bias(), w2, bias()) for w1, _, w2, _ in encoder.blocks
     ))
     kind = METRIC_KINDS[trial % len(METRIC_KINDS)]
-    if kind == "instance":
-        metric = MetricSpec(kind="instance", scaler=ScalerParams.init(hidden, rng, hidden=8))
-    elif kind == "pair":
-        metric = MetricSpec(kind="pair", scaler=ScalerParams.init(2 * hidden, rng, hidden=8))
-    elif kind == "scaled":
-        metric = MetricSpec.scaled(7.5)
+    if kind in ("instance", "pair"):
+        width = hidden if kind == "instance" else 2 * hidden
+        metric = MetricSpec(kind=kind, scaler=ScalerParams.init(width, rng, hidden=8))
     else:
-        metric = MetricSpec.euclid()
+        metric = MetricSpec.scaled(7.5) if kind == "scaled" else MetricSpec.euclid()
     classifier = GlobalClassifier.init(channels, range(6), rng)
-    named = dict(encoder.to_named())
-    named.update(metric.to_named())
-    named["classifier.w"] = classifier.weight
-    shape = {
-        "positions": positions,
-        "channels": channels,
-        "classes": classifier.classes,
-        "view": trial % len(VIEWS),
-    }
-    return named, (episode, kind, 0.5, shape)
+    named = {**encoder.to_named(), **metric.to_named(), "classifier.w": classifier.weight}
+    model = (encoder, metric, classifier)
+    return named, (episode, model, VIEWS[trial % len(VIEWS)], 0.5)
 
 
 def _central_diffs(named, fixture, theta: np.ndarray, todo: np.ndarray, step: float):
@@ -434,9 +420,10 @@ def _read_config_file(path) -> dict[str, str]:
     return values
 
 
-def _count(text: str) -> int:
-    if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+def _count(text: str, least: int = 0) -> int:
+    if not text.strip().isdecimal() or int(text) < least:
+        what = "positive" if least else "non-negative"
+        raise argparse.ArgumentTypeError(f"expected a {what} integer, got {text!r}")
     return int(text)
 
 
@@ -480,7 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--spread", type=float, default=4.0)
     p_eval.add_argument("--std", type=float, default=1.0)
     p_eval.add_argument("--mode", choices=MODES, default="transductive")
-    p_eval.add_argument("--transduction-steps", type=int, default=None,
+    p_eval.add_argument("--transduction-steps", type=_count, default=None,
                         help="default 10; semi mode takes none")
     p_eval.add_argument("--metric", choices=METRIC_KINDS, default=None,
                         help="override the checkpoint metric (fresh seeded init)")
@@ -490,7 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--ways", type=int, default=5)
     p_eval.add_argument("--shots", type=int, default=1)
     p_eval.add_argument("--queries", type=int, default=15)
-    p_eval.add_argument("--unlabeled", type=int, default=None,
+    p_eval.add_argument("--unlabeled", type=lambda text: _count(text, 1), default=None,
                         help="semi mode: unlabeled items per class (default 30/50)")
     p_eval.add_argument("--distractors", type=_count, default=None,
                         help="semi mode: out-of-episode pool classes (default 0)")

@@ -328,6 +328,24 @@ def dimension_loss(
     return nk.cross_entropy(nk.matmul(per_pos_emb, w), targets)
 
 
+def _model_from_named(model, named: dict[str, np.ndarray]):
+    """``model``, an (encoder, metric, classifier) triple, with every tensor from ``named``.
+
+    The rest stays: dropout, positions, channels, metric kind, class ids.
+    """
+    encoder, metric, classifier = model
+    if encoder is not None:
+        encoder = EncoderParams.from_named(
+            named, dropout=encoder.dropout,
+            positions=encoder.positions, channels=encoder.channels,
+        )
+    return (
+        encoder,
+        MetricSpec.from_named(metric.kind, named),
+        replace(classifier, weight=named["classifier.w"]),
+    )
+
+
 def _nesterov_update(
     name: str,
     value: np.ndarray,
@@ -366,9 +384,9 @@ def train_step(
             query_x=perturb_input(episode.query_x, "strong", rng, config.perturb),
         )
     tape = nk.Tape()
-    enc = state.encoder
+    model = (state.encoder, state.metric, state.classifier)
     loss, l_i, l_d = training_loss(
-        episode, enc, state.metric, state.classifier, h, tape,
+        episode, *model, h, tape,
         lam=config.lam, t_steps=config.t_train,
         detach_confidence=config.detach_confidence, mode="train", rng=rng,
     )
@@ -386,13 +404,7 @@ def train_step(
         if not np.isfinite(value).all():
             raise DomainError(f"update at step {step_index} made {name} non-finite")
     state.velocities = velocities
-    if enc is not None:
-        state.encoder = EncoderParams.from_named(
-            updated, dropout=enc.dropout,
-            positions=enc.positions, channels=enc.channels,
-        )
-    state.metric = MetricSpec.from_named(state.metric.kind, updated)
-    state.classifier = replace(state.classifier, weight=updated["classifier.w"])
+    state.encoder, state.metric, state.classifier = _model_from_named(model, updated)
     state.step = step_index + 1
     return StepReport(
         step=step_index,

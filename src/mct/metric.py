@@ -24,7 +24,6 @@ __all__ = [
     "ScalerParams",
     "MetricSpec",
     "scaler_eval",
-    "distance",
     "query_terms",
     "pairwise",
     "METRIC_KINDS",
@@ -291,16 +290,3 @@ def pairwise(spec: MetricSpec, a, b, tape: nk.Tape | None = None, *, query=None)
     g = _scale_rows(spec.scaler, pairs, tape)
     g = nk.reshape(g, (*nk.value_of(g).shape[:-2], n, m))
     return nk.div(_sq_diff(a_hat, b_hat), nk.mul(g, g))
-
-
-def distance(spec: MetricSpec, a1, a2, tape: nk.Tape | None = None):
-    """d(a1, a2) for two single embeddings (flat vectors)."""
-    v1, v2 = nk.value_of(a1), nk.value_of(a2)
-    if v1.shape != v2.shape:
-        raise ContractError("distance expects embeddings of one shape")
-    if v1.ndim != 1:
-        a1 = nk.reshape(a1, (v1.size,))
-        a2 = nk.reshape(a2, (v2.size,))
-        v1 = nk.value_of(a1)
-    d = pairwise(spec, nk.reshape(a1, (1, v1.size)), nk.reshape(a2, (1, v1.size)), tape)
-    return nk.reshape(d, ())

@@ -12,7 +12,7 @@ episode's unlabeled pool, if it has one, drives the update in place of
 the queries. :func:`refine_batch` runs it for a batch of same-shape
 episodes and returns the query ensemble at every step; :func:`refine`
 is its one-episode form, ``soft_kmeans`` and ``mct_infer`` keep its
-last step, and :func:`semi_infer` is the pooled one-update reference.
+last step, and its update is the one :func:`update_prototypes` makes.
 
 Confidence matrices are plain (n, ways) float64 arrays whose rows sum
 to one; prototype matrices are (ways, embed_dim), row c-1 for class c.
@@ -42,18 +42,15 @@ __all__ = [
     "refine",
     "soft_kmeans",
     "mct_infer",
-    "semi_infer",
     "predict_labels",
-    "check_confidence",
 ]
 
 
 @dataclass(frozen=True)
 class Prototypes:
-    """Per-view prototype matrices at transduction step ``step``."""
+    """Per-view prototype matrices."""
 
     by_view: dict[str, np.ndarray]
-    step: int
 
     def __post_init__(self):
         if not self.by_view:
@@ -101,7 +98,7 @@ def init_prototypes(
     for v in views:
         emb = encode_batch(encoder, episode.support_x, v)
         by_view[v.name] = init_from_embeddings(emb, episode.support_y, episode.ways)
-    return Prototypes(by_view=by_view, step=0)
+    return Prototypes(by_view=by_view)
 
 
 def confidence(query_emb, protos, metric: MetricSpec, tape: nk.Tape | None = None):
@@ -130,10 +127,15 @@ def update_prototypes(
         raise ContractError(
             f"confidence shape {cv.shape} does not match {qv.shape[-2]} items x {ways} classes"
         )
-    y_t = one_hot(support_y, ways).T
-    counts = class_counts(support_y, ways)[:, None]
-    num = nk.add(nk.matmul(y_t, support_emb), nk.matmul(nk.transpose(conf), query_emb))
-    mass = nk.reshape(nk.asum(conf, axis=-2), (*cv.shape[:-2], ways, 1))
+    class_sums = nk.matmul(one_hot(support_y, ways).T, support_emb)
+    return _weighted_mean(class_sums, class_counts(support_y, ways)[:, None], query_emb, conf)
+
+
+def _weighted_mean(class_sums, counts, emb, conf):
+    """(class_sums + conf^T emb) / (counts + conf's column sums); leading axes broadcast."""
+    cv = nk.value_of(conf)
+    num = nk.add(class_sums, nk.matmul(nk.transpose(conf), emb))
+    mass = nk.reshape(nk.asum(conf, axis=-2), (*cv.shape[:-2], cv.shape[-1], 1))
     return nk.div(num, nk.add(counts, mass))
 
 
@@ -217,9 +219,7 @@ def refine_batch(
         if t < T:
             if pooled:
                 conf = ensemble(emb_d, d_terms, protos)
-            weights = np.ascontiguousarray(conf.transpose(0, 2, 1))[:, None]
-            mass = conf.sum(axis=1)[:, None, :, None]
-            protos = (class_sums + np.matmul(weights, emb_d)) / (counts + mass)
+            protos = _weighted_mean(class_sums, counts, emb_d, conf[:, None])
     return trace
 
 
@@ -256,50 +256,6 @@ def mct_infer(
     return refine(episode, encoder, views, metric, T)[-1]
 
 
-def semi_infer(
-    episode: Episode,
-    encoder,
-    metric: MetricSpec,
-    conf_floor: float | None = None,
-) -> tuple[Prototypes, np.ndarray, np.ndarray]:
-    """Semi-supervised refinement: one update step driven by unlabeled items.
-
-    Confidences are computed over the unlabeled set against the initial
-    full-view prototypes, the prototypes take one confidence-weighted
-    update, and queries are then classified inductively against the
-    refined prototypes. ``conf_floor`` optionally drops unlabeled items
-    whose best confidence falls below the threshold (their rows
-    contribute no mass); by default every item contributes.
-
-    Returns (refined prototypes, unlabeled confidences, query confidences).
-    """
-    if episode.unlabeled_x is None or episode.unlabeled_x.shape[0] == 0:
-        raise ContractError("semi_infer needs a nonempty unlabeled set")
-    full = VIEWS[0]
-    emb_s = encode_batch(encoder, episode.support_x, full)
-    emb_u = encode_batch(encoder, episode.unlabeled_x, full)
-    protos = init_from_embeddings(emb_s, episode.support_y, episode.ways)
-    u_conf = confidence(emb_u, protos, metric)
-    mass = u_conf
-    if conf_floor is not None:
-        mass = u_conf * (u_conf.max(axis=1) >= conf_floor)[:, None]
-    refined = update_prototypes(emb_s, episode.support_y, episode.ways, emb_u, mass)
-    q_conf = confidence(encode_batch(encoder, episode.query_x, full), refined, metric)
-    return Prototypes(by_view={VIEWS[0].name: refined}, step=1), u_conf, q_conf
-
-
 def predict_labels(conf) -> np.ndarray:
     """Most confident class per row, in {1..ways}; ties go to the lowest."""
     return np.argmax(nk.value_of(conf), axis=1) + 1
-
-
-def check_confidence(conf, ways: int, tol: float = 1e-9) -> np.ndarray:
-    """Validate a confidence matrix; returns it unchanged."""
-    cv = np.asarray(conf, dtype=np.float64)
-    if cv.ndim != 2 or cv.shape[1] != ways:
-        raise ContractError(f"expected (n, {ways}) confidences, got {cv.shape}")
-    if np.any(cv < 0.0) or np.any(cv > 1.0):
-        raise ContractError("confidences must lie in [0, 1]")
-    if np.any(np.abs(cv.sum(axis=1) - 1.0) > tol):
-        raise ContractError("confidence rows must sum to 1")
-    return cv

@@ -1,0 +1,51 @@
+"""One-item and one-episode reference forms of what the package batches, and shared helpers."""
+
+import numpy as np
+
+from mct.encoder import VIEWS, encode_batch
+from mct.errors import ContractError
+from mct.metric import MetricSpec, pairwise
+from mct.transduce import confidence, init_from_embeddings, update_prototypes
+
+
+def metric_of(kind, dim, seed=0):
+    rng = np.random.default_rng(seed)
+    return {
+        "euclid": MetricSpec.euclid,
+        "scaled": lambda: MetricSpec.scaled(0.3),
+        "instance": lambda: MetricSpec.instance(dim, rng),
+        "pair": lambda: MetricSpec.pair(dim, rng),
+    }[kind]()
+
+
+def encode(params, x, view=VIEWS[0]):
+    """One input vector's (positions, channels) feature map, as a one-row batch."""
+    return encode_batch(params, x[None, :], view).reshape(params.positions, params.channels)
+
+
+def distance(spec, a1, a2):
+    """d(a1, a2) for two single embeddings: the one entry of a 1 x 1 ``pairwise``."""
+    return pairwise(spec, np.reshape(a1, (1, -1)), np.reshape(a2, (1, -1)))[0, 0]
+
+
+def check_confidence(conf, ways: int):
+    """Assert that ``conf`` holds (n, ways) probabilities whose rows sum to one within 1e-9."""
+    cv = np.asarray(conf, dtype=np.float64)
+    assert cv.ndim == 2 and cv.shape[1] == ways, cv.shape
+    assert np.all((cv >= 0.0) & (cv <= 1.0))
+    assert np.all(np.abs(cv.sum(axis=1) - 1.0) <= 1e-9)
+
+
+def semi_infer(episode, encoder, metric):
+    """One plain-view update weighted by the pool's confidences, then the queries scored.
+
+    Returns (refined prototypes, pool confidences, query confidences).
+    """
+    if episode.unlabeled_x is None or episode.unlabeled_x.shape[0] == 0:
+        raise ContractError("semi_infer needs a nonempty unlabeled set")
+    emb_s = encode_batch(encoder, episode.support_x)
+    emb_u = encode_batch(encoder, episode.unlabeled_x)
+    protos = init_from_embeddings(emb_s, episode.support_y, episode.ways)
+    u_conf = confidence(emb_u, protos, metric)
+    refined = update_prototypes(emb_s, episode.support_y, episode.ways, emb_u, u_conf)
+    return refined, u_conf, confidence(encode_batch(encoder, episode.query_x), refined, metric)

@@ -29,8 +29,9 @@ from mct.evalcli import (
 from mct import evalcli
 from mct.metatrain import GlobalClassifier, training_loss
 from mct.metric import MetricSpec, ScalerParams
-from mct.transduce import refine, semi_infer, soft_kmeans
+from mct.transduce import refine, soft_kmeans
 from mct.encoder import VIEWS, EncoderParams
+from oracles import metric_of, semi_infer
 
 EUCLID = ModelState(metric=MetricSpec.euclid())
 
@@ -169,14 +170,7 @@ class TestEvaluate:
 
 def trained_like_state(kind):
     encoder = EncoderParams.init(16, np.random.default_rng(6), hidden=32, positions=2, channels=16)
-    rng = np.random.default_rng(7)
-    metric = {
-        "euclid": MetricSpec.euclid,
-        "scaled": lambda: MetricSpec.scaled(0.3),
-        "instance": lambda: MetricSpec.instance(32, rng),
-        "pair": lambda: MetricSpec.pair(32, rng),
-    }[kind]()
-    return ModelState(metric=metric, encoder=encoder)
+    return ModelState(metric=metric_of(kind, 32, seed=7), encoder=encoder)
 
 
 def per_episode_records(state, source, protocol):
@@ -338,37 +332,38 @@ class TestStackedLoss:
     @pytest.mark.parametrize("view", range(4))
     @pytest.mark.parametrize("trial", range(4))
     def test_every_kind_and_view_with_each_group_bumped(self, trial, view):
-        named, (episode, kind, lam, shape) = _gradcheck_fixture(trial, seed=0)
+        named, (episode, model, _, lam) = _gradcheck_fixture(trial, seed=0)
         firsts = [(k, 0) for k in sorted(named)]
         k = len(firsts)
         pairs = [[j, k + j] for j in range(k)]
         _assert_sets_are_their_own_calls(
-            _bumped_sets(named, firsts), (episode, kind, lam, {**shape, "view": view}),
+            _bumped_sets(named, firsts), (episode, model, VIEWS[view], lam),
             subsets=pairs + [[p] for p in range(2 * k)],
         )
 
     def test_tape_and_raw_inputs_reject_stacks(self):
         for trial in range(4):
-            named, (episode, kind, lam, shape) = _gradcheck_fixture(trial, seed=0)
+            named, fixture = _gradcheck_fixture(trial, seed=0)
+            episode, (_, _, classifier), _, lam = fixture
             for sets in (1, 2):
                 stacked = {k: np.stack([v] * sets) for k, v in named.items()}
                 with pytest.raises(ContractError):
-                    _gradcheck_loss(stacked, (episode, kind, lam, shape), nk.Tape())
-                clf = GlobalClassifier(weight=np.zeros((sets, 4, 6)), classes=shape["classes"])
+                    _gradcheck_loss(stacked, fixture, nk.Tape())
+                clf = GlobalClassifier(weight=np.zeros((sets, 4, 6)), classes=classifier.classes)
                 with pytest.raises(ContractError):
                     training_loss(episode, None, MetricSpec.euclid(), clf, VIEWS[0], lam=lam)
 
     def test_mismatched_leading_axes_are_contract_errors(self):
-        named, (episode, kind, lam, shape) = _gradcheck_fixture(2, seed=0)  # instance
+        named, (episode, (enc0, metric0, clf0), _, lam) = _gradcheck_fixture(2, seed=0)  # instance
+        shape, kind = {"positions": enc0.positions, "channels": enc0.channels}, metric0.kind
         two = {k: np.stack([v] * 2) for k, v in named.items()}
         three = {k: np.stack([v] * 3) for k, v in named.items()}
 
         def parts(enc, met, clf):
             return (
-                EncoderParams.from_named(enc, dropout=0.0, positions=shape["positions"],
-                                         channels=shape["channels"]),
+                EncoderParams.from_named(enc, dropout=0.0, **shape),
                 MetricSpec.from_named(kind, met),
-                GlobalClassifier(weight=clf["classifier.w"], classes=shape["classes"]),
+                GlobalClassifier(weight=clf["classifier.w"], classes=clf0.classes),
             )
 
         for enc, met, clf in ((two, three, two), (two, two, three), (named, two, two),
@@ -377,11 +372,10 @@ class TestStackedLoss:
             with pytest.raises(ContractError):
                 training_loss(episode, encoder, metric, classifier, VIEWS[0], lam=lam)
         with pytest.raises(ContractError):
-            EncoderParams.from_named({**two, "encoder.b_in": three["encoder.b_in"]},
-                                     positions=shape["positions"], channels=shape["channels"])
+            EncoderParams.from_named({**two, "encoder.b_in": three["encoder.b_in"]}, **shape)
         with pytest.raises(ContractError):
             EncoderParams.from_named({**two, "encoder.block1.w2": three["encoder.block1.w2"]},
-                                     positions=shape["positions"], channels=shape["channels"])
+                                     **shape)
         for part in ("metric.scaler.b1", "metric.scaler.w2", "metric.scaler.b2"):
             with pytest.raises(ContractError):
                 ScalerParams.from_named({**two, part: three[part]})
@@ -391,11 +385,13 @@ class TestStackedLoss:
             MetricSpec(kind="scaled", s=np.ones((2, 2)))
 
     def test_checkpoint_of_a_stack_is_a_format_error(self, tmp_path):
-        named, (_, kind, _, shape) = _gradcheck_fixture(2, seed=0)
+        named, (_, (encoder, metric, _), _, _) = _gradcheck_fixture(2, seed=0)
         state = ModelState(
-            metric=MetricSpec.from_named(kind, {k: np.stack([v] * 2) for k, v in named.items()}),
-            encoder=EncoderParams.from_named(named, positions=shape["positions"],
-                                             channels=shape["channels"]),
+            metric=MetricSpec.from_named(
+                metric.kind, {k: np.stack([v] * 2) for k, v in named.items()}
+            ),
+            encoder=EncoderParams.from_named(named, positions=encoder.positions,
+                                             channels=encoder.channels),
         )
         path = tmp_path / "stack.mctp"
         save_state(path, state)
@@ -412,7 +408,7 @@ class TestGradcheck:
 
     def test_euclid_trial_has_no_scaler_parameters(self):
         named, fixture = _gradcheck_fixture(0, seed=0)
-        assert fixture[1] == "euclid"
+        assert fixture[1][1].kind == "euclid"
         assert not any(k.startswith("metric.") for k in named)
         tape = nk.Tape()
         _gradcheck_loss(named, fixture, tape)
@@ -434,15 +430,13 @@ class TestGradcheck:
     @pytest.mark.parametrize("trial", range(4))
     def test_loss_is_training_loss_of_rebuilt_model(self, trial):
         named, fixture = _gradcheck_fixture(trial, seed=0)
-        episode, kind, lam, shape = fixture
+        episode, (enc0, met0, clf0), view, lam = fixture
         encoder = EncoderParams.from_named(
-            named, dropout=0.0, positions=shape["positions"], channels=shape["channels"]
+            named, dropout=0.0, positions=enc0.positions, channels=enc0.channels
         )
-        metric = MetricSpec.from_named(kind, named)
-        clf = GlobalClassifier(weight=named["classifier.w"], classes=shape["classes"])
-        loss, _, _ = training_loss(
-            episode, encoder, metric, clf, VIEWS[shape["view"]], lam=lam
-        )
+        metric = MetricSpec.from_named(met0.kind, named)
+        clf = GlobalClassifier(weight=named["classifier.w"], classes=clf0.classes)
+        loss, _, _ = training_loss(episode, encoder, metric, clf, view, lam=lam)
         assert np.array_equal(_gradcheck_loss(named, fixture, None), loss)
 
     @pytest.mark.parametrize("trials, seed", [(2, 278550621), (3, 880104451)])
@@ -680,25 +674,31 @@ class TestCli:
         assert not (tmp_path / "r.jsonl").exists()
 
     @pytest.mark.parametrize("command", [
-        ["gradcheck", "--trials", "1"],
-        ["eval", "--episodes", "1", "--report", "{out}"],
-        ["train", "--steps", "1", "--out", "{out}"],
-        ["make-synth", "--out", "{out}"],
+        (["gradcheck", "--trials", "1"], "seed", "-1"),
+        (["eval", "--episodes", "1", "--report", "{out}"], "seed", "-1"),
+        (["train", "--steps", "1", "--out", "{out}"], "seed", "-1"),
+        (["make-synth", "--out", "{out}"], "seed", "-1"),
+        (["eval", "--mode", "semi", "--episodes", "1", "--report", "{out}"], "unlabeled", "0"),
+        (["eval", "--mode", "semi", "--episodes", "1", "--report", "{out}"], "unlabeled", "-3"),
+        (["eval", "--episodes", "1", "--report", "{out}"], "transduction-steps", "-1"),
     ])
     @pytest.mark.parametrize("from_config", [False, True])
     def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, command, from_config):
+        # and the other count flags: --unlabeled counts from 1, the rest from 0
+        command, key, value = command
+        expected = "a positive" if key == "unlabeled" else "a non-negative"
         out = tmp_path / "out.bin"
         args = [a.format(out=out) for a in command]
         if from_config:
             cfg = tmp_path / "mct.cfg"
-            cfg.write_text("seed=-1\n")
+            cfg.write_text(f"{key}={value}\n")
             args += ["--config", str(cfg)]
         else:
-            args += ["--seed", "-1"]
+            args += [f"--{key}", value]
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.count("error:") == 1
-        assert "argument --seed: expected a non-negative integer, got '-1'" in err
+        assert f"argument --{key}: expected {expected} integer, got '{value}'" in err
         assert not out.exists()
 
     def test_semi_mode_runs_without_those_flags(self, table_file, tmp_path):

@@ -31,3 +31,11 @@ def test_training_loss_exported_beside_its_parts():
         assert name in mct.__all__
         assert getattr(mct, name) is getattr(mct.metatrain, name)
     assert "Tensor" not in mct.numkit.__all__
+
+
+def test_reference_forms_live_in_the_tests():
+    for name, module in (("semi_infer", "transduce"), ("check_confidence", "transduce"),
+                         ("encode", "encoder"), ("distance", "metric")):
+        assert name not in mct.__all__ and not hasattr(mct, name)
+        assert name not in getattr(mct, module).__all__
+        assert not hasattr(getattr(mct, module), name)

@@ -16,6 +16,7 @@ from mct.metatrain import (
     StepReport,
     TrainConfig,
     TrainState,
+    _model_from_named,
     dimension_loss,
     instance_loss,
     lr_at,
@@ -25,6 +26,7 @@ from mct.metatrain import (
 )
 from mct.metric import MetricSpec
 from mct.transduce import confidence, init_from_embeddings, update_prototypes
+from oracles import metric_of
 
 EUCLID = MetricSpec.euclid()
 
@@ -264,6 +266,23 @@ class TestTrainingLoss:
         encoder, metric, clf = encoded_model(12)
         with pytest.raises(ContractError, match="global class labels"):
             training_loss(ep, encoder, metric, clf, VIEWS[0], lam=0.5)
+
+
+class TestModelFromNamed:
+    @pytest.mark.parametrize("kind", ["euclid", "scaled", "instance", "pair"])
+    def test_tensors_from_the_dict_settings_from_the_model(self, kind):
+        rng = np.random.default_rng(3)
+        encoder = EncoderParams.init(16, rng, hidden=32, positions=2, channels=16, dropout=0.3)
+        metric, clf = metric_of(kind, 32), GlobalClassifier.init(16, (4, 9, 2), rng)
+        plain = {**encoder.to_named(), **metric.to_named(), "classifier.w": clf.weight}
+        named = {k: v + 1.0 for k, v in plain.items()}
+        enc2, met2, clf2 = _model_from_named((encoder, metric, clf), named)
+        assert (enc2.dropout, enc2.positions, enc2.channels) == (0.3, 2, 16)
+        assert met2.kind == kind and clf2.classes == (4, 9, 2)
+        rebuilt = {**enc2.to_named(), **met2.to_named(), "classifier.w": clf2.weight}
+        assert rebuilt.keys() == named.keys()
+        assert all(np.array_equal(rebuilt[k], v) for k, v in named.items())
+        assert _model_from_named((None, metric, clf), named)[0] is None
 
 
 class TestTrainStep:

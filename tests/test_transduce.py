@@ -12,7 +12,6 @@ from mct.errors import ContractError
 from mct.evalcli import EvalProtocol, evaluate, nll
 from mct.metric import METRIC_KINDS, MetricSpec
 from mct.transduce import (
-    check_confidence,
     confidence,
     init_from_embeddings,
     init_prototypes,
@@ -20,10 +19,10 @@ from mct.transduce import (
     predict_labels,
     refine,
     refine_batch,
-    semi_infer,
     soft_kmeans,
     update_prototypes,
 )
+from oracles import check_confidence, metric_of, semi_infer
 
 EUCLID = MetricSpec.euclid()
 
@@ -55,7 +54,6 @@ class TestInitPrototypes:
         ep, _ = synth_episode(shots=1)
         protos = init_prototypes(ep, None, (VIEWS[0],))
         np.testing.assert_array_equal(protos.by_view["full"], ep.support_x)
-        assert protos.step == 0
 
     def test_opposite_points_average_to_zero(self):
         a = np.array([[1.0, -2.0], [-1.0, 2.0]])
@@ -165,6 +163,24 @@ class TestUpdatePrototypes:
         with pytest.raises(ContractError):
             update_prototypes(np.ones((2, 3)), [1, 2], 2, np.ones((4, 3)), np.ones((3, 2)))
 
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_untaped_stacks_give_each_slice_its_own_call(self, rows):
+        # refine_batch's update is this arithmetic on (E, V) stacks, with
+        # one set of weights shared by an episode's views
+        rng = np.random.default_rng(rows)
+        y, emb_s, emb_q = [1, 2, 2, 3], rng.normal(size=(5, 4, 6)), rng.normal(size=(5, rows, 6))
+        conf = rng.dirichlet(np.ones(3), size=(5, rows))
+        init = init_from_embeddings(emb_s, y, 3)
+        updated = update_prototypes(emb_s, y, 3, emb_q, conf)
+        assert init.shape == updated.shape == (5, 3, 6)
+        for p in range(5):
+            assert np.array_equal(init[p], init_from_embeddings(emb_s[p], y, 3))
+            assert np.array_equal(updated[p], update_prototypes(emb_s[p], y, 3, emb_q[p], conf[p]))
+        views = update_prototypes(np.stack([emb_s] * 2, axis=1), y, 3,
+                                  np.stack([emb_q] * 2, axis=1), conf[:, None])
+        assert views.shape == (5, 2, 3, 6)
+        assert np.array_equal(views[:, 0], updated) and np.array_equal(views[:, 1], updated)
+
 
 class TestSoftKmeans:
     def test_t_zero_is_inductive(self):
@@ -246,16 +262,8 @@ class TestSemiInfer:
             unlabeled_x=np.array(base.support_x),
         )
         protos, u_conf, q_conf = semi_infer(ep, None, EUCLID)
-        np.testing.assert_array_equal(protos.by_view["full"], ep.support_x)
+        np.testing.assert_array_equal(protos, ep.support_x)
         np.testing.assert_array_equal(u_conf, np.eye(3))
-        assert protos.step == 1
-
-    def test_floor_masking_all_keeps_initial_prototypes(self):
-        ep, _ = synth_episode(seed=10, unlabeled=4)
-        protos, u_conf, _ = semi_infer(ep, None, EUCLID, conf_floor=1.1)
-        init = init_prototypes(ep, None, (VIEWS[0],)).by_view["full"]
-        np.testing.assert_array_equal(protos.by_view["full"], init)
-        check_confidence(u_conf, ep.ways)  # returned confidences stay soft
 
     @pytest.mark.parametrize("kind", METRIC_KINDS)
     def test_semi_scoring_rows_are_inductive_and_refined(self, kind):
@@ -271,7 +279,7 @@ class TestSemiInfer:
         ep, _ = synth_episode(seed=11, unlabeled=10)
         protos, _, q_conf = semi_infer(ep, None, EUCLID)
         init = init_prototypes(ep, None, (VIEWS[0],)).by_view["full"]
-        assert np.abs(protos.by_view["full"] - init).max() > 1e-9
+        assert np.abs(protos - init).max() > 1e-9
         check_confidence(q_conf, ep.ways)
 
 
@@ -328,16 +336,6 @@ def per_view_mct_infer(episode, encoder, views, metric, T):
             )
             for v in views
         }
-
-
-def metric_of(kind, dim, seed=0):
-    rng = np.random.default_rng(seed)
-    return {
-        "euclid": MetricSpec.euclid,
-        "scaled": lambda: MetricSpec.scaled(0.3),
-        "instance": lambda: MetricSpec.instance(dim, rng),
-        "pair": lambda: MetricSpec.pair(dim, rng),
-    }[kind]()
 
 
 ENCODERS = {
