@@ -59,6 +59,10 @@ class Episode:
     refinement and carries no labels. ``support_g`` / ``query_g`` are
     optional original-dataset class ids used by the dimension-wise
     training loss; they are independent of the episode-local labels.
+
+    Every array is float64 (labels and ids int64), read-only, and copied
+    from what the caller passed, so later writes to the caller's arrays
+    do not reach the episode.
     """
 
     ways: int
@@ -169,25 +173,39 @@ def _means_in_ball(rng: np.random.Generator, count: int, dim: int, radius: float
 class EmbeddingTable:
     """An immutable table of precomputed feature rows with class ids.
 
-    Row values are quantized through single precision at construction so
-    that a table and its on-disk form carry identical numbers. The sorted
-    class ids, their sizes and their row indices are computed once, here.
+    Rows are held in memory as one read-only float32 array (``rows``), 4
+    bytes per value, the precision of the ``.mcte`` file, so a table and
+    its on-disk form carry identical numbers. Input that is not float32 is
+    converted to float64 first and then rounded to float32 once; a value
+    that is finite but beyond the float32 range is a :class:`DomainError`,
+    as is a non-finite one. Episodes drawn from a table are float64, each
+    value exactly the table's. The sorted class ids, their sizes and their
+    row indices are computed once, here.
     """
 
     def __init__(self, rows, labels):
-        arr = np.asarray(rows, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        rows = np.asarray(rows)
+        # float32 → float64 → float32 is exact, so float32 input skips float64
+        if rows.dtype != np.float32:
+            rows = rows.astype(np.float64, copy=False)
+        if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
             raise ContractError("rows must be a non-empty 2-D array")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("embedding rows must be finite")
+        with np.errstate(over="ignore"):  # an overflow is reported below, by position
+            arr = rows.astype(np.float32)
+        finite = np.isfinite(arr)
+        if not finite.all():
+            r, c = divmod(int(np.argmin(finite)), arr.shape[1])
+            raise DomainError(
+                f"embedding row {r}, column {c} is not finite in float32"
+                f" ({float(rows[r, c])!r})"
+            )
         lab = np.asarray(labels, dtype=np.int64)
         if lab.shape != (arr.shape[0],):
             raise ContractError("labels length must equal the row count")
         if lab.min() < 0:
             raise ContractError("class ids must be non-negative")
-        # mirror the file format's precision so save/load is the identity
-        self._rows = arr.astype(np.float32).astype(np.float64)
-        self._rows.flags.writeable = False
+        arr.flags.writeable = False
+        self._rows = arr
         self._labels = _frozen_array(lab, dtype=np.int64)
         # one stable sort groups every class's rows in ascending row order
         order = np.argsort(lab, kind="stable")
@@ -342,6 +360,7 @@ def _sample_from_table(
         pool_ok[np.searchsorted(ids, chosen)] = False
         extra = rng.choice(ids[pool_ok], size=distractors, replace=False)
         take += [rng.permutation(index[c])[:unlabeled] for c in extra.tolist()]
+    # one float32 gather; Episode's float64 copy of it is exact
     rows = table.rows[np.concatenate(take, axis=None)]
     n_sup, n_qry = ways * shots, ways * queries
     return Episode(
@@ -422,13 +441,13 @@ _HEADER = struct.Struct("<4sIII")
 
 
 def save_embeddings(path, table: EmbeddingTable) -> None:
-    """Write a table in the MCTE layout."""
+    """Write a table in the MCTE layout, straight from its float32 rows."""
     if table.labels.max() >= 2**32:
         raise FormatError("class ids must fit in an unsigned 32-bit field")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, table.count, table.dim))
-        fh.write(np.ascontiguousarray(table.rows, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(table.labels, dtype="<u4").tobytes())
+        fh.write(np.ascontiguousarray(table.rows, dtype="<f4").data)
+        fh.write(np.ascontiguousarray(table.labels, dtype="<u4").data)
 
 
 def load_embeddings(path) -> EmbeddingTable:
@@ -461,14 +480,10 @@ def load_embeddings(path) -> EmbeddingTable:
             offset=expected,
         )
     rows = np.frombuffer(blob, dtype="<f4", count=count * dim, offset=_HEADER.size)
-    finite = np.isfinite(rows)
-    if not finite.all():
-        bad = int(np.nonzero(~finite)[0][0])
+    if not np.isfinite(rows).all():
+        bad = int(np.argmin(np.isfinite(rows)))
         raise FormatError(
             "non-finite embedding value", offset=_HEADER.size + bad * 4
         )
     labels = np.frombuffer(blob, dtype="<u4", count=count, offset=_HEADER.size + rows_bytes)
-    return EmbeddingTable(
-        rows=rows.astype(np.float64).reshape(count, dim),
-        labels=labels.astype(np.int64),
-    )
+    return EmbeddingTable(rows=rows.reshape(count, dim), labels=labels.astype(np.int64))

@@ -1,5 +1,6 @@
 """Episode sampling invariants, Bayes-oracle anchors, and MCTE file IO."""
 
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -52,6 +53,19 @@ class TestEpisodeType:
                 support_x=np.zeros((2, 3)), support_y=[1, 2],
                 query_x=np.zeros((2, 4)), query_y=[1, 2],
             )
+
+    def test_caller_arrays_are_copied_and_frozen(self):
+        sx, qx = np.ones((2, 3)), np.zeros((2, 3), dtype=np.float32)
+        ux, sg = np.full((4, 3), 2.0), np.array([5, 9])
+        ep = Episode(ways=2, shots=1, support_x=sx, support_y=[1, 2], query_x=qx,
+                     query_y=[1, 2], unlabeled_x=ux, support_g=sg, query_g=sg)
+        for given, got in ((sx, ep.support_x), (qx, ep.query_x), (ux, ep.unlabeled_x),
+                           (sg, ep.support_g), (sg, ep.query_g)):
+            assert not np.shares_memory(given, got) and not got.flags.writeable
+        sx[...], qx[...], ux[...], sg[...] = 7.0, 7.0, 7.0, 7
+        assert (ep.support_x == 1.0).all() and (ep.query_x == 0.0).all()
+        assert (ep.unlabeled_x == 2.0).all() and ep.support_g.tolist() == [5, 9]
+        assert ep.query_x.dtype == np.float64
 
     def test_queries_per_class(self):
         ep = sample_episode(small_table(), ways=5, shots=1, queries=15, rng_seed=1)
@@ -481,3 +495,105 @@ class TestEmbeddingFileIO:
     def test_empty_table_rejected(self):
         with pytest.raises(ContractError):
             EmbeddingTable(np.zeros((0, 4)), [])
+
+
+# integers where int64 → float32 directly and int64 → float64 → float32 differ
+DOUBLE_ROUNDED = [2**54 + 2**30 + 1, -(2**54 + 2**30 + 1)]
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+def traced_peak(fn):
+    """Peak bytes that ``fn`` allocates while it runs, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestFloat32Table:
+    def test_rows_are_float32_and_read_only(self):
+        t = small_table()
+        assert t.rows.dtype == np.float32 and not t.rows.flags.writeable
+        with pytest.raises(ValueError):
+            t.rows[0, 0] = 1.0
+
+    @pytest.mark.parametrize("rows", [
+        np.random.default_rng(1).normal(scale=1e3, size=(6, 5)),
+        np.random.default_rng(2).normal(size=(6, 5)).astype(np.float32),
+        np.array([[3, -7, 2**24 + 1, 2**24 + 3, 2**53 + 1],
+                  [2**60 + 2**35 + 1, -(2**24 + 1), *DOUBLE_ROUNDED, 0]], dtype=np.int64),
+        [[0.1, 2**53 + 1, -1e-46], [1e38, -0.0, 7]],
+    ], ids=["float64", "float32", "int64", "list"])
+    def test_values_are_rounded_once_through_float64(self, rows):
+        t = EmbeddingTable(rows, np.arange(len(rows)))
+        want = np.asarray(rows, np.float64).astype(np.float32)
+        assert t.rows.dtype == np.float32
+        assert t.rows.tobytes() == want.tobytes()
+
+    def test_rows_are_the_tables_own(self, tmp_path):
+        mapped = np.memmap(tmp_path / "rows.f32", np.float32, "w+", shape=(3, 2))
+        for rows in (np.ones((3, 2), dtype=np.float32), mapped):
+            rows[...] = 1.0
+            t = EmbeddingTable(rows, [0, 1, 2])
+            rows[...] = 5.0
+            assert type(t.rows) is np.ndarray
+            assert not np.shares_memory(rows, t.rows) and (t.rows == 1.0).all()
+
+    @pytest.mark.parametrize("rows,row,col", [
+        ([[1e39, 0.0], [1.0, 2.0]], 0, 0),
+        ([[1.0, 2.0], [3.0, -3.5e38]], 1, 1),
+        ([[1.0, 2.0], [np.nan, 0.0]], 1, 0),
+        ([[1.0, np.inf], [0.0, 0.0]], 0, 1),
+        (np.array([[1.0, 2.0], [3.0, -np.inf]], dtype=np.float32), 1, 1),
+    ])
+    def test_value_not_finite_in_float32_is_a_domain_error(self, rows, row, col):
+        with pytest.raises(DomainError, match=f"row {row}, column {col} is not finite"):
+            EmbeddingTable(rows, [0, 1])
+
+    def test_float32_extremes_are_accepted_and_round_trip(self, tmp_path):
+        rows = [[3.4028235e38, -3.4028235e38, F32_MAX], [1e-45, -0.0, -F32_MAX]]
+        t = EmbeddingTable(rows, [0, 3])
+        assert t.rows[0].tolist() == [F32_MAX, -F32_MAX, F32_MAX]
+        path = tmp_path / "edge.mcte"
+        save_embeddings(path, t)
+        assert load_embeddings(path).rows.tobytes() == t.rows.tobytes()
+
+    def test_save_load_round_trip_is_the_identity(self, tmp_path):
+        t = ragged_table([5, 9, 3], seed=4, dim=6)
+        first, second = tmp_path / "a.mcte", tmp_path / "b.mcte"
+        save_embeddings(first, t)
+        back = load_embeddings(first)
+        assert back.rows.dtype == np.float32 and back.rows.tobytes() == t.rows.tobytes()
+        assert back.labels.dtype == t.labels.dtype and np.array_equal(back.labels, t.labels)
+        assert back.class_index.keys() == t.class_index.keys()
+        save_embeddings(second, back)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_episodes_are_float64_copies_of_table_rows(self):
+        t = small_table(classes=8, per_class=12, dim=3)
+        ep = sample_episode(t, 3, 2, 4, 11, unlabeled=3, distractors=2)
+        parts = (ep.support_x, ep.query_x, ep.unlabeled_x)
+        for x in parts:
+            assert x.dtype == np.float64 and not x.flags.writeable
+            assert not np.shares_memory(x, t.rows)
+        table_values = {tuple(r) for r in t.rows.astype(np.float64).tolist()}
+        assert all(tuple(r) in table_values for x in parts for r in x.tolist())
+
+    # Peak bytes traced per table value (4,000 rows of 128). The float32 rows
+    # alone take 4; a float64 copy of the table would take 8 more.
+    def test_construction_from_float64_peak_memory(self):
+        rows = np.random.default_rng(0).standard_normal((4000, 128))
+        labels = np.repeat(np.arange(400), 10)
+        peak = traced_peak(lambda: EmbeddingTable(rows, labels))
+        assert peak <= 6 * rows.size
+
+    def test_load_peak_memory(self, tmp_path):
+        rows = np.random.default_rng(0).standard_normal((4000, 128))
+        path = tmp_path / "big.mcte"
+        save_embeddings(path, EmbeddingTable(rows, np.repeat(np.arange(400), 10)))
+        peak = traced_peak(lambda: load_embeddings(path))
+        assert peak <= 10.5 * rows.size
