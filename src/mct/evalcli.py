@@ -476,7 +476,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--episodes", type=int, default=1000)
     p_eval.add_argument("--ways", type=int, default=5)
     p_eval.add_argument("--shots", type=int, default=1)
-    p_eval.add_argument("--queries", type=int, default=15)
+    p_eval.add_argument("--queries", type=lambda text: _count(text, 1), default=15)
     p_eval.add_argument("--unlabeled", type=lambda text: _count(text, 1), default=None,
                         help="semi mode: unlabeled items per class (default 30/50)")
     p_eval.add_argument("--distractors", type=_count, default=None,

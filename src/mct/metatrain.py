@@ -3,7 +3,9 @@
 Each step samples one confidence view h uniformly, simulates one
 transduction step with confidences computed in h's embedding space,
 updates prototypes in the full-path space with those confidences, and
-scores the instance loss there. The dimension loss classifies every
+scores the instance loss there. That one step is what the paper
+meta-learns the confidence through; refinement over T steps is
+``transduce.refine_batch``'s alone. The dimension loss classifies every
 position of the flattened feature map against the item's global class.
 :func:`training_loss` builds the total L = lambda * L_I + L_D, which both
 :func:`train_step` and ``evalcli.gradcheck`` differentiate. It trains
@@ -36,7 +38,7 @@ from .encoder import (
 from .episodes import EmbeddingTable, Episode, SyntheticSpec, derive_seed, sample_episode
 from .errors import ContractError, DomainError
 from .metric import MetricSpec, pairwise
-from .transduce import init_from_embeddings, one_hot, update_prototypes
+from .transduce import confidence, init_from_embeddings, one_hot, update_prototypes
 
 __all__ = [
     "LrSchedule",
@@ -61,8 +63,11 @@ class LrSchedule:
     cuts: tuple[tuple[int, float], ...] = ((25000, 0.006), (35000, 0.0012))
 
     def __post_init__(self):
-        if self.initial <= 0:
-            raise DomainError("initial learning rate must be positive")
+        rates = [("initial learning rate", self.initial)]
+        rates += [(f"learning rate cut at step {s}", lr) for s, lr in self.cuts]
+        for what, lr in rates:
+            if not (np.isfinite(lr) and lr > 0):
+                raise DomainError(f"{what} must be finite and positive, got {lr}")
         steps = [s for s, _ in self.cuts]
         if steps != sorted(steps):
             raise ContractError("cut points must be increasing")
@@ -91,7 +96,6 @@ class TrainConfig:
 
     steps: int = 500
     lam: float = 0.5
-    t_train: int = 1
     schedule: LrSchedule = field(default_factory=lambda: LrSchedule().scaled(50))
     momentum: float = 0.9
     weight_decay: float = 5e-4
@@ -107,14 +111,11 @@ class TrainConfig:
     checkpoint_path: str | None = None
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise DomainError("lambda must be non-negative")
-        if self.t_train < 1:
-            raise DomainError("t_train must be at least 1")
+        for name, value in (("lam (lambda)", self.lam), ("weight_decay", self.weight_decay)):
+            if not (np.isfinite(value) and value >= 0):
+                raise DomainError(f"{name} must be finite and non-negative, got {value}")
         if not 0.0 <= self.momentum < 1.0:
             raise DomainError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise DomainError("weight decay must be non-negative")
         if self.steps < 1 or self.ways < 2 or self.shots < 1 or self.queries < 1:
             raise DomainError("steps, ways, shots, queries must be positive (ways ≥ 2)")
         if not self.views:
@@ -197,21 +198,13 @@ class StepReport:
 
 
 def _instance_loss_from_embeddings(
-    episode, metric, emb_s_full, emb_q_full, emb_s_h, emb_q_h,
-    tape, t_steps: int, detach: bool,
+    episode, metric, emb_s_full, emb_q_full, emb_s_h, emb_q_h, tape, detach: bool,
 ):
-    """Confidences in h-space drive prototype updates in full space; only read updates are made."""
-    if t_steps < 1:
-        raise ContractError("the instance loss needs at least one transduction step")
+    """One transduction step: confidences from h-space weight one full-space update."""
     protos_h = init_from_embeddings(emb_s_h, episode.support_y, episode.ways)
-    for step in range(t_steps):
-        if step:
-            protos_h = update_prototypes(
-                emb_s_h, episode.support_y, episode.ways, emb_q_h, conf, tape
-            )
-        conf = nk.softmax_neg(pairwise(metric, emb_q_h, protos_h, tape))
-        if detach:
-            conf = nk.value_of(conf)
+    conf = confidence(emb_q_h, protos_h, metric, tape)
+    if detach:
+        conf = nk.value_of(conf)
     protos = update_prototypes(
         emb_s_full, episode.support_y, episode.ways, emb_q_full, conf, tape
     )
@@ -237,12 +230,11 @@ def instance_loss(
     metric: MetricSpec,
     tape: nk.Tape | None = None,
     *,
-    t_steps: int = 1,
     detach_confidence: bool = False,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
 ):
-    """Negative log-likelihood of true query classes after transduction.
+    """Negative log-likelihood of true query classes after one transduction step.
 
     Confidences come from ``view``'s embedding space; the scored
     prototypes live in the full-path space. Equals the mean over queries
@@ -250,7 +242,7 @@ def instance_loss(
     """
     return _instance_loss_from_embeddings(
         episode, metric, *_embed(episode, encoder, view, tape, mode, rng),
-        tape, t_steps, detach_confidence,
+        tape, detach_confidence,
     )
 
 
@@ -263,7 +255,6 @@ def training_loss(
     tape: nk.Tape | None = None,
     *,
     lam: float,
-    t_steps: int = 1,
     detach_confidence: bool = False,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
@@ -287,9 +278,7 @@ def training_loss(
     if any(stacks) and (tape is not None or encoder is None):
         raise ContractError("only untaped calls with an encoder take a stack of parameter sets")
     embs = _embed(episode, encoder, view, tape, mode, rng)
-    l_i = _instance_loss_from_embeddings(
-        episode, metric, *embs, tape, t_steps, detach_confidence
-    )
+    l_i = _instance_loss_from_embeddings(episode, metric, *embs, tape, detach_confidence)
     if encoder is None:
         positions, channels = 1, episode.dim
     else:
@@ -387,8 +376,7 @@ def train_step(
     model = (state.encoder, state.metric, state.classifier)
     loss, l_i, l_d = training_loss(
         episode, *model, h, tape,
-        lam=config.lam, t_steps=config.t_train,
-        detach_confidence=config.detach_confidence, mode="train", rng=rng,
+        lam=config.lam, detach_confidence=config.detach_confidence, mode="train", rng=rng,
     )
     grads = nk.grad(tape, loss)
     lr = lr_at(step_index, config.schedule)

@@ -32,7 +32,6 @@ __all__ = [
 METRIC_KINDS = ("euclid", "scaled", "instance", "pair")
 
 _NORM_FLOOR = 1e-12
-_sq_diff = nk.sq_dist
 
 
 @dataclass(frozen=True)
@@ -106,18 +105,16 @@ class ScalerParams:
         )
 
 
-def scaler_eval(scaler: ScalerParams, features, tape: nk.Tape | None = None, *, blocks: int = 1):
+def scaler_eval(scaler: ScalerParams, features, tape: nk.Tape | None = None):
     """g(features): strictly positive, in (exp(beta), exp(alpha)+exp(beta)).
 
     Accepts one feature vector (returns a scalar) or a batch of rows
-    (returns an (n, 1) column). Untaped, ``blocks`` splits the batch into
-    that many equal runs of consecutive rows and evaluates each run as
-    a batch of its own: the result is bitwise what one call per run
-    returns, which a single batch is not, since BLAS sums a row's
-    products in an order that depends on the number of rows.
-
-    A stacked scaler of P parameter sets is evaluated untaped on P row
-    sets (P, n, l) and returns (P, n, 1), each set bitwise its own call's.
+    (returns an (n, 1) column). Untaped calls also take a stack of V row
+    sets (V, n, l) and return (V, n, 1). Each set goes to a matrix
+    product of its own, so every slice is bitwise its own call's; one
+    (V*n, l) batch is not, since BLAS sums a row's products in an order
+    that depends on the number of rows. A stacked scaler of P parameter
+    sets takes a (P, n, l) stack and scores row set p with set p.
     """
     fv = nk.value_of(features)
     single = fv.ndim == 1
@@ -125,16 +122,11 @@ def scaler_eval(scaler: ScalerParams, features, tape: nk.Tape | None = None, *, 
         features = nk.reshape(features, (1, fv.shape[0]))
         fv = nk.value_of(features)
     stack = scaler.stack
-    if fv.ndim < 2 or fv.shape[:-2] != stack or fv.shape[-1] != scaler.in_dim:
+    if (fv.ndim not in (2, 3) or fv.shape[-1] != scaler.in_dim
+            or (stack and fv.shape[:-2] != stack)):
         raise ContractError(
             f"scaler expects rows of width {scaler.in_dim}, got {fv.shape}"
         )
-    if stack and (tape is not None or blocks != 1):
-        raise ContractError("stacked scalers are evaluated untaped, one run per set")
-    if blocks != 1:
-        if tape is not None or blocks < 1 or fv.shape[0] % blocks:
-            raise ContractError(f"cannot split {fv.shape[0]} untaped rows into {blocks} runs")
-        features = fv.reshape(blocks, -1, fv.shape[1])
     plain = scaler.to_named()
     if tape is None:
         named = plain.__getitem__
@@ -146,9 +138,7 @@ def scaler_eval(scaler: ScalerParams, features, tape: nk.Tape | None = None, *, 
     if stack:
         alpha, beta = alpha[:, None, None], beta[:, None, None]
     g = nk.calibrated_sigmoid(h, alpha, beta)
-    if single:
-        return nk.reshape(g, ())
-    return g if blocks == 1 else g.reshape(fv.shape[0], 1)
+    return nk.reshape(g, ()) if single else g
 
 
 @dataclass(frozen=True)
@@ -219,17 +209,9 @@ class MetricSpec:
         return MetricSpec(kind=kind, scaler=ScalerParams.from_named(named))
 
 
-def _scale_rows(scaler: ScalerParams, x, tape: nk.Tape | None):
-    """g of every row as a column: (n, 1) for a row set, (V, n, 1) for a stack.
-
-    A stack goes to ``scaler_eval`` as one (V*n, l) batch in V runs,
-    unless the scaler holds one parameter set per row set.
-    """
-    xv = nk.value_of(x)
-    if xv.ndim == 2 or scaler.stack:
-        return scaler_eval(scaler, x, tape)
-    g = scaler_eval(scaler, xv.reshape(-1, xv.shape[-1]), blocks=xv.shape[0])
-    return g.reshape(*xv.shape[:-1], 1)
+def _instance_side(scaler: ScalerParams, x, tape: nk.Tape | None = None):
+    """Unit rows of ``x`` divided by g(x), one g per row: a side of the instance kind."""
+    return nk.div(nk.unit_rows(x, _NORM_FLOOR), scaler_eval(scaler, x, tape))
 
 
 def query_terms(spec: MetricSpec, a) -> np.ndarray | None:
@@ -243,7 +225,7 @@ def query_terms(spec: MetricSpec, a) -> np.ndarray | None:
     """
     if spec.kind != "instance":
         return None
-    return nk.unit_rows(a, _NORM_FLOOR) / _scale_rows(spec.scaler, a, None)
+    return _instance_side(spec.scaler, a)
 
 
 def pairwise(spec: MetricSpec, a, b, tape: nk.Tape | None = None, *, query=None):
@@ -253,9 +235,11 @@ def pairwise(spec: MetricSpec, a, b, tape: nk.Tape | None = None, *, query=None)
     consumes concatenations in exactly that order. Identical rows map
     to exactly zero under every kind. Untaped calls also take stacks of
     V row sets, (V, n, l) against (V, m, l), and return (V, n, m) with
-    every slice bitwise equal to the unstacked call; ``query`` may then
-    carry ``query_terms(spec, a)`` so that they are not recomputed. A
-    spec of P parameter sets scores the stack's row set p with set p.
+    every slice bitwise equal to the unstacked call. Each kind has one
+    path for both forms. ``query`` may carry ``query_terms(spec, a)``,
+    which then stands in for the a side of the instance kind so that it
+    is not recomputed. A spec of P parameter sets scores the stack's row
+    set p with set p.
     """
     av, bv = nk.value_of(a), nk.value_of(b)
     if (av.ndim not in (2, 3) or bv.ndim != av.ndim
@@ -266,27 +250,20 @@ def pairwise(spec: MetricSpec, a, b, tape: nk.Tape | None = None, *, query=None)
     if query is not None and np.shape(query) != av.shape:
         raise ContractError("query terms must match the query rows")
     if spec.kind == "euclid":
-        return _sq_diff(a, b)
+        return nk.sq_dist(a, b)
     if spec.kind == "scaled":
         if tape is not None:
             s = tape.param(np.asarray(float(spec.s)), name="metric.s")
         else:
             s = float(spec.s) if np.ndim(spec.s) == 0 else spec.s[:, None, None]
-        return nk.mul(s, _sq_diff(a, b))
+        return nk.mul(s, nk.sq_dist(a, b))
+    if spec.kind == "instance":
+        a_side = _instance_side(spec.scaler, a, tape) if query is None else query
+        return nk.sq_dist(a_side, _instance_side(spec.scaler, b, tape))
+    # pair kind: one g per (query, prototype) combination
     n, m = av.shape[-2], bv.shape[-2]
-    if spec.kind == "instance" and query is not None:
-        return _sq_diff(query, nk.unit_rows(b, _NORM_FLOOR) / _scale_rows(spec.scaler, b, None))
     a_hat = nk.unit_rows(a, _NORM_FLOOR)
     b_hat = nk.unit_rows(b, _NORM_FLOOR)
-    if spec.kind == "instance":
-        g_a = _scale_rows(spec.scaler, a, tape)  # raw embeddings feed g
-        g_b = _scale_rows(spec.scaler, b, tape)
-        return _sq_diff(nk.div(a_hat, g_a), nk.div(b_hat, g_b))
-    # pair kind: one g per (query, prototype) combination
-    if av.ndim == 2:
-        pairs = nk.concat([nk.repeat_rows(a, m), nk.tile_rows(b, n)], axis=1)
-    else:
-        pairs = np.concatenate([np.repeat(av, m, axis=1), np.tile(bv, (1, n, 1))], axis=-1)
-    g = _scale_rows(spec.scaler, pairs, tape)
-    g = nk.reshape(g, (*nk.value_of(g).shape[:-2], n, m))
-    return nk.div(_sq_diff(a_hat, b_hat), nk.mul(g, g))
+    pairs = nk.concat([nk.repeat_rows(a, m), nk.tile_rows(b, n)], axis=-1)
+    g = nk.reshape(scaler_eval(spec.scaler, pairs, tape), (*av.shape[:-2], n, m))
+    return nk.div(nk.sq_dist(a_hat, b_hat), nk.mul(g, g))

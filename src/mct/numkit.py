@@ -85,10 +85,10 @@ _Record = tuple["Var", tuple["Var", ...], Callable[[np.ndarray], tuple]]
 class Var:
     """A value tracked on a :class:`Tape`.
 
-    Arithmetic on a Var records onto its tape and yields new Vars;
-    arithmetic on plain arrays stays plain numpy. ``__array_ufunc__`` is
-    disabled so that ``ndarray <op> Var`` defers to the reflected
-    operators here instead of numpy broadcasting over the object.
+    A Var has no arithmetic operators: the functions of this module are
+    the one way to combine values, tracked or plain. ``__array_ufunc__``
+    is disabled so that ``ndarray * Var`` raises ``TypeError`` as
+    ``Var * ndarray`` does, instead of numpy building an object array.
     """
 
     __slots__ = ("value", "tape")
@@ -104,37 +104,6 @@ class Var:
 
     def __repr__(self) -> str:
         return f"Var(shape={self.value.shape})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
 
 
 class Tape:
@@ -401,12 +370,15 @@ def flip_last(x):
 
 
 def repeat_rows(x, k: int):
-    """Repeat each row of a 2-D array ``k`` times (row i -> rows i*k..i*k+k-1)."""
+    """Repeat each row of a 2-D array ``k`` times (row i -> rows i*k..i*k+k-1).
+
+    Untaped calls also take a stack of matrices and repeat the rows of each.
+    """
     tape = _tape_of(x)
     xv = value_of(x)
-    if xv.ndim != 2:
-        raise ContractError("repeat_rows expects a 2-D operand")
-    out = np.repeat(xv, k, axis=0)
+    if xv.ndim < 2 or (tape is not None and xv.ndim != 2):
+        raise ContractError("repeat_rows expects a 2-D operand (or, untaped, a stack of them)")
+    out = np.repeat(xv, k, axis=-2)
     if tape is None:
         return out
     n, d = xv.shape
@@ -418,11 +390,14 @@ def repeat_rows(x, k: int):
 
 
 def tile_rows(x, k: int):
-    """Stack ``k`` copies of a 2-D array vertically."""
+    """Stack ``k`` copies of a 2-D array vertically.
+
+    Untaped calls also take a stack of matrices and tile each.
+    """
     tape = _tape_of(x)
     xv = value_of(x)
-    if xv.ndim != 2:
-        raise ContractError("tile_rows expects a 2-D operand")
+    if xv.ndim < 2 or (tape is not None and xv.ndim != 2):
+        raise ContractError("tile_rows expects a 2-D operand (or, untaped, a stack of them)")
     out = np.tile(xv, (k, 1))
     if tape is None:
         return out

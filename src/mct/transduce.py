@@ -158,13 +158,13 @@ def refine_batch(
     plain inductive inference.
 
     Untaped. The E episodes must share one shape (ways, support, query
-    and pool sizes; a pool must not be empty). Each row set of the batch
-    is encoded in one call per view and carried as an (E*V, n, l) stack,
-    so a step makes one distance call and one softmax per scored set and
-    one prototype update; class sums and query-side metric terms are
-    computed once. Queries and pool never share a stack: the row count
-    changes BLAS rounding. Every value is bitwise equal to running the
-    episodes and views one by one.
+    and pool sizes; neither the queries nor a pool may be empty). Each
+    row set of the batch is encoded in one call per view and carried as
+    an (E*V, n, l) stack, so a step makes one distance call and one
+    softmax per scored set and one prototype update; class sums and
+    query-side metric terms are computed once. Queries and pool never
+    share a stack: the row count changes BLAS rounding. Every value is
+    bitwise equal to running the episodes and views one by one.
     """
     if T < 0:
         raise ContractError("T must be non-negative")
@@ -177,6 +177,8 @@ def refine_batch(
             for ep in episodes}) != 1:
         raise ContractError("episodes of one batch must share one shape")
     first = episodes[0]
+    if first.query_x.shape[0] == 0:
+        raise ContractError("episodes need at least one query")
     pooled = first.unlabeled_x is not None
     if pooled and first.unlabeled_x.shape[0] == 0:
         raise ContractError("an unlabeled pool must not be empty")

@@ -160,6 +160,11 @@ class TestEvaluate:
             EvalProtocol(mode="semi", distractors=-1)
         assert EvalProtocol(mode="semi", distractors=0).distractors == 0
 
+    @pytest.mark.parametrize("mode", ["inductive", "transductive", "semi"])
+    def test_query_less_protocol_is_a_contract_error(self, mode):
+        with pytest.raises(ContractError, match="at least one query"):
+            evaluate(EUCLID, PLAIN_SPEC, EvalProtocol(queries=0, n_episodes=2, mode=mode))
+
     def test_inference_is_blind_to_query_labels(self):
         ep = sample_episode(PLAIN_SPEC, 5, 1, 15, rng_seed=77)
         shuffled = replace(ep, query_y=np.roll(ep.query_y, 7))
@@ -536,6 +541,20 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: training diverged at step ")
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--lambda", "nan", "lam"), ("--lambda", "inf", "lam"),
+        ("--lr", "nan", "initial learning rate"), ("--lr", "inf", "initial learning rate"),
+    ])
+    def test_non_finite_hyperparameter_is_a_domain_error(
+        self, tmp_path, capsys, flag, value, field
+    ):
+        ckpt = tmp_path / "m.mctp"
+        assert main(["train", flag, value, "--steps", "1", "--out", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} ") and err.count("\n") == 1
+        assert "must be finite and " in err and "diverged" not in err
+        assert not ckpt.exists()
+
     def test_diverging_train_prints_one_line(self, tmp_path):
         # a fresh interpreter with default warning filters, as a user runs it
         src = Path(evalcli.__file__).resolve().parents[1]
@@ -681,12 +700,14 @@ class TestCli:
         (["eval", "--mode", "semi", "--episodes", "1", "--report", "{out}"], "unlabeled", "0"),
         (["eval", "--mode", "semi", "--episodes", "1", "--report", "{out}"], "unlabeled", "-3"),
         (["eval", "--episodes", "1", "--report", "{out}"], "transduction-steps", "-1"),
+        (["eval", "--episodes", "1", "--report", "{out}"], "queries", "0"),
+        (["eval", "--episodes", "1", "--report", "{out}"], "queries", "-3"),
     ])
     @pytest.mark.parametrize("from_config", [False, True])
     def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, command, from_config):
-        # and the other count flags: --unlabeled counts from 1, the rest from 0
+        # and the other count flags: --unlabeled and --queries count from 1, the rest from 0
         command, key, value = command
-        expected = "a positive" if key == "unlabeled" else "a non-negative"
+        expected = "a positive" if key in ("unlabeled", "queries") else "a non-negative"
         out = tmp_path / "out.bin"
         args = [a.format(out=out) for a in command]
         if from_config:

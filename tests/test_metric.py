@@ -72,16 +72,15 @@ class TestScalerEval:
         g = scaler_eval(zero_scaler(4), np.ones((7, 4)))
         assert g.shape == (7, 1)
 
-    def test_blocks_equal_one_call_per_run_bitwise(self):
+    def test_stack_equals_one_call_per_set_bitwise(self):
         rng = np.random.default_rng(9)
         scaler = ScalerParams.init(8, rng)
-        feats = rng.normal(size=(4 * 7, 8))
-        per_run = np.concatenate([scaler_eval(scaler, f) for f in np.split(feats, 4)])
-        assert np.array_equal(scaler_eval(scaler, feats, blocks=4), per_run)
+        feats = rng.normal(size=(4, 7, 8))
+        stacked = scaler_eval(scaler, feats)
+        assert stacked.shape == (4, 7, 1)
+        assert np.array_equal(stacked, np.stack([scaler_eval(scaler, f) for f in feats]))
         with pytest.raises(ContractError):
-            scaler_eval(scaler, feats, blocks=5)
-        with pytest.raises(ContractError):
-            scaler_eval(scaler, feats, nk.Tape(), blocks=4)
+            scaler_eval(scaler, feats, nk.Tape())
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ContractError):
@@ -220,7 +219,7 @@ class TestPairwise:
 
     @pytest.mark.parametrize("ways", [1, 5, 15])
     def test_blocked_sq_diff_equals_one_reduction(self, ways):
-        from mct.metric import _sq_diff
+        _sq_diff = nk.sq_dist
 
         rng = np.random.default_rng(ways)
         for lead, width in (((6,), 3), ((6,), 8), ((6,), 64), ((16,), 64), ((), 700)):
@@ -240,7 +239,7 @@ class TestPairwise:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.int64])
     def test_sq_diff_promotes_like_numpy(self, dtype):
-        from mct.metric import _sq_diff
+        _sq_diff = nk.sq_dist
 
         rng = np.random.default_rng(3)
         A = (rng.normal(size=(4, 11, 64)) * 8).astype(dtype)

@@ -1,5 +1,7 @@
 """Tape correctness against closed forms and central finite differences."""
 
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -177,19 +179,17 @@ class TestGradBasics:
         out = nk.softmax_neg(np.zeros(4))
         assert isinstance(out, np.ndarray)
 
-    def test_operator_sugar_matches_functions(self):
-        tape = nk.Tape()
-        x = tape.param(np.array([1.0, -2.0, 3.0]))
-        loss = nk.asum((x * 2.0 + 1.0) / 4.0 - x)
-        g = nk.grad(tape, loss)
-        np.testing.assert_allclose(g[x], np.full(3, 2.0 / 4.0 - 1.0), rtol=1e-15)
-
-    def test_ndarray_left_operand_still_tracks(self):
-        tape = nk.Tape()
-        x = tape.param(np.array([1.0, 2.0]))
-        loss = nk.asum(np.array([3.0, 4.0]) * x)
-        g = nk.grad(tape, loss)
-        np.testing.assert_allclose(g[x], [3.0, 4.0], rtol=0)
+    def test_var_arithmetic_raises_in_both_operand_orders(self):
+        x = nk.Tape().param(np.array([1.0, 2.0]))
+        for other in (2.0, np.array([3.0, 4.0]), x):
+            for op in ("add", "sub", "mul", "truediv", "matmul"):
+                fn = getattr(operator, op)
+                with pytest.raises(TypeError):
+                    fn(x, other)
+                with pytest.raises(TypeError):
+                    fn(other, x)
+        with pytest.raises(TypeError):
+            operator.neg(x)
 
 
 class TestGradAgainstFiniteDifferences:
@@ -313,6 +313,15 @@ class TestShapeBackward:
     def test_matmul_rejects_non_2d(self):
         with pytest.raises(ContractError):
             nk.matmul(np.ones(3), np.ones((3, 2)))
+
+    def test_repeat_and_tile_rows_take_untaped_stacks(self):
+        x = np.random.default_rng(2).normal(size=(3, 4, 5))
+        for op in (nk.repeat_rows, nk.tile_rows):
+            out = op(x, 3)
+            assert out.shape == (3, 12, 5)
+            assert np.array_equal(out, np.stack([op(s, 3) for s in x]))
+            with pytest.raises(ContractError):
+                op(nk.Tape().param(x), 3)
 
 
 # --------------------------------------------------------------------------

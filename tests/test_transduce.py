@@ -481,6 +481,12 @@ class TestRefineBatch:
             with pytest.raises(ContractError):
                 refine_batch(batch, None, VIEWS, EUCLID, 1)
 
+    @pytest.mark.parametrize("unlabeled", [0, 2])
+    def test_query_less_episodes_rejected(self, unlabeled):
+        batch = batch_of(2, queries=0, unlabeled=unlabeled)
+        with pytest.raises(ContractError, match="at least one query"):
+            refine_batch(batch, None, VIEWS, EUCLID, 1)
+
     def test_mixed_shapes_and_empty_batches_rejected(self):
         a, b = batch_of(1)[0], batch_of(1, queries=10)[0]
         with pytest.raises(ContractError):
