@@ -114,6 +114,8 @@ class EvalProtocol:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ContractError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.ways < 2:
+            raise ContractError(f"ways must be >= 2, got {self.ways}: one class measures nothing")
         if self.n_episodes < 1 or self.workers < 1 or self.T < 0:
             raise ContractError("n_episodes and workers must be >= 1, T >= 0")
         if self.unlabeled is not None and self.unlabeled < 1:
@@ -322,26 +324,46 @@ def _gradcheck_fixture(trial: int, seed: int):
     return named, (episode, model, VIEWS[trial % len(VIEWS)], 0.5)
 
 
-def _central_diffs(named, fixture, theta: np.ndarray, todo: np.ndarray, step: float):
-    """Central differences for the entries ``todo`` of ``theta``, in one pass.
+def _tape_gradient(named, fixture) -> np.ndarray:
+    """The tape gradient of the fixture's loss, flattened in sorted key order.
 
-    ``theta`` is every parameter of ``named`` flattened in sorted key
-    order. Set j raises entry todo[j] to v + step, set k + j lowers it
-    from there by 2 * step, and the k = len(todo) pairs of sets go
-    through the loss as one stack.
+    The tape dies when this returns, before any finite difference runs.
+    """
+    tape = nk.Tape()
+    grads = nk.grad(tape, _gradcheck_loss(named, fixture, tape))
+    by_name = {k: grads[v] for k, v in tape.named_params.items()}
+    return np.concatenate([by_name[k].reshape(-1) for k in sorted(named)])
+
+
+def _bumped_stacks(named, todo: np.ndarray, step: float) -> dict[str, np.ndarray]:
+    """Every parameter of ``named`` as a stack of 2k sets, k = len(todo).
+
+    ``todo`` indexes, in ascending order, the entries of all parameters
+    flattened in sorted key order. Set j raises entry todo[j] to
+    v + step, set k + j lowers it from there by 2 * step, and every
+    other entry of every set keeps its value. Each key's stack repeats
+    its own value and writes only the entries of todo that fall in it.
     """
     k = todo.size
-    sets = np.repeat(theta[None], 2 * k, axis=0)
-    hi = theta[todo] + step
-    sets[np.arange(k), todo] = hi
-    sets[np.arange(k, 2 * k), todo] = hi - 2 * step
     stacked, start = {}, 0
     for key in sorted(named):
-        end = start + np.size(named[key])
-        block = np.ascontiguousarray(sets[:, start:end])
-        stacked[key] = block.reshape(2 * k, *np.shape(named[key]))
+        value = np.asarray(named[key], dtype=np.float64)
+        end = start + value.size
+        rows = np.arange(*np.searchsorted(todo, (start, end)))
+        cols = todo[rows] - start
+        block = np.repeat(value.reshape(1, -1), 2 * k, axis=0)
+        hi = value.reshape(-1)[cols] + step
+        block[rows, cols] = hi
+        block[k + rows, cols] = hi - 2 * step
+        stacked[key] = block.reshape(2 * k, *value.shape)
         start = end
-    losses = _gradcheck_loss(stacked, fixture, None)
+    return stacked
+
+
+def _central_diffs(named, fixture, todo: np.ndarray, step: float):
+    """Central differences for the flat entries ``todo``, as one stacked pass of the loss."""
+    k = todo.size
+    losses = _gradcheck_loss(_bumped_stacks(named, todo, step), fixture, None)
     return (losses[:k] - losses[k:]) / (2 * step)
 
 
@@ -368,23 +390,18 @@ def gradcheck(trials: int = 20, tolerance: float = 1e-4, seed: int = 0) -> Gradc
     """
     if trials < 1:
         raise ContractError("trials must be >= 1")
+    if not 0.0 <= tolerance < np.inf:
+        raise ContractError(f"tolerance must be finite and non-negative, got {tolerance}")
     worst_err = 0.0
     worst_param = "none"
     for trial in range(trials):
         named, fixture = _gradcheck_fixture(trial, seed)
-        tape = nk.Tape()
-        loss = _gradcheck_loss(named, fixture, tape)
-        grads = nk.grad(tape, loss)
-        by_name = {k: grads[v] for k, v in tape.named_params.items()}
-        keys = sorted(named)
-        flat = [np.asarray(named[k], dtype=np.float64).reshape(-1) for k in keys]
-        entries = [f"{k}[{i}]" for k, v in zip(keys, flat) for i in range(v.size)]
-        theta = np.concatenate(flat)
-        an = np.concatenate([np.asarray(by_name[k], dtype=np.float64).reshape(-1) for k in keys])
-        err = np.full(theta.size, np.inf)
-        todo = np.arange(theta.size)
+        an = _tape_gradient(named, fixture)
+        entries = [f"{k}[{i}]" for k in sorted(named) for i in range(np.size(named[k]))]
+        err = np.full(an.size, np.inf)
+        todo = np.arange(an.size)
         for step in (1e-5, 1e-6, 1e-7):
-            err[todo] = _rel_err(an[todo], _central_diffs(named, fixture, theta, todo, step))
+            err[todo] = _rel_err(an[todo], _central_diffs(named, fixture, todo, step))
             todo = todo[~(err[todo] < tolerance)]
             if not todo.size:
                 break
@@ -422,9 +439,20 @@ def _read_config_file(path) -> dict[str, str]:
 
 def _count(text: str, least: int = 0) -> int:
     if not text.strip().isdecimal() or int(text) < least:
-        what = "positive" if least else "non-negative"
-        raise argparse.ArgumentTypeError(f"expected a {what} integer, got {text!r}")
+        what = {0: "a non-negative integer", 1: "a positive integer"}.get(
+            least, f"an integer of at least {least}")
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
     return int(text)
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 <= value < np.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -474,7 +502,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--ensemble", choices=("on", "off"), default=None,
                         help="default on; semi mode takes none")
     p_eval.add_argument("--episodes", type=int, default=1000)
-    p_eval.add_argument("--ways", type=int, default=5)
+    p_eval.add_argument("--ways", type=lambda text: _count(text, 2), default=5)
     p_eval.add_argument("--shots", type=int, default=1)
     p_eval.add_argument("--queries", type=lambda text: _count(text, 1), default=15)
     p_eval.add_argument("--unlabeled", type=lambda text: _count(text, 1), default=None,
@@ -487,7 +515,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_grad = sub.add_parser("gradcheck", help="tape gradients vs finite differences")
     add_common(p_grad)
     p_grad.add_argument("--trials", type=int, default=20)
-    p_grad.add_argument("--tolerance", type=float, default=1e-4)
+    p_grad.add_argument("--tolerance", type=_tolerance, default=1e-4)
 
     p_synth = sub.add_parser("make-synth", help="write a synthetic .mcte table")
     add_common(p_synth)
@@ -503,7 +531,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     """Parse argv with config-file values as overridable defaults.
 
-    File values are spliced in right after the subcommand so that
+    File values are spliced in right after the subcommand, each as one
+    ``--key=value`` argument so that a value may start with a dash, and
     explicit flags, parsed later, win. Unknown keys fail the parse.
     """
     probe = argparse.ArgumentParser(add_help=False)
@@ -513,7 +542,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argp
         return parser.parse_args(argv)
     merged = []
     for key, value in _read_config_file(found.config).items():
-        merged.extend([f"--{key.replace('_', '-')}", value])
+        merged.append(f"--{key.replace('_', '-')}={value}")
     return parser.parse_args([argv[0], *merged, *argv[1:]])
 
 

@@ -8,7 +8,10 @@ to raw numpy, so forward code is written once and runs in both modes.
 
 Graphs stay small because the primitives are batched (whole support or
 query sets per call), so the tape is rebuilt for every loss evaluation
-rather than cached.
+rather than cached. A Var lives only as long as its tape: the tape's
+records hold their Vars and a Var refers to its tape weakly, so a tape
+and all it recorded are freed by reference counting the moment its
+caller drops it, with no cycle for the garbage collector to find.
 
 Five fused primitives each record one node for a group the model's hot
 path would otherwise build from several: :func:`sq_dist` (all-pairs
@@ -30,6 +33,7 @@ the forward pass, since ``grad`` may run more than once on one tape.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Iterable
 
 import numpy as np
@@ -85,18 +89,29 @@ _Record = tuple["Var", tuple["Var", ...], Callable[[np.ndarray], tuple]]
 class Var:
     """A value tracked on a :class:`Tape`.
 
+    A Var lives only as long as its tape. It holds the tape through a
+    weak reference, while the tape's records hold their Vars, so a tape
+    and everything recorded on it are freed as soon as the caller drops
+    the tape, with no cycle left for the garbage collector. Using a Var
+    whose tape is gone is a :class:`ContractError`; ``value`` stays
+    readable.
+
     A Var has no arithmetic operators: the functions of this module are
     the one way to combine values, tracked or plain. ``__array_ufunc__``
     is disabled so that ``ndarray * Var`` raises ``TypeError`` as
     ``Var * ndarray`` does, instead of numpy building an object array.
     """
 
-    __slots__ = ("value", "tape")
+    __slots__ = ("value", "_tape")
     __array_ufunc__ = None
 
     def __init__(self, value: np.ndarray, tape: "Tape"):
         self.value = value
-        self.tape = tape
+        self._tape = tape._ref
+
+    @property
+    def tape(self) -> "Tape":
+        return _live(self._tape)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -115,6 +130,7 @@ class Tape:
     """
 
     def __init__(self):
+        self._ref = weakref.ref(self)
         self._records: list[_Record] = []
         self._params: list[Var] = []
         self._named: dict[str, Var] = {}
@@ -158,7 +174,7 @@ def grad(tape: Tape, loss) -> dict[Var, np.ndarray]:
     Parameters that the loss does not depend on get exact zeros. The loss
     must be a tracked scalar (size one) on this tape.
     """
-    if not isinstance(loss, Var) or loss.tape is not tape:
+    if not isinstance(loss, Var) or loss._tape is not tape._ref:
         raise ContractError("loss must be a Var recorded on this tape")
     if loss.value.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.value.shape}")
@@ -189,15 +205,22 @@ def value_of(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
+def _live(ref: weakref.ref) -> Tape:
+    tape = ref()
+    if tape is None:
+        raise ContractError("a Var lives only as long as its tape, and this one's tape is gone")
+    return tape
+
+
 def _tape_of(*args) -> Tape | None:
-    tape = None
+    ref = None
     for a in args:
         if isinstance(a, Var):
-            if tape is None:
-                tape = a.tape
-            elif a.tape is not tape:
+            if ref is None:
+                ref = a._tape
+            elif a._tape is not ref:
                 raise ContractError("operands belong to different tapes")
-    return tape
+    return None if ref is None else _live(ref)
 
 
 def _as_var(x, tape: Tape) -> Var:
@@ -237,68 +260,46 @@ def _unary(x, fwd, make_backward):
     return _apply(out, (v,), make_backward(xv, out), tape)
 
 
+def _binary(a, b, fwd, make_backward):
+    tape = _tape_of(a, b)
+    av, bv = value_of(a), value_of(b)
+    out = fwd(av, bv)
+    if tape is None:
+        return out
+    va, vb = _as_var(a, tape), _as_var(b, tape)
+    return _apply(out, (va, vb), make_backward(av, bv, out), tape)
+
+
 # --------------------------------------------------------------------------
 # Arithmetic
 # --------------------------------------------------------------------------
 
 
 def add(a, b):
-    tape = _tape_of(a, b)
-    av, bv = value_of(a), value_of(b)
-    out = av + bv
-    if tape is None:
-        return out
-    va, vb = _as_var(a, tape), _as_var(b, tape)
-
-    def backward(g):
-        return _unbroadcast(g, av.shape), _unbroadcast(g, bv.shape)
-
-    return _apply(out, (va, vb), backward, tape)
+    return _binary(a, b, np.add, lambda av, bv, out: (
+        lambda g: (_unbroadcast(g, av.shape), _unbroadcast(g, bv.shape))
+    ))
 
 
 def sub(a, b):
-    tape = _tape_of(a, b)
-    av, bv = value_of(a), value_of(b)
-    out = av - bv
-    if tape is None:
-        return out
-    va, vb = _as_var(a, tape), _as_var(b, tape)
-
-    def backward(g):
-        return _unbroadcast(g, av.shape), _unbroadcast(-g, bv.shape)
-
-    return _apply(out, (va, vb), backward, tape)
+    return _binary(a, b, np.subtract, lambda av, bv, out: (
+        lambda g: (_unbroadcast(g, av.shape), _unbroadcast(-g, bv.shape))
+    ))
 
 
 def mul(a, b):
-    tape = _tape_of(a, b)
-    av, bv = value_of(a), value_of(b)
-    out = av * bv
-    if tape is None:
-        return out
-    va, vb = _as_var(a, tape), _as_var(b, tape)
-
-    def backward(g):
-        return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
-
-    return _apply(out, (va, vb), backward, tape)
+    return _binary(a, b, np.multiply, lambda av, bv, out: (
+        lambda g: (_unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape))
+    ))
 
 
 def div(a, b):
-    tape = _tape_of(a, b)
-    av, bv = value_of(a), value_of(b)
-    out = av / bv
-    if tape is None:
-        return out
-    va, vb = _as_var(a, tape), _as_var(b, tape)
-
-    def backward(g):
-        return (
+    return _binary(a, b, np.divide, lambda av, bv, out: (
+        lambda g: (
             _unbroadcast(g / bv, av.shape),
             _unbroadcast(-g * av / (bv * bv), bv.shape),
         )
-
-    return _apply(out, (va, vb), backward, tape)
+    ))
 
 
 def neg(x):

@@ -1,7 +1,12 @@
 """One-item and one-episode reference forms of what the package batches, and shared helpers."""
 
+import gc
+import weakref
+from contextlib import contextmanager
+
 import numpy as np
 
+from mct import numkit as nk
 from mct.encoder import VIEWS, encode_batch
 from mct.errors import ContractError
 from mct.metric import MetricSpec, pairwise
@@ -49,3 +54,52 @@ def semi_infer(episode, encoder, metric):
     u_conf = confidence(emb_u, protos, metric)
     refined = update_prototypes(emb_s, episode.support_y, episode.ways, emb_u, u_conf)
     return refined, u_conf, confidence(encode_batch(encoder, episode.query_x), refined, metric)
+
+
+def sets_matrix_stacks(named, todo, step):
+    """gradcheck's bumped parameter stacks cut from one (2k, n_params) matrix.
+
+    Every parameter is flattened in sorted key order into one row theta,
+    repeated 2k times (k = len(todo)); set j raises theta[todo[j]] by
+    ``step`` and set k + j lowers it from there by 2 * step. Each key's
+    stack is its column block of that matrix.
+    """
+    keys = sorted(named)
+    theta = np.concatenate([np.asarray(named[key], dtype=np.float64).reshape(-1) for key in keys])
+    k = todo.size
+    sets = np.repeat(theta[None], 2 * k, axis=0)
+    hi = theta[todo] + step
+    sets[np.arange(k), todo] = hi
+    sets[np.arange(k, 2 * k), todo] = hi - 2 * step
+    stacked, start = {}, 0
+    for key in keys:
+        end = start + np.size(named[key])
+        block = np.ascontiguousarray(sets[:, start:end])
+        stacked[key] = block.reshape(2 * k, *np.shape(named[key]))
+        start = end
+    return stacked
+
+
+def record_tapes(monkeypatch):
+    """Make every ``nk.Tape()`` built from now on append a weak reference to itself to the returned list."""
+    refs = []
+
+    class RecordingTape(nk.Tape):
+        def __init__(self):
+            super().__init__()
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(nk, "Tape", RecordingTape)
+    return refs
+
+
+@contextmanager
+def collector_off():
+    """Run the block with the cyclic garbage collector disabled, so only reference counting frees."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -163,8 +163,9 @@ class TestEncode:
         x = np.zeros((2, 3, 6))
         with pytest.raises(ContractError):
             encode_batch(p, x, tape=nk.Tape())
-        with pytest.raises(ContractError):
-            encode_batch(p, nk.Tape().param(x))
+        tape = nk.Tape()
+        with pytest.raises(ContractError, match="only untaped eval-mode calls"):
+            encode_batch(p, tape.param(x))
         with pytest.raises(ContractError):
             encode_batch(p, x, mode="train", rng=np.random.default_rng(0))
         with pytest.raises(ContractError):

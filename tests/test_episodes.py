@@ -38,6 +38,24 @@ class TestEpisodeType:
                 query_x=np.zeros((2, 3)), query_y=[1, 2],
             )
 
+    @pytest.mark.parametrize("part", ["support", "query"])
+    @pytest.mark.parametrize("bad", [0, 3, -1, 2**40, -(2**40)])
+    def test_out_of_range_label_is_named(self, part, bad):
+        labels = {"support": [1, 2], "query": [1, 2, 1, 2]}
+        labels[part][1] = bad
+        with pytest.raises(ContractError, match=rf"^{part} labels must lie in 1\.\.2$"):
+            Episode(ways=2, shots=1, support_x=np.zeros((2, 3)), support_y=labels["support"],
+                    query_x=np.zeros((4, 3)), query_y=labels["query"])
+
+    @pytest.mark.parametrize("part, labels, per", [
+        ("support", [1, 1], 1), ("query", [1, 2, 2, 2], 2), ("query", [2, 2, 2, 2], 2),
+    ])
+    def test_unbalanced_labels_are_named(self, part, labels, per):
+        given = {"support": [1, 2], "query": [1, 2, 1, 2], part: labels}
+        with pytest.raises(ContractError, match=rf"^{part} must hold exactly {per} items per class$"):
+            Episode(ways=2, shots=1, support_x=np.zeros((2, 3)), support_y=given["support"],
+                    query_x=np.zeros((4, 3)), query_y=given["query"])
+
     def test_rejects_unbalanced_support(self):
         with pytest.raises(ContractError):
             Episode(

@@ -31,7 +31,7 @@ from mct.metatrain import GlobalClassifier, training_loss
 from mct.metric import MetricSpec, ScalerParams
 from mct.transduce import refine, soft_kmeans
 from mct.encoder import VIEWS, EncoderParams
-from oracles import metric_of, semi_infer
+from oracles import collector_off, metric_of, record_tapes, semi_infer, sets_matrix_stacks
 
 EUCLID = ModelState(metric=MetricSpec.euclid())
 
@@ -164,6 +164,11 @@ class TestEvaluate:
     def test_query_less_protocol_is_a_contract_error(self, mode):
         with pytest.raises(ContractError, match="at least one query"):
             evaluate(EUCLID, PLAIN_SPEC, EvalProtocol(queries=0, n_episodes=2, mode=mode))
+
+    @pytest.mark.parametrize("ways", [1, 0, -3])
+    def test_protocol_needs_two_ways(self, ways):
+        with pytest.raises(ContractError, match="ways must be >= 2"):
+            EvalProtocol(ways=ways)
 
     def test_inference_is_blind_to_query_labels(self):
         ep = sample_episode(PLAIN_SPEC, 5, 1, 15, rng_seed=77)
@@ -423,6 +428,47 @@ class TestGradcheck:
         rep = gradcheck(trials=1, tolerance=0.0, seed=0)
         assert not rep.passed
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0, -1e-12])
+    def test_tolerance_must_be_finite_and_non_negative(self, tolerance):
+        with pytest.raises(ContractError, match="tolerance must be finite and non-negative"):
+            gradcheck(trials=1, tolerance=tolerance)
+
+    def test_each_trial_tape_is_freed_before_its_differences(self, monkeypatch):
+        tapes = record_tapes(monkeypatch)
+        central_diffs = evalcli._central_diffs
+        live_at_differences = []
+
+        def checked(*args):
+            live_at_differences.append(sum(ref() is not None for ref in tapes))
+            return central_diffs(*args)
+
+        monkeypatch.setattr(evalcli, "_central_diffs", checked)
+        with collector_off():
+            rep = gradcheck(trials=2, tolerance=1e-4, seed=0)
+        assert rep.passed and len(tapes) == 2
+        assert live_at_differences and not any(live_at_differences)
+        assert all(ref() is None for ref in tapes)
+
+    @pytest.mark.parametrize("trial", [0, 1, 2, 3])
+    def test_per_key_stacks_equal_the_sets_matrix(self, trial):
+        named, _ = _gradcheck_fixture(trial, seed=0)
+        n = sum(np.size(v) for v in named.values())
+        rng = np.random.default_rng(trial)
+        subsets = [
+            np.arange(n),
+            np.sort(rng.choice(n, size=n // 3, replace=False)),
+            np.array([0, n - 1]),
+            np.arange(0),
+        ]
+        for todo in subsets:
+            for step in (1e-5, 1e-7):
+                got = evalcli._bumped_stacks(named, todo, step)
+                want = sets_matrix_stacks(named, todo, step)
+                assert got.keys() == want.keys()
+                for key in want:
+                    assert got[key].shape == want[key].shape
+                    assert np.array_equal(got[key], want[key]), key
+
     def test_reports_worst_location(self):
         rep = gradcheck(trials=2, tolerance=1e-12, seed=0)
         assert not rep.passed
@@ -456,8 +502,7 @@ class TestGradcheck:
     def test_stacked_differences_are_the_entry_loops(self, trial):
         named, fixture = _gradcheck_fixture(trial, seed=0)
         keys = sorted(named)
-        theta = np.concatenate([np.asarray(named[k]).reshape(-1) for k in keys])
-        fd = evalcli._central_diffs(named, fixture, theta, np.arange(theta.size), 1e-5)
+        fd = evalcli._central_diffs(named, fixture, np.arange(sum(np.size(named[k]) for k in keys)), 1e-5)
         loop = [_oracle_central_diff(named, fixture, k, i, 1e-5)
                 for k in keys for i in range(np.size(named[k]))]
         assert np.array_equal(fd, loop)
@@ -580,6 +625,31 @@ class TestCli:
         assert "FAIL" in capsys.readouterr().out
         assert main(["gradcheck", "--trials", "2", "--tolerance", "1e-4"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "-inf", "abc"])
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_bad_tolerance_is_a_usage_error(self, tmp_path, capsys, value, from_config):
+        args = ["gradcheck", "--trials", "1"]
+        if from_config:
+            cfg = tmp_path / "mct.cfg"
+            cfg.write_text(f"tolerance={value}\n")
+            args += ["--config", str(cfg)]
+        else:
+            args += [f"--tolerance={value}"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("error:") == 1
+        assert (f"argument --tolerance: expected a finite non-negative number, got '{value}'"
+                in captured.err)
+
+    @pytest.mark.parametrize("value", ["1", "0", "-2"])
+    def test_fewer_than_two_ways_is_a_usage_error(self, tmp_path, capsys, value):
+        report = tmp_path / "r.jsonl"
+        assert main(["eval", "--episodes", "2", f"--ways={value}", "--report", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("error:") == 1
+        assert f"argument --ways: expected an integer of at least 2, got '{value}'" in captured.err
+        assert not report.exists()
 
     def test_corrupt_source_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.mcte"

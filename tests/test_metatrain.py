@@ -26,7 +26,7 @@ from mct.metatrain import (
 )
 from mct.metric import MetricSpec
 from mct.transduce import confidence, init_from_embeddings, update_prototypes
-from oracles import metric_of
+from oracles import collector_off, metric_of, record_tapes
 
 EUCLID = MetricSpec.euclid()
 
@@ -296,6 +296,15 @@ class TestModelFromNamed:
 
 
 class TestTrainStep:
+    def test_step_tape_is_freed_when_the_step_returns(self, monkeypatch):
+        state, _ = train(POOL_SPEC, tiny_config(steps=1))
+        tapes = record_tapes(monkeypatch)
+        ep = sample_episode(POOL_SPEC, 4, 1, 3, rng_seed=5)
+        with collector_off():
+            for step in (1, 2):
+                train_step(ep, state, tiny_config(), np.random.default_rng(step), step)
+                assert len(tapes) == step and tapes[-1]() is None
+
     def test_two_runs_bitwise_identical(self):
         s1, _ = train(POOL_SPEC, tiny_config())
         s2, _ = train(POOL_SPEC, tiny_config())

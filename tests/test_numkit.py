@@ -1,6 +1,7 @@
 """Tape correctness against closed forms and central finite differences."""
 
 import operator
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from mct import numkit as nk
 from mct.errors import ContractError, DomainError
+from oracles import collector_off
 
 
 def central_diff(f, x, step=1e-5):
@@ -180,7 +182,8 @@ class TestGradBasics:
         assert isinstance(out, np.ndarray)
 
     def test_var_arithmetic_raises_in_both_operand_orders(self):
-        x = nk.Tape().param(np.array([1.0, 2.0]))
+        tape = nk.Tape()
+        x = tape.param(np.array([1.0, 2.0]))
         for other in (2.0, np.array([3.0, 4.0]), x):
             for op in ("add", "sub", "mul", "truediv", "matmul"):
                 fn = getattr(operator, op)
@@ -190,6 +193,76 @@ class TestGradBasics:
                     fn(other, x)
         with pytest.raises(TypeError):
             operator.neg(x)
+
+
+class TestTapeLifetime:
+    def test_tape_is_freed_by_reference_counting(self):
+        with collector_off():
+            tape = nk.Tape()
+            x = tape.param(np.array([1.0, -2.0, 3.0]), name="x")
+            loss = nk.asum(nk.mul(nk.relu(x), x))
+            g = nk.grad(tape, loss)[x]
+            ref = weakref.ref(tape)
+            del tape, x, loss
+            assert ref() is None
+        np.testing.assert_array_equal(g, [2.0, 0.0, 6.0])
+
+    def test_var_outliving_its_tape_raises(self):
+        with collector_off():
+            tape = nk.Tape()
+            x = tape.param(np.array([1.0, 2.0]))
+            y = nk.mul(x, x)
+            del tape
+            with pytest.raises(ContractError, match="tape is gone"):
+                nk.add(y, 1.0)
+            with pytest.raises(ContractError, match="tape is gone"):
+                nk.relu(x)
+            with pytest.raises(ContractError, match="tape is gone"):
+                x.tape
+            np.testing.assert_array_equal(nk.value_of(y), [1.0, 4.0])
+
+    def test_dead_operand_raises_beside_a_live_one(self):
+        dead = nk.Tape().param(1.0)
+        live_tape = nk.Tape()
+        live = live_tape.param(2.0)
+        with pytest.raises(ContractError):
+            nk.add(live, dead)
+        with pytest.raises(ContractError):
+            nk.grad(live_tape, dead)
+
+
+class TestUntapedOperands:
+    OPS = [
+        lambda a, b: nk.add(a, b), lambda a, b: nk.sub(a, b),
+        lambda a, b: nk.mul(a, b), lambda a, b: nk.div(a, b),
+        lambda a, b: nk.relu(a), lambda a, b: nk.neg(b), lambda a, b: nk.exp(a),
+        lambda a, b: nk.flip_last(b), lambda a, b: nk.sigmoid(a),
+    ]
+
+    @pytest.mark.parametrize("op", range(len(OPS)))
+    def test_every_operand_form_gives_the_float64_result(self, op):
+        fn = self.OPS[op]
+        rng = np.random.default_rng(op)
+        a, b = rng.standard_normal((2, 3, 4))
+        want = fn(a, b)
+        assert type(want) is np.ndarray and want.dtype == np.float64
+        forms = [
+            (a.tolist(), b.tolist()),
+            (a.astype(np.float32), b),
+            (a, b.astype(">f8")),
+            (a.view(np.matrix), b.view(np.matrix)),
+        ]
+        for x, y in forms:
+            x64, y64 = (np.asarray(v, dtype=np.float64) for v in (x, y))
+            got = fn(x, y)
+            assert type(got) is np.ndarray and got.dtype == np.float64
+            assert np.array_equal(got, fn(x64, y64), equal_nan=True)
+
+    @pytest.mark.parametrize("op", range(4))
+    def test_scalar_operands_give_the_float64_result(self, op):
+        fn = self.OPS[op]
+        got = fn(np.float64(2.5), 1.5)
+        assert got == fn(np.array(2.5), np.array(1.5)) and got.dtype == np.float64
 
 
 class TestGradAgainstFiniteDifferences:
@@ -320,8 +393,9 @@ class TestShapeBackward:
             out = op(x, 3)
             assert out.shape == (3, 12, 5)
             assert np.array_equal(out, np.stack([op(s, 3) for s in x]))
-            with pytest.raises(ContractError):
-                op(nk.Tape().param(x), 3)
+            tape = nk.Tape()
+            with pytest.raises(ContractError, match="expects a 2-D operand"):
+                op(tape.param(x), 3)
 
 
 # --------------------------------------------------------------------------
