@@ -40,10 +40,8 @@ def save_tensors(path, named: dict[str, np.ndarray]) -> None:
     """Write named float64 tensors in sorted name order.
 
     A non-finite value is a :class:`DomainError` naming its tensor,
-    raised before the file is touched. The bytes go to a fresh file
-    beside the target that then replaces it, so a write that fails
-    midway leaves the previous file as it was. A symlink is written
-    through to the file it names, and a replaced file keeps its mode.
+    raised before the file is touched. The file is replaced whole (see
+    :func:`_replace_whole`).
     """
     chunks = [struct.pack("<4sII", _MAGIC, _VERSION, len(named))]
     for name in sorted(named):
@@ -56,19 +54,32 @@ def save_tensors(path, named: dict[str, np.ndarray]) -> None:
         chunks.append(struct.pack("<I", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(arr.astype("<f8").tobytes())
-    path = os.path.realpath(path)
-    tmp = f"{path}.{uuid.uuid4().hex[:12]}.tmp"
+    _replace_whole(path, chunks)
+
+
+def _replace_whole(path, chunks) -> None:
+    """Write ``chunks`` to a fresh file beside ``path`` that then replaces it.
+
+    A failed write leaves the previous file as it was and no fresh file
+    behind, and its ``OSError`` names ``path``. A symlink is written
+    through to the file it names, and a replaced file keeps its mode.
+    """
+    target = os.path.realpath(path)
+    tmp = f"{target}.{uuid.uuid4().hex[:12]}.tmp"
     try:
         with open(tmp, "xb") as fh:
-            fh.write(b"".join(chunks))
+            for chunk in chunks:
+                fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
-        if os.path.exists(path):
-            shutil.copymode(path, tmp)
-        os.replace(tmp, path)
-    except BaseException:
+        if os.path.exists(target):
+            shutil.copymode(target, tmp)
+        os.replace(tmp, target)
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):  # the fresh file is ours; the caller asked for path
+            raise OSError(exc.errno, exc.strerror or str(exc), path) from exc
         raise
 
 

@@ -68,6 +68,9 @@ def view_by_name(name: str) -> ViewSpec:
                         f"{[v.name for v in VIEWS]}")
 
 
+_BLOCK_PARTS = ("w1", "b1", "w2", "b2")
+
+
 @dataclass(frozen=True)
 class EncoderParams:
     """Weights of the residual encoder.
@@ -151,34 +154,29 @@ class EncoderParams:
             channels=channels,
         )
 
-    def to_named(self, prefix: str = "encoder") -> dict[str, np.ndarray]:
-        named = {f"{prefix}.w_in": self.w_in, f"{prefix}.b_in": self.b_in}
-        for i, (w1, b1, w2, b2) in enumerate(self.blocks):
-            named[f"{prefix}.block{i}.w1"] = w1
-            named[f"{prefix}.block{i}.b1"] = b1
-            named[f"{prefix}.block{i}.w2"] = w2
-            named[f"{prefix}.block{i}.b2"] = b2
+    def to_named(self) -> dict[str, np.ndarray]:
+        named = {"encoder.w_in": self.w_in, "encoder.b_in": self.b_in}
+        for i, block in enumerate(self.blocks):
+            for part, value in zip(_BLOCK_PARTS, block):
+                named[f"encoder.block{i}.{part}"] = value
         return named
 
     @staticmethod
     def from_named(
         named: dict[str, np.ndarray],
         *,
-        prefix: str = "encoder",
         dropout: float = 0.1,
         positions: int = 4,
         channels: int = 16,
     ) -> "EncoderParams":
         blocks = []
         i = 0
-        while f"{prefix}.block{i}.w1" in named:
-            blocks.append(tuple(
-                named[f"{prefix}.block{i}.{part}"] for part in ("w1", "b1", "w2", "b2")
-            ))
+        while f"encoder.block{i}.w1" in named:
+            blocks.append(tuple(named[f"encoder.block{i}.{part}"] for part in _BLOCK_PARTS))
             i += 1
         return EncoderParams(
-            w_in=named[f"{prefix}.w_in"],
-            b_in=named[f"{prefix}.b_in"],
+            w_in=named["encoder.w_in"],
+            b_in=named["encoder.b_in"],
             blocks=tuple(blocks),
             dropout=dropout,
             positions=positions,
@@ -243,13 +241,8 @@ def encode_batch(
     if drop_on and rng is None:
         raise ContractError("train mode needs an rng for dropout")
 
-    plain = params.to_named()
-    if tape is None:
-        named = plain.__getitem__
-    else:
-        named = lambda k: tape.param(plain[k], name=k)
-
-    h = nk.relu(nk.affine(h, named("encoder.w_in"), named("encoder.b_in")))
+    p = nk.leaves(params.to_named(), tape)
+    h = nk.relu(nk.affine(h, p["encoder.w_in"], p["encoder.b_in"]))
     if drop_on:
         h = _dropout(h, params.dropout, rng)
     last = len(params.blocks) - 1
@@ -258,15 +251,11 @@ def encode_batch(
             # rng draws for the skipped branch are not consumed: the drop
             # view is its own deterministic function of the seed
             continue
-        branch = nk.relu(nk.affine(
-            h, named(f"encoder.block{i}.w1"), named(f"encoder.block{i}.b1")
-        ))
+        w1, b1, w2, b2 = (p[f"encoder.block{i}.{part}"] for part in _BLOCK_PARTS)
+        branch = nk.relu(nk.affine(h, w1, b1))
         if drop_on:
             branch = _dropout(branch, params.dropout, rng)
-        branch = nk.affine(
-            branch, named(f"encoder.block{i}.w2"), named(f"encoder.block{i}.b2")
-        )
-        h = nk.add(h, branch)
+        h = nk.add(h, nk.affine(branch, w2, b2))
     return h
 
 

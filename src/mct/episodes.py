@@ -18,6 +18,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .checkpoint import _replace_whole
 from .errors import CapacityError, ContractError, DomainError, FormatError
 
 __all__ = [
@@ -441,13 +442,18 @@ _HEADER = struct.Struct("<4sIII")
 
 
 def save_embeddings(path, table: EmbeddingTable) -> None:
-    """Write a table in the MCTE layout, straight from its float32 rows."""
+    """Write a table in the MCTE layout, straight from its float32 rows.
+
+    The file is replaced whole, as a checkpoint is: a write that fails
+    midway leaves the previous table as it was.
+    """
     if table.labels.max() >= 2**32:
         raise FormatError("class ids must fit in an unsigned 32-bit field")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, _VERSION, table.count, table.dim))
-        fh.write(np.ascontiguousarray(table.rows, dtype="<f4").data)
-        fh.write(np.ascontiguousarray(table.labels, dtype="<u4").data)
+    _replace_whole(path, (
+        _HEADER.pack(_MAGIC, _VERSION, table.count, table.dim),
+        np.ascontiguousarray(table.rows, dtype="<f4").data,
+        np.ascontiguousarray(table.labels, dtype="<u4").data,
+    ))
 
 
 def load_embeddings(path) -> EmbeddingTable:
@@ -480,10 +486,11 @@ def load_embeddings(path) -> EmbeddingTable:
             offset=expected,
         )
     rows = np.frombuffer(blob, dtype="<f4", count=count * dim, offset=_HEADER.size)
-    if not np.isfinite(rows).all():
+    labels = np.frombuffer(blob, dtype="<u4", count=count, offset=_HEADER.size + rows_bytes)
+    try:
+        return EmbeddingTable(rows=rows.reshape(count, dim), labels=labels.astype(np.int64))
+    except DomainError:  # the table's one finiteness pass failed; find the value's offset
         bad = int(np.argmin(np.isfinite(rows)))
         raise FormatError(
             "non-finite embedding value", offset=_HEADER.size + bad * 4
-        )
-    labels = np.frombuffer(blob, dtype="<u4", count=count, offset=_HEADER.size + rows_bytes)
-    return EmbeddingTable(rows=rows.reshape(count, dim), labels=labels.astype(np.int64))
+        ) from None

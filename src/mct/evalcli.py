@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -212,44 +213,24 @@ def evaluate(state: ModelState, source, protocol: EvalProtocol) -> Report:
     )
 
 
-def _json_float(x: float):
-    return None if not np.isfinite(x) else x
+def _json_line(record: str, fields: dict) -> str:
+    """One JSON object: ``record`` names its kind; ``fields`` follow, non-finite floats as null."""
+    return json.dumps({"record": record, **{
+        k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in fields.items()
+    }}, sort_keys=True)
 
 
 def render_jsonl(report: Report) -> str:
     """One JSON object per episode, then a summary object.
 
-    Non-finite negative log-likelihoods serialize as null; the summary
-    carries an ``nll_infinite`` flag so the condition stays visible.
+    Each object holds its record's fields (the summary all of the
+    report's but ``records``). Non-finite negative log-likelihoods
+    serialize as null; the summary carries an ``nll_infinite`` flag so
+    the condition stays visible.
     """
-    lines = []
-    for r in report.records:
-        lines.append(json.dumps(
-            {
-                "record": "episode",
-                "index": r.index,
-                "seed": r.seed,
-                "accuracy": r.accuracy,
-                "nll": _json_float(r.nll),
-                "nll_final": _json_float(r.nll_final),
-            },
-            sort_keys=True,
-        ))
-    lines.append(json.dumps(
-        {
-            "record": "summary",
-            "mode": report.mode,
-            "n_episodes": report.n_episodes,
-            "mean_accuracy": report.mean_accuracy,
-            "ci95": report.ci95,
-            "mean_nll": _json_float(report.mean_nll),
-            "mean_nll_final": _json_float(report.mean_nll_final),
-            "nll_infinite": report.nll_infinite,
-            "config": report.config,
-        },
-        sort_keys=True,
-    ))
-    return "\n".join(lines) + "\n"
+    lines = [_json_line("episode", vars(r)) for r in report.records]
+    summary = {k: v for k, v in vars(report).items() if k != "records"}
+    return "\n".join([*lines, _json_line("summary", summary)]) + "\n"
 
 
 def render_table(report: Report) -> str:
@@ -462,22 +443,31 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def at_least(least):
+        return lambda text: _count(text, least)
+
     def add_common(p):
         p.add_argument("--config", help="key=value file; explicit flags override it")
         p.add_argument("--seed", type=_count, default=0)
 
+    def add_synth(p):
+        p.add_argument("--dim", type=at_least(1), default=16)
+        p.add_argument("--spread", type=float, default=4.0)
+        p.add_argument("--std", type=float, default=1.0)
+
+    def add_source(p):
+        p.add_argument("--source", default="synth",
+                       help="'synth' or a path to an .mcte embedding table")
+        add_synth(p)
+
     p_train = sub.add_parser("train", help="meta-train encoder, metric, classifier")
     add_common(p_train)
-    p_train.add_argument("--source", default="synth",
-                         help="'synth' or a path to an .mcte embedding table")
-    p_train.add_argument("--dim", type=int, default=16)
-    p_train.add_argument("--spread", type=float, default=4.0)
-    p_train.add_argument("--std", type=float, default=1.0)
-    p_train.add_argument("--pool-classes", type=int, default=20)
-    p_train.add_argument("--steps", type=int, default=500)
-    p_train.add_argument("--ways", type=int, default=15)
-    p_train.add_argument("--shots", type=int, default=1)
-    p_train.add_argument("--queries", type=int, default=8)
+    add_source(p_train)
+    p_train.add_argument("--pool-classes", type=at_least(1), default=20)
+    p_train.add_argument("--steps", type=at_least(1), default=500)
+    p_train.add_argument("--ways", type=at_least(2), default=15)
+    p_train.add_argument("--shots", type=at_least(1), default=1)
+    p_train.add_argument("--queries", type=at_least(1), default=8)
     p_train.add_argument("--lambda", dest="lam", type=float, default=0.5)
     p_train.add_argument("--lr", type=float, default=0.1)
     p_train.add_argument("--metric", choices=METRIC_KINDS, default="instance")
@@ -489,11 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="score a model over seeded episodes")
     add_common(p_eval)
     p_eval.add_argument("--checkpoint", help=".mctp file; omit to score raw embeddings")
-    p_eval.add_argument("--source", default="synth",
-                        help="'synth' or a path to an .mcte embedding table")
-    p_eval.add_argument("--dim", type=int, default=16)
-    p_eval.add_argument("--spread", type=float, default=4.0)
-    p_eval.add_argument("--std", type=float, default=1.0)
+    add_source(p_eval)
     p_eval.add_argument("--mode", choices=MODES, default="transductive")
     p_eval.add_argument("--transduction-steps", type=_count, default=None,
                         help="default 10; semi mode takes none")
@@ -501,30 +487,28 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override the checkpoint metric (fresh seeded init)")
     p_eval.add_argument("--ensemble", choices=("on", "off"), default=None,
                         help="default on; semi mode takes none")
-    p_eval.add_argument("--episodes", type=int, default=1000)
-    p_eval.add_argument("--ways", type=lambda text: _count(text, 2), default=5)
-    p_eval.add_argument("--shots", type=int, default=1)
-    p_eval.add_argument("--queries", type=lambda text: _count(text, 1), default=15)
-    p_eval.add_argument("--unlabeled", type=lambda text: _count(text, 1), default=None,
+    p_eval.add_argument("--episodes", type=at_least(1), default=1000)
+    p_eval.add_argument("--ways", type=at_least(2), default=5)
+    p_eval.add_argument("--shots", type=at_least(1), default=1)
+    p_eval.add_argument("--queries", type=at_least(1), default=15)
+    p_eval.add_argument("--unlabeled", type=at_least(1), default=None,
                         help="semi mode: unlabeled items per class (default 30/50)")
     p_eval.add_argument("--distractors", type=_count, default=None,
                         help="semi mode: out-of-episode pool classes (default 0)")
-    p_eval.add_argument("--workers", type=int, default=1)
+    p_eval.add_argument("--workers", type=at_least(1), default=1)
     p_eval.add_argument("--report", help="write JSON-lines records to this path")
 
     p_grad = sub.add_parser("gradcheck", help="tape gradients vs finite differences")
     add_common(p_grad)
-    p_grad.add_argument("--trials", type=int, default=20)
+    p_grad.add_argument("--trials", type=at_least(1), default=20)
     p_grad.add_argument("--tolerance", type=_tolerance, default=1e-4)
 
     p_synth = sub.add_parser("make-synth", help="write a synthetic .mcte table")
     add_common(p_synth)
     p_synth.add_argument("--out", required=True)
-    p_synth.add_argument("--dim", type=int, default=16)
-    p_synth.add_argument("--classes", type=int, default=20)
-    p_synth.add_argument("--per-class", type=int, default=50)
-    p_synth.add_argument("--spread", type=float, default=4.0)
-    p_synth.add_argument("--std", type=float, default=1.0)
+    add_synth(p_synth)
+    p_synth.add_argument("--classes", type=at_least(1), default=20)
+    p_synth.add_argument("--per-class", type=at_least(1), default=50)
     return parser
 
 
@@ -639,8 +623,6 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_make_synth(args) -> int:
-    if args.classes < 1 or args.per_class < 1:
-        raise ContractError("classes and per-class must be positive")
     spec = SyntheticSpec(
         input_dim=args.dim, class_spread=args.spread, within_std=args.std,
         pool_classes=args.classes, pool_seed=args.seed,

@@ -313,7 +313,7 @@ def dimension_loss(
     cols = classifier.columns_for(labels)
     targets = np.zeros((rows, len(classifier.classes)))
     targets[np.arange(rows), np.repeat(cols, positions)] = 1.0
-    w = classifier.weight if tape is None else tape.param(classifier.weight, name="classifier.w")
+    w = nk.leaves({"classifier.w": classifier.weight}, tape)["classifier.w"]
     return nk.cross_entropy(nk.matmul(per_pos_emb, w), targets)
 
 

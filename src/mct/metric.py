@@ -81,27 +81,27 @@ class ScalerParams:
             beta=np.asarray(0.0),
         )
 
-    def to_named(self, prefix: str = "metric.scaler") -> dict[str, np.ndarray]:
+    def to_named(self) -> dict[str, np.ndarray]:
         return {
-            f"{prefix}.w1": self.w1,
-            f"{prefix}.b1": self.b1,
-            f"{prefix}.w2": self.w2,
-            f"{prefix}.b2": self.b2,
-            f"{prefix}.alpha": np.asarray(self.alpha, dtype=np.float64),
-            f"{prefix}.beta": np.asarray(self.beta, dtype=np.float64),
+            "metric.scaler.w1": self.w1,
+            "metric.scaler.b1": self.b1,
+            "metric.scaler.w2": self.w2,
+            "metric.scaler.b2": self.b2,
+            "metric.scaler.alpha": np.asarray(self.alpha, dtype=np.float64),
+            "metric.scaler.beta": np.asarray(self.beta, dtype=np.float64),
         }
 
     @staticmethod
-    def from_named(named: dict[str, np.ndarray], prefix: str = "metric.scaler") -> "ScalerParams":
-        w1 = named[f"{prefix}.w1"]
+    def from_named(named: dict[str, np.ndarray]) -> "ScalerParams":
+        w1 = named["metric.scaler.w1"]
         stack = np.shape(w1)[:-2]
         return ScalerParams(
             w1=w1,
-            b1=named[f"{prefix}.b1"],
-            w2=named[f"{prefix}.w2"],
-            b2=named[f"{prefix}.b2"],
-            alpha=np.asarray(named[f"{prefix}.alpha"]).reshape(stack),
-            beta=np.asarray(named[f"{prefix}.beta"]).reshape(stack),
+            b1=named["metric.scaler.b1"],
+            w2=named["metric.scaler.w2"],
+            b2=named["metric.scaler.b2"],
+            alpha=np.asarray(named["metric.scaler.alpha"]).reshape(stack),
+            beta=np.asarray(named["metric.scaler.beta"]).reshape(stack),
         )
 
 
@@ -127,14 +127,10 @@ def scaler_eval(scaler: ScalerParams, features, tape: nk.Tape | None = None):
         raise ContractError(
             f"scaler expects rows of width {scaler.in_dim}, got {fv.shape}"
         )
-    plain = scaler.to_named()
-    if tape is None:
-        named = plain.__getitem__
-    else:
-        named = lambda k: tape.param(plain[k], name=k)
-    h = nk.relu(nk.affine(features, named("metric.scaler.w1"), named("metric.scaler.b1")))
-    h = nk.affine(h, named("metric.scaler.w2"), named("metric.scaler.b2"))
-    alpha, beta = named("metric.scaler.alpha"), named("metric.scaler.beta")
+    p = nk.leaves(scaler.to_named(), tape)
+    h = nk.relu(nk.affine(features, p["metric.scaler.w1"], p["metric.scaler.b1"]))
+    h = nk.affine(h, p["metric.scaler.w2"], p["metric.scaler.b2"])
+    alpha, beta = p["metric.scaler.alpha"], p["metric.scaler.beta"]
     if stack:
         alpha, beta = alpha[:, None, None], beta[:, None, None]
     g = nk.calibrated_sigmoid(h, alpha, beta)
@@ -252,10 +248,9 @@ def pairwise(spec: MetricSpec, a, b, tape: nk.Tape | None = None, *, query=None)
     if spec.kind == "euclid":
         return nk.sq_dist(a, b)
     if spec.kind == "scaled":
-        if tape is not None:
-            s = tape.param(np.asarray(float(spec.s)), name="metric.s")
-        else:
-            s = float(spec.s) if np.ndim(spec.s) == 0 else spec.s[:, None, None]
+        s = nk.leaves(spec.to_named(), tape)["metric.s"]
+        if spec.stack:
+            s = s[:, None, None]
         return nk.mul(s, nk.sq_dist(a, b))
     if spec.kind == "instance":
         a_side = _instance_side(spec.scaler, a, tape) if query is None else query

@@ -47,6 +47,7 @@ __all__ = [
     "Tape",
     "Var",
     "grad",
+    "leaves",
     "value_of",
     "add",
     "sub",
@@ -191,6 +192,19 @@ def grad(tape: Tape, loss) -> dict[Var, np.ndarray]:
     return {
         p: adjoints.get(id(p), np.zeros_like(p.value)) for p in tape._params
     }
+
+
+def leaves(named: dict[str, np.ndarray], tape: Tape | None) -> dict:
+    """A parameter group's tensors as one forward pass reads them.
+
+    ``named`` is the group's ``to_named()`` dict. Untaped, it comes back
+    as it is; on a tape, each array becomes the tape's shared leaf of
+    its name (see :meth:`Tape.param`), so every pass that reads the group
+    on one tape feeds one gradient per tensor.
+    """
+    if tape is None:
+        return named
+    return {name: tape.param(value, name=name) for name, value in named.items()}
 
 
 # --------------------------------------------------------------------------

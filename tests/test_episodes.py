@@ -495,6 +495,41 @@ class TestEmbeddingFileIO:
             load_embeddings(path)
         assert exc.value.offset == 16 + 2 * 4
 
+    def test_failed_write_keeps_previous_table(self, tmp_path, monkeypatch):
+        import builtins
+        import errno
+
+        path = tmp_path / "t.mcte"
+        save_embeddings(path, small_table(classes=2, per_class=3, dim=2))
+        before = path.read_bytes()
+        real_open = builtins.open
+
+        class TornFile:
+            """Writes half of what it is given, then reports a full disk."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(bytes(data)[: len(data) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(builtins, "open", lambda f, m: TornFile(real_open(f, m)))
+        with pytest.raises(OSError) as exc:
+            save_embeddings(path, small_table(classes=3, per_class=4, dim=5))
+        monkeypatch.undo()
+        assert exc.value.filename == path
+        assert path.read_bytes() == before
+        assert load_embeddings(path).rows.shape == (6, 2)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.mcte"]
+
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "v9.mcte"
         save_embeddings(path, small_table(classes=2, per_class=2, dim=2))

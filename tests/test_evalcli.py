@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -260,6 +260,23 @@ class TestRendering:
         assert parsed[-1]["mean_nll"] is None
         assert parsed[-1]["nll_infinite"] is True
         assert "inf" in render_table(rep)
+
+    def test_json_keys_are_the_record_fields(self):
+        rep = evaluate(EUCLID, PLAIN_SPEC, EvalProtocol(n_episodes=3, T=1))
+        *episodes, summary = [json.loads(ln) for ln in render_jsonl(rep).strip().split("\n")]
+        assert [e.keys() - {"record"} for e in episodes] == [
+            {f.name for f in fields(EpisodeRecord)}] * 3
+        assert summary.keys() - {"record"} == {f.name for f in fields(Report)} - {"records"}
+        assert episodes[1] == {"record": "episode", **vars(rep.records[1])}
+
+        # a field added to a record reaches its JSON object with no change to the renderer
+        @dataclass(frozen=True)
+        class TracedRecord(EpisodeRecord):
+            trajectory: tuple = (0.25, 0.5)
+
+        traced = replace(rep, records=tuple(TracedRecord(**vars(r)) for r in rep.records))
+        first = json.loads(render_jsonl(traced).split("\n")[0])
+        assert first["trajectory"] == [0.25, 0.5] and first["seed"] == rep.records[0].seed
 
     def test_table_shows_mean_and_interval(self):
         rep = evaluate(EUCLID, ORACLE_SPEC, EvalProtocol(n_episodes=3, T=0))
@@ -673,11 +690,17 @@ class TestCli:
         assert not (tmp_path / "m.mctp").exists()
 
     def test_unwritable_report_exits_two(self, tmp_path, capsys):
-        report = str(tmp_path / "no-such-dir" / "r.jsonl")
-        code = main(["eval", "--episodes", "1", "--transduction-steps", "0",
-                     "--report", report])
-        assert code == 2
-        assert f"error: cannot write {report}: " in capsys.readouterr().err
+        # and every other output: train's checkpoint and make-synth's table
+        out = str(tmp_path / "no-such-dir" / "r.bin")
+        for args in (
+            ["eval", "--episodes", "1", "--transduction-steps", "0", "--report", out],
+            ["train", "--steps", "1", "--ways", "3", "--queries", "2", "--out", out],
+            ["make-synth", "--classes", "2", "--per-class", "2", "--out", out],
+        ):
+            assert main(args) == 2, args
+            err = capsys.readouterr().err
+            assert err == f"error: cannot write {out}: No such file or directory\n", args
+        assert list(tmp_path.iterdir()) == []
 
     def test_config_file_supplies_defaults(self, table_file, tmp_path):
         cfg = tmp_path / "mct.cfg"
@@ -772,12 +795,28 @@ class TestCli:
         (["eval", "--episodes", "1", "--report", "{out}"], "transduction-steps", "-1"),
         (["eval", "--episodes", "1", "--report", "{out}"], "queries", "0"),
         (["eval", "--episodes", "1", "--report", "{out}"], "queries", "-3"),
+        (["eval", "--report", "{out}"], "episodes", "0"),
+        (["eval", "--episodes", "1", "--report", "{out}"], "shots", "0"),
+        (["eval", "--episodes", "1", "--report", "{out}"], "workers", "0"),
+        (["eval", "--episodes", "1", "--report", "{out}"], "dim", "0"),
+        (["gradcheck"], "trials", "0"),
+        (["train", "--out", "{out}"], "steps", "0"),
+        (["train", "--steps", "1", "--out", "{out}"], "dim", "0"),
+        (["train", "--steps", "1", "--out", "{out}"], "pool-classes", "0"),
+        (["train", "--steps", "1", "--out", "{out}"], "ways", "1"),
+        (["train", "--steps", "1", "--out", "{out}"], "shots", "0"),
+        (["train", "--steps", "1", "--out", "{out}"], "queries", "0"),
+        (["make-synth", "--out", "{out}"], "classes", "0"),
+        (["make-synth", "--out", "{out}"], "per-class", "0"),
+        (["make-synth", "--out", "{out}"], "dim", "0"),
     ])
     @pytest.mark.parametrize("from_config", [False, True])
     def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, command, from_config):
-        # and the other count flags: --unlabeled and --queries count from 1, the rest from 0
+        # and the other count flags: --seed, --transduction-steps and --distractors
+        # count from 0, --ways from 2, the rest from 1
         command, key, value = command
-        expected = "a positive" if key in ("unlabeled", "queries") else "a non-negative"
+        expected = ("a non-negative integer" if key in ("seed", "transduction-steps") else
+                    "an integer of at least 2" if key == "ways" else "a positive integer")
         out = tmp_path / "out.bin"
         args = [a.format(out=out) for a in command]
         if from_config:
@@ -789,7 +828,7 @@ class TestCli:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.count("error:") == 1
-        assert f"argument --{key}: expected {expected} integer, got '{value}'" in err
+        assert f"argument --{key}: expected {expected}, got '{value}'" in err
         assert not out.exists()
 
     def test_semi_mode_runs_without_those_flags(self, table_file, tmp_path):

@@ -638,3 +638,26 @@ class TestParamReuse:
         tape.param(w, name="w")
         with pytest.raises(ContractError):
             tape.param(w + 1.0, name="w")
+
+
+class TestLeaves:
+    def test_untaped_returns_the_given_arrays(self):
+        named = {"g.w": np.arange(6.0).reshape(2, 3), "g.b": np.zeros(3)}
+        got = nk.leaves(named, None)
+        assert got.keys() == named.keys()
+        assert all(got[k] is named[k] for k in named)
+
+    def test_taped_calls_share_one_leaf_per_name(self):
+        tape = nk.Tape()
+        named = {"g.w": np.array([[1.0, -2.0], [0.5, 3.0]]), "g.b": np.array([0.25, -1.0])}
+        first, second = nk.leaves(named, tape), nk.leaves(dict(named), tape)
+        assert list(tape.named_params) == ["g.w", "g.b"]
+        assert all(first[k] is second[k] is tape.named_params[k] for k in named)
+        x = np.array([[1.0, 2.0], [-1.0, 0.5]])
+        # the group enters twice, as a forward pass that reads it twice would
+        loss = nk.asum(nk.add(nk.affine(x, first["g.w"], first["g.b"]),
+                              nk.affine(x, second["g.w"], second["g.b"])))
+        grads = nk.grad(tape, loss)
+        assert len(grads) == 2
+        np.testing.assert_array_equal(grads[first["g.w"]], 2 * x.T @ np.ones((2, 2)))
+        np.testing.assert_array_equal(grads[first["g.b"]], [4.0, 4.0])
