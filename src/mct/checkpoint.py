@@ -62,11 +62,18 @@ def _replace_whole(path, chunks) -> None:
 
     A failed write leaves the previous file as it was and no fresh file
     behind, and its ``OSError`` names ``path``. A symlink is written
-    through to the file it names, and a replaced file keeps its mode.
+    through to the file it names, and a replaced file keeps its mode. A
+    target that exists and is not a regular file (a device, a FIFO,
+    ``/dev/stdout``) is written in place and never replaced.
     """
     target = os.path.realpath(path)
     tmp = f"{target}.{uuid.uuid4().hex[:12]}.tmp"
     try:
+        if os.path.exists(path) and not os.path.isfile(path):
+            with open(path, "wb") as fh:
+                for chunk in chunks:
+                    fh.write(chunk)
+            return
         with open(tmp, "xb") as fh:
             for chunk in chunks:
                 fh.write(chunk)

@@ -11,6 +11,7 @@ computable as a ceiling for everything downstream.
 
 from __future__ import annotations
 
+import os
 import struct
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -49,6 +50,35 @@ def _frozen_array(data, dtype=np.float64) -> np.ndarray:
     return arr
 
 
+def _frozen_ints(data, what: str) -> np.ndarray:
+    """A read-only int64 copy of ``data``.
+
+    A value that is not an integer is a :class:`ContractError` naming the
+    first one; integer and bool input is converted with no check.
+    """
+    arr = np.asarray(data)
+    if arr.dtype.kind not in "biu":
+        flat = np.asarray(arr, dtype=np.float64).ravel()
+        with np.errstate(invalid="ignore"):
+            bad = ~np.isfinite(flat) | (flat != np.trunc(flat))
+        if bad.any():
+            first = float(flat[np.argmax(bad)])
+            raise ContractError(f"{what} must be integers, got {first!r}")
+    return _frozen_array(arr, dtype=np.int64)
+
+
+def _first_non_finite(arr: np.ndarray) -> int | None:
+    """The flat index of the first non-finite value of ``arr``, or None.
+
+    Two reductions that propagate NaN decide; the one-byte-per-value mask
+    that names the position is built only when they find something.
+    """
+    with np.errstate(invalid="ignore"):
+        if np.isfinite(arr.min()) and np.isfinite(arr.max()):
+            return None
+    return int(np.argmin(np.isfinite(arr)))
+
+
 @dataclass(frozen=True)
 class Episode:
     """One few-shot task, stored class-major.
@@ -63,7 +93,8 @@ class Episode:
 
     Every array is float64 (labels and ids int64), read-only, and copied
     from what the caller passed, so later writes to the caller's arrays
-    do not reach the episode.
+    do not reach the episode. A label or id that is not an integer is a
+    :class:`ContractError`.
     """
 
     ways: int
@@ -81,9 +112,9 @@ class Episode:
         if ways < 1 or shots < 1:
             raise ContractError("ways and shots must be at least 1")
         sx = _frozen_array(self.support_x)
-        sy = _frozen_array(self.support_y, dtype=np.int64)
+        sy = _frozen_ints(self.support_y, "support labels")
         qx = _frozen_array(self.query_x)
-        qy = _frozen_array(self.query_y, dtype=np.int64)
+        qy = _frozen_ints(self.query_y, "query labels")
         if sx.ndim != 2 or qx.ndim != 2 or sx.shape[1] != qx.shape[1]:
             raise ContractError("support and query inputs must share one dimensionality")
         if sx.shape[0] != ways * shots or sy.shape != (ways * shots,):
@@ -110,7 +141,7 @@ class Episode:
         for name in ("support_g", "query_g"):
             g = getattr(self, name)
             if g is not None:
-                g = _frozen_array(g, dtype=np.int64)
+                g = _frozen_ints(g, name)
                 expected = sx.shape[0] if name == "support_g" else qx.shape[0]
                 if g.shape != (expected,):
                     raise ContractError(f"{name} must have one id per row")
@@ -179,9 +210,9 @@ class EmbeddingTable:
     its on-disk form carry identical numbers. Input that is not float32 is
     converted to float64 first and then rounded to float32 once; a value
     that is finite but beyond the float32 range is a :class:`DomainError`,
-    as is a non-finite one. Episodes drawn from a table are float64, each
-    value exactly the table's. The sorted class ids, their sizes and their
-    row indices are computed once, here.
+    as is a non-finite one. Class ids must be integers. Episodes drawn
+    from a table are float64, each value exactly the table's. The sorted
+    class ids, their sizes and their row indices are computed once, here.
     """
 
     def __init__(self, rows, labels):
@@ -193,28 +224,35 @@ class EmbeddingTable:
             raise ContractError("rows must be a non-empty 2-D array")
         with np.errstate(over="ignore"):  # an overflow is reported below, by position
             arr = rows.astype(np.float32)
-        finite = np.isfinite(arr)
-        if not finite.all():
-            r, c = divmod(int(np.argmin(finite)), arr.shape[1])
+        bad = _first_non_finite(arr)
+        if bad is not None:
+            r, c = divmod(bad, arr.shape[1])
             raise DomainError(
                 f"embedding row {r}, column {c} is not finite in float32"
                 f" ({float(rows[r, c])!r})"
             )
-        lab = np.asarray(labels, dtype=np.int64)
-        if lab.shape != (arr.shape[0],):
+        self._own(arr, labels)
+
+    def _own(self, rows: np.ndarray, labels) -> None:
+        """Take ``rows``, finite float32 that nothing else references, and index them."""
+        lab = _frozen_ints(labels, "class ids")
+        if lab.shape != (rows.shape[0],):
             raise ContractError("labels length must equal the row count")
         if lab.min() < 0:
             raise ContractError("class ids must be non-negative")
-        arr.flags.writeable = False
-        self._rows = arr
-        self._labels = _frozen_array(lab, dtype=np.int64)
+        rows.flags.writeable = False
+        self._rows = rows
+        self._labels = lab
         # one stable sort groups every class's rows in ascending row order
         order = np.argsort(lab, kind="stable")
         order.flags.writeable = False
         ids, starts = np.unique(lab[order], return_index=True)
+        ends = np.append(starts[1:], lab.size)
         self._class_ids = _frozen_array(ids, dtype=np.int64)
-        self._class_sizes = _frozen_array(np.diff(starts, append=lab.size), dtype=np.int64)
-        self._class_index = dict(zip(ids.tolist(), np.split(order, starts[1:])))
+        self._class_sizes = _frozen_array(ends - starts, dtype=np.int64)
+        self._class_index = {
+            c: order[s:e] for c, s, e in zip(ids.tolist(), starts.tolist(), ends.tolist())
+        }
 
     @property
     def count(self) -> int:
@@ -457,40 +495,47 @@ def save_embeddings(path, table: EmbeddingTable) -> None:
 
 
 def load_embeddings(path) -> EmbeddingTable:
-    """Read an MCTE file, rejecting any deviation with its byte offset."""
+    """Read an MCTE file, rejecting any deviation with its byte offset.
+
+    The header's sizes are checked against the file's length before
+    anything is allocated; the rows are then read straight into the
+    table's own float32 array, so the file is never held as bytes. A
+    source that is not a regular file, such as a pipe, reports no length
+    and is rejected as truncated.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise FormatError(
+                f"file too short for a header ({len(header)} bytes)", offset=len(header)
+            )
+        magic, version, count, dim = _HEADER.unpack(header)
+        if magic != _MAGIC:
+            raise FormatError(f"bad magic {magic!r}", offset=0)
+        if version != _VERSION:
+            raise FormatError(f"unsupported version {version}", offset=4)
+        if count == 0:
+            raise FormatError("empty tables are rejected", offset=8)
+        if dim == 0:
+            raise FormatError("dim must be positive", offset=12)
+        expected = _HEADER.size + count * dim * 4 + count * 4
+        size = os.fstat(fh.fileno()).st_size
+        if size == expected:  # nothing is allocated that the file does not hold
+            rows = np.empty((count, dim), dtype="<f4")
+            labels = np.empty(count, dtype="<u4")
+            # a file that shrinks while it is read is truncated too
+            size = _HEADER.size + fh.readinto(rows) + fh.readinto(labels)
+    if size < expected:
         raise FormatError(
-            f"file too short for a header ({len(blob)} bytes)", offset=len(blob)
+            f"truncated: expected {expected} bytes, got {size}", offset=size
         )
-    magic, version, count, dim = _HEADER.unpack_from(blob, 0)
-    if magic != _MAGIC:
-        raise FormatError(f"bad magic {magic!r}", offset=0)
-    if version != _VERSION:
-        raise FormatError(f"unsupported version {version}", offset=4)
-    if count == 0:
-        raise FormatError("empty tables are rejected", offset=8)
-    if dim == 0:
-        raise FormatError("dim must be positive", offset=12)
-    rows_bytes = count * dim * 4
-    expected = _HEADER.size + rows_bytes + count * 4
-    if len(blob) < expected:
+    if size > expected:
         raise FormatError(
-            f"truncated: expected {expected} bytes, got {len(blob)}",
-            offset=len(blob),
+            f"trailing bytes: expected {expected}, got {size}", offset=expected
         )
-    if len(blob) > expected:
-        raise FormatError(
-            f"trailing bytes: expected {expected}, got {len(blob)}",
-            offset=expected,
-        )
-    rows = np.frombuffer(blob, dtype="<f4", count=count * dim, offset=_HEADER.size)
-    labels = np.frombuffer(blob, dtype="<u4", count=count, offset=_HEADER.size + rows_bytes)
-    try:
-        return EmbeddingTable(rows=rows.reshape(count, dim), labels=labels.astype(np.int64))
-    except DomainError:  # the table's one finiteness pass failed; find the value's offset
-        bad = int(np.argmin(np.isfinite(rows)))
-        raise FormatError(
-            "non-finite embedding value", offset=_HEADER.size + bad * 4
-        ) from None
+    bad = _first_non_finite(rows)
+    if bad is not None:
+        raise FormatError("non-finite embedding value", offset=_HEADER.size + bad * 4)
+    table = EmbeddingTable.__new__(EmbeddingTable)
+    table._own(rows, labels)
+    return table

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import numkit as nk
-from .checkpoint import ModelState, load_state, save_state
+from .checkpoint import ModelState, _replace_whole, load_state, save_state
 from .encoder import VIEWS, EncoderParams, embedding_dim
 from .episodes import (
     EmbeddingTable,
@@ -605,8 +605,7 @@ def _cmd_eval(args) -> int:
     )
     report = evaluate(state, source, protocol)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(render_jsonl(report))
+        _replace_whole(args.report, (render_jsonl(report).encode("utf-8"),))
     sys.stdout.write(render_table(report))
     return 0
 

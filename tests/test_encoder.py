@@ -1,5 +1,9 @@
 """Encoder view identities, dropout behavior, input perturbation, MCTP IO."""
 
+import os
+import stat
+import threading
+
 import numpy as np
 import pytest
 
@@ -371,6 +375,19 @@ class TestCheckpointIO:
         assert path.read_bytes() == before
         np.testing.assert_array_equal(load_tensors(path)["x"], np.ones(3))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.mctp"]
+
+    def test_fifo_target_is_written_in_place(self, tmp_path):
+        fifo, plain = tmp_path / "out.fifo", tmp_path / "plain.mctp"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        save_tensors(fifo, {"x": np.ones(3)})
+        reader.join(timeout=30)
+        save_tensors(plain, {"x": np.ones(3)})
+        assert not reader.is_alive() and got == [plain.read_bytes()]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.fifo", "plain.mctp"]
 
     def test_write_follows_symlink_and_keeps_mode(self, tmp_path):
         target = tmp_path / "real.mctp"

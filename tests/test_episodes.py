@@ -1,5 +1,9 @@
 """Episode sampling invariants, Bayes-oracle anchors, and MCTE file IO."""
 
+import os
+import re
+import struct
+import threading
 import tracemalloc
 from dataclasses import fields
 
@@ -55,6 +59,25 @@ class TestEpisodeType:
         with pytest.raises(ContractError, match=rf"^{part} must hold exactly {per} items per class$"):
             Episode(ways=2, shots=1, support_x=np.zeros((2, 3)), support_y=given["support"],
                     query_x=np.zeros((4, 3)), query_y=given["query"])
+
+    @pytest.mark.parametrize("part, values, message", [
+        ("support_y", [1.9, 2.2], "support labels must be integers, got 1.9"),
+        ("query_y", [1.0, 2.5], "query labels must be integers, got 2.5"),
+        ("support_g", [3.0, np.nan], "support_g must be integers, got nan"),
+        ("query_g", [0.25, 7], "query_g must be integers, got 0.25"),
+    ])
+    def test_labels_and_ids_that_are_not_integers_are_named(self, part, values, message):
+        given = dict(support_y=[1, 2], query_y=[1, 2])
+        given[part] = values
+        with pytest.raises(ContractError, match=rf"^{re.escape(message)}$"):
+            Episode(ways=2, shots=1, support_x=np.zeros((2, 3)), query_x=np.zeros((2, 3)), **given)
+
+    def test_integral_float_labels_are_accepted(self):
+        ep = Episode(ways=2, shots=1, support_x=np.zeros((2, 3)), support_y=[1.0, 2.0],
+                     query_x=np.zeros((2, 3)), query_y=np.array([2.0, 1.0]),
+                     support_g=[4.0, -0.0])
+        assert ep.support_y.dtype == ep.query_y.dtype == ep.support_g.dtype == np.int64
+        assert ep.query_y.tolist() == [2, 1] and ep.support_g.tolist() == [4, 0]
 
     def test_rejects_unbalanced_support(self):
         with pytest.raises(ContractError):
@@ -530,6 +553,18 @@ class TestEmbeddingFileIO:
         assert load_embeddings(path).rows.shape == (6, 2)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.mcte"]
 
+    def test_pipe_source_is_truncation(self, tmp_path):
+        path = tmp_path / "t.mcte"
+        save_embeddings(path, small_table(classes=2, per_class=2, dim=2))
+        fifo = tmp_path / "t.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()), daemon=True)
+        writer.start()
+        with pytest.raises(FormatError, match="^truncated: expected 64 bytes, got 0 ") as exc:
+            load_embeddings(fifo)
+        writer.join(timeout=30)
+        assert not writer.is_alive() and exc.value.offset == 0
+
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "v9.mcte"
         save_embeddings(path, small_table(classes=2, per_class=2, dim=2))
@@ -637,16 +672,57 @@ class TestFloat32Table:
         assert all(tuple(r) in table_values for x in parts for r in x.tolist())
 
     # Peak bytes traced per table value (4,000 rows of 128). The float32 rows
-    # alone take 4; a float64 copy of the table would take 8 more.
+    # alone take 4; a float64 copy of the table would take 8 more, a bytes
+    # copy of the file 4 more, and a finiteness mask 1 more.
     def test_construction_from_float64_peak_memory(self):
         rows = np.random.default_rng(0).standard_normal((4000, 128))
         labels = np.repeat(np.arange(400), 10)
         peak = traced_peak(lambda: EmbeddingTable(rows, labels))
-        assert peak <= 6 * rows.size
+        assert peak <= 5 * rows.size
 
     def test_load_peak_memory(self, tmp_path):
         rows = np.random.default_rng(0).standard_normal((4000, 128))
         path = tmp_path / "big.mcte"
         save_embeddings(path, EmbeddingTable(rows, np.repeat(np.arange(400), 10)))
         peak = traced_peak(lambda: load_embeddings(path))
-        assert peak <= 10.5 * rows.size
+        assert peak <= 5 * rows.size
+
+    @pytest.mark.parametrize("flat, value", [
+        (0, np.nan), (0, -np.inf), (4 * 3 - 1, np.nan), (4 * 3 - 1, np.inf),
+    ])
+    def test_non_finite_value_at_either_end_is_found(self, tmp_path, flat, value):
+        r, c = divmod(flat, 3)
+        rows = np.arange(12.0).reshape(4, 3)
+        rows[r, c] = value
+        with pytest.raises(DomainError, match=(
+            rf"^embedding row {r}, column {c} is not finite in float32 \({value!r}\)$"
+        )):
+            EmbeddingTable(rows, [0, 1, 2, 3])
+        path = tmp_path / "t.mcte"
+        save_embeddings(path, EmbeddingTable(np.arange(12.0).reshape(4, 3), [0, 1, 2, 3]))
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<f", blob, 16 + flat * 4, value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="^non-finite embedding value ") as exc:
+            load_embeddings(path)
+        assert exc.value.offset == 16 + flat * 4
+
+    def test_loaded_rows_are_a_plain_read_only_array(self, tmp_path):
+        path = tmp_path / "t.mcte"
+        save_embeddings(path, ragged_table([4, 7, 2], seed=9, dim=5))
+        back = load_embeddings(path)
+        assert type(back.rows) is np.ndarray and back.rows.dtype == np.float32
+        assert back.rows.base is None and not back.rows.flags.writeable
+        with pytest.raises(ValueError):
+            back.rows[0, 0] = 1.0
+
+    @pytest.mark.parametrize("labels, bad", [
+        ([0.5, 1.7, 2.2], "0.5"), ([0, 1, np.nan], "nan"), ([0.0, 2.0, -np.inf], "-inf"),
+    ])
+    def test_class_ids_that_are_not_integers_are_named(self, labels, bad):
+        with pytest.raises(ContractError, match=rf"^class ids must be integers, got {bad}$"):
+            EmbeddingTable(np.ones((3, 2)), labels)
+
+    def test_integral_float_class_ids_are_accepted(self):
+        t = EmbeddingTable(np.ones((3, 2)), [2.0, 0.0, 2.0])
+        assert t.labels.dtype == np.int64 and t.classes == [0, 2]

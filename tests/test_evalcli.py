@@ -702,6 +702,58 @@ class TestCli:
             assert err == f"error: cannot write {out}: No such file or directory\n", args
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_report_write_keeps_previous_report(self, tmp_path, monkeypatch, capsys):
+        import builtins
+        import errno
+
+        report = tmp_path / "r.jsonl"
+        args = ["eval", "--episodes", "2", "--transduction-steps", "0", "--report", str(report)]
+        assert main(args) == 0
+        before = report.read_bytes()
+        real_open = builtins.open
+
+        class TornFile:
+            """Writes half of what it is given, then reports a full disk."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(builtins, "open", lambda f, m, **kw: TornFile(real_open(f, m, **kw)))
+        capsys.readouterr()
+        code = main(args + ["--seed", "5"])
+        monkeypatch.undo()
+        assert code == 2
+        assert capsys.readouterr().err == f"error: cannot write {report}: No space left on device\n"
+        assert report.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.jsonl"]
+
+    def test_report_to_dev_stdout_is_written_in_place(self):
+        # stdout is a pipe here, so /dev/stdout names that pipe
+        src = Path(evalcli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+        )}
+        run = subprocess.run(
+            [sys.executable, "-m", "mct", "eval", "--episodes", "2",
+             "--transduction-steps", "0", "--report", "/dev/stdout"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        lines = run.stdout.splitlines()
+        assert [json.loads(line)["record"] for line in lines[:3]] == ["episode", "episode", "summary"]
+        assert "accuracy" in run.stdout.split("\n", 3)[3]
+
     def test_config_file_supplies_defaults(self, table_file, tmp_path):
         cfg = tmp_path / "mct.cfg"
         cfg.write_text("episodes=4\ntransduction-steps=1  # comment\n\n")

@@ -1,6 +1,7 @@
 """Malformed .mctp and .mcte files: every defect is a FormatError."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,3 +93,19 @@ def test_huge_extents_are_truncation_not_overflow(tmp_path):
     with pytest.raises(FormatError, match="truncated") as exc:
         load_state(path)
     assert exc.value.offset == len(blob)
+
+
+def test_table_huge_extents_are_truncation_not_allocation(tmp_path):
+    # a header claiming (2^32 - 1)^2 values must not become an allocation
+    blob = struct.pack("<4sIII", b"MCTE", 1, 2**32 - 1, 2**32 - 1) + bytes(64)
+    path = tmp_path / "huge.mcte"
+    path.write_bytes(blob)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="truncated") as exc:
+            load_embeddings(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(blob) == 80 and exc.value.offset == 80
+    assert peak < 2**20
