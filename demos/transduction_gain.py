@@ -10,7 +10,7 @@ true class means) bounds what any classifier could do.
 import numpy as np
 
 from mct import MetricSpec, SyntheticSpec, VIEWS, derive_seed, gen_synthetic
-from mct.transduce import predict_labels, soft_kmeans
+from mct.transduce import predict_labels, refine_batch
 
 SPEC = SyntheticSpec(input_dim=16, class_spread=4.0, within_std=1.0)
 EPISODES = 300
@@ -23,9 +23,10 @@ bayes = np.zeros(EPISODES)
 for i in range(EPISODES):
     episode, oracle = gen_synthetic(SPEC, 5, 1, 15, rng_seed=derive_seed(0, i))
     bayes[i] = oracle.episode_accuracy(episode)
+    # trace[t] is the refinement stopped after t steps
+    trace = refine_batch([episode], None, VIEWS[:1], metric, max(STEPS))[0]
     for t in STEPS:
-        conf = soft_kmeans(episode, None, VIEWS[0], metric, t)
-        acc[t][i] = np.mean(predict_labels(conf) == episode.query_y)
+        acc[t][i] = np.mean(predict_labels(trace[t]) == episode.query_y)
 
 print(f"5-way 1-shot, 15 queries, {EPISODES} episodes, dim {SPEC.input_dim}")
 print(f"{'steps':>6}  {'accuracy':>9}  {'ci95':>7}")

@@ -63,17 +63,7 @@ from .metatrain import (
     training_loss,
 )
 from .metric import METRIC_KINDS, MetricSpec, ScalerParams, pairwise, scaler_eval
-from .transduce import (
-    Prototypes,
-    confidence,
-    init_prototypes,
-    mct_infer,
-    predict_labels,
-    refine,
-    refine_batch,
-    soft_kmeans,
-    update_prototypes,
-)
+from .transduce import confidence, predict_labels, refine_batch, update_prototypes
 
 __version__ = "0.1.0"
 
@@ -92,8 +82,7 @@ __all__ = [
     "MetricSpec", "ScalerParams", "METRIC_KINDS",
     "scaler_eval", "pairwise",
     # transduction
-    "Prototypes", "init_prototypes", "confidence", "update_prototypes",
-    "refine", "refine_batch", "soft_kmeans", "mct_infer", "predict_labels",
+    "confidence", "update_prototypes", "refine_batch", "predict_labels",
     # training
     "TrainConfig", "TrainState", "StepReport", "GlobalClassifier",
     "LrSchedule", "lr_at", "instance_loss", "dimension_loss",

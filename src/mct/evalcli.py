@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -50,6 +51,7 @@ from .metatrain import (
     LrSchedule,
     TrainConfig,
     _model_from_named,
+    _source_dim,
     train,
     training_loss,
 )
@@ -539,10 +541,6 @@ def _make_source(args):
     return load_embeddings(args.source)
 
 
-def _source_dim(source) -> int:
-    return source.dim if isinstance(source, EmbeddingTable) else int(source.input_dim)
-
-
 def _fresh_metric(kind: str, dim: int, seed: int) -> MetricSpec:
     rng = np.random.default_rng(derive_seed(seed, 41201))
     if kind == "euclid":
@@ -604,10 +602,24 @@ def _cmd_eval(args) -> int:
         distractors=args.distractors or 0, workers=args.workers,
     )
     report = evaluate(state, source, protocol)
-    if args.report:
+    if args.report and _is_stdout(args.report):
+        sys.stdout.write(render_jsonl(report))
+    elif args.report:
         _replace_whole(args.report, (render_jsonl(report).encode("utf-8"),))
     sys.stdout.write(render_table(report))
     return 0
+
+
+def _is_stdout(path) -> bool:
+    """Whether ``path`` is the file that stdout already writes (``> FILE``, ``/dev/stdout``).
+
+    Replacing that file would leave the rest of stdout on an unlinked inode.
+    """
+    try:
+        here, out = os.stat(path), os.fstat(sys.stdout.fileno())
+    except (AttributeError, OSError, ValueError):  # no such file, or a stdout without an fd
+        return False
+    return (here.st_dev, here.st_ino) == (out.st_dev, out.st_ino)
 
 
 def _cmd_gradcheck(args) -> int:
@@ -644,27 +656,24 @@ def _file_error(exc: OSError, outputs=()) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = _build_parser()
+    args = None
     try:
         args = _apply_config_file(parser, argv)
+        handler = {
+            "train": _cmd_train,
+            "eval": _cmd_eval,
+            "gradcheck": _cmd_gradcheck,
+            "make-synth": _cmd_make_synth,
+        }[args.command]
+        return handler(args)
     except SystemExit as exc:  # argparse usage errors already exit with 2
         return int(exc.code or 0)
     except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        return _file_error(exc)
-    handler = {
-        "train": _cmd_train,
-        "eval": _cmd_eval,
-        "gradcheck": _cmd_gradcheck,
-        "make-synth": _cmd_make_synth,
-    }[args.command]
-    try:
-        return handler(args)
-    except FormatError as exc:
-        print(f"format error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        if args is None:  # the config file is the only file parsing opens
+            return _file_error(exc)
         return _file_error(exc, (getattr(args, "out", None), getattr(args, "report", None)))
     except MctError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -311,8 +311,7 @@ def dimension_loss(
         raise ContractError("per-position rows must be a multiple of the item count")
     positions = rows // labels.size
     cols = classifier.columns_for(labels)
-    targets = np.zeros((rows, len(classifier.classes)))
-    targets[np.arange(rows), np.repeat(cols, positions)] = 1.0
+    targets = one_hot(np.repeat(cols, positions) + 1, len(classifier.classes))
     w = nk.leaves({"classifier.w": classifier.weight}, tape)["classifier.w"]
     return nk.cross_entropy(nk.matmul(per_pos_emb, w), targets)
 
@@ -404,6 +403,10 @@ def train_step(
     )
 
 
+def _source_dim(source) -> int:
+    return source.dim if isinstance(source, EmbeddingTable) else int(source.input_dim)
+
+
 def _global_classes(source) -> list[int]:
     if isinstance(source, EmbeddingTable):
         return source.classes
@@ -429,7 +432,7 @@ def train(
     source's input width; ``encoder=None`` trains metric and classifier
     over raw inputs. The default metric is the instance-scaled kind.
     """
-    input_dim = source.dim if isinstance(source, EmbeddingTable) else int(source.input_dim)
+    input_dim = _source_dim(source)
     init_rng = np.random.default_rng(config.seed)
     if encoder == "auto":
         encoder = EncoderParams.init(input_dim, init_rng)

@@ -10,9 +10,9 @@ confidences into a single ensemble at every step, and updates all views
 with that shared ensemble, each in its own embedding space; an
 episode's unlabeled pool, if it has one, drives the update in place of
 the queries. :func:`refine_batch` runs it for a batch of same-shape
-episodes and returns the query ensemble at every step; :func:`refine`
-is its one-episode form, ``soft_kmeans`` and ``mct_infer`` keep its
-last step, and its update is the one :func:`update_prototypes` makes.
+episodes and returns the query ensemble at every step (one episode is a
+batch of one, one view is plain soft k-means), and its update is the
+one :func:`update_prototypes` makes.
 
 Confidence matrices are plain (n, ways) float64 arrays whose rows sum
 to one; prototype matrices are (ways, embed_dim), row c-1 for class c.
@@ -20,44 +20,21 @@ to one; prototype matrices are (ways, embed_dim), row c-1 for class c.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import numkit as nk
-from .encoder import VIEWS, ViewSpec, encode_batch
-from .episodes import Episode
+from .encoder import ViewSpec, encode_batch
 from .errors import ContractError
 from .metric import MetricSpec, pairwise, query_terms
 
 __all__ = [
-    "Prototypes",
     "one_hot",
-    "class_counts",
     "init_from_embeddings",
-    "init_prototypes",
     "confidence",
     "update_prototypes",
     "refine_batch",
-    "refine",
-    "soft_kmeans",
-    "mct_infer",
     "predict_labels",
 ]
-
-
-@dataclass(frozen=True)
-class Prototypes:
-    """Per-view prototype matrices."""
-
-    by_view: dict[str, np.ndarray]
-
-    def __post_init__(self):
-        if not self.by_view:
-            raise ContractError("need at least one view")
-        shapes = {v.shape for v in self.by_view.values()}
-        if len(shapes) != 1:
-            raise ContractError("views must share one prototype shape")
 
 
 def one_hot(labels, ways: int) -> np.ndarray:
@@ -70,7 +47,7 @@ def one_hot(labels, ways: int) -> np.ndarray:
     return out
 
 
-def class_counts(labels, ways: int) -> np.ndarray:
+def _class_counts(labels, ways: int) -> np.ndarray:
     counts = np.bincount(np.asarray(labels, dtype=np.int64), minlength=ways + 1)[1:]
     if np.any(counts == 0):
         raise ContractError("every class needs at least one support item")
@@ -84,21 +61,8 @@ def init_from_embeddings(support_emb, support_y, ways: int):
     support set and return (P, ways, l).
     """
     y_t = one_hot(support_y, ways).T
-    counts = class_counts(support_y, ways)
+    counts = _class_counts(support_y, ways)
     return nk.div(nk.matmul(y_t, support_emb), counts[:, None])
-
-
-def init_prototypes(
-    episode: Episode,
-    encoder,
-    views: tuple[ViewSpec, ...] = VIEWS,
-) -> Prototypes:
-    """Per-view initial prototypes from the episode's support set."""
-    by_view = {}
-    for v in views:
-        emb = encode_batch(encoder, episode.support_x, v)
-        by_view[v.name] = init_from_embeddings(emb, episode.support_y, episode.ways)
-    return Prototypes(by_view=by_view)
 
 
 def confidence(query_emb, protos, metric: MetricSpec, tape: nk.Tape | None = None):
@@ -128,7 +92,7 @@ def update_prototypes(
             f"confidence shape {cv.shape} does not match {qv.shape[-2]} items x {ways} classes"
         )
     class_sums = nk.matmul(one_hot(support_y, ways).T, support_emb)
-    return _weighted_mean(class_sums, class_counts(support_y, ways)[:, None], query_emb, conf)
+    return _weighted_mean(class_sums, _class_counts(support_y, ways)[:, None], query_emb, conf)
 
 
 def _weighted_mean(class_sums, counts, emb, conf):
@@ -210,7 +174,7 @@ def refine_batch(
     if pooled:
         emb_d = embed([ep.unlabeled_x for ep in episodes])
         d_terms = query_terms(metric, flat(emb_d))
-    counts = np.stack([class_counts(ep.support_y, ways) for ep in episodes])[:, None, :, None]
+    counts = np.stack([_class_counts(ep.support_y, ways) for ep in episodes])[:, None, :, None]
     indicator = np.stack([one_hot(ep.support_y, ways).T for ep in episodes])[:, None]
     class_sums = np.matmul(indicator, emb_s)
     protos = class_sums / counts
@@ -223,39 +187,6 @@ def refine_batch(
                 conf = ensemble(emb_d, d_terms, protos)
             protos = _weighted_mean(class_sums, counts, emb_d, conf[:, None])
     return trace
-
-
-def refine(
-    episode: Episode,
-    encoder,
-    views: tuple[ViewSpec, ...],
-    metric: MetricSpec,
-    T: int,
-) -> np.ndarray:
-    """One episode's ensemble trace, (T+1, n_query, ways); see :func:`refine_batch`."""
-    return refine_batch([episode], encoder, views, metric, T)[0]
-
-
-def soft_kmeans(
-    episode: Episode,
-    encoder,
-    view: ViewSpec,
-    metric: MetricSpec,
-    T: int,
-) -> np.ndarray:
-    """Single-view transduction; T = 0 is plain inductive inference."""
-    return refine(episode, encoder, (view,), metric, T)[-1]
-
-
-def mct_infer(
-    episode: Episode,
-    encoder,
-    views: tuple[ViewSpec, ...],
-    metric: MetricSpec,
-    T: int,
-) -> np.ndarray:
-    """Multi-view ensemble transduction; the ensemble at step T of :func:`refine`."""
-    return refine(episode, encoder, views, metric, T)[-1]
 
 
 def predict_labels(conf) -> np.ndarray:

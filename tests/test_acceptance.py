@@ -13,7 +13,7 @@ import pytest
 from scipy import stats
 
 from mct.checkpoint import ModelState
-from mct.encoder import VIEWS, EncoderParams
+from mct.encoder import VIEWS, EncoderParams, encode_batch
 from mct.episodes import (
     EmbeddingTable,
     SyntheticSpec,
@@ -24,13 +24,7 @@ from mct.episodes import (
 from mct.evalcli import EvalProtocol, evaluate, gradcheck, main, nll
 from mct.metatrain import TrainConfig, train
 from mct.metric import MetricSpec, ScalerParams
-from mct.transduce import (
-    confidence,
-    init_prototypes,
-    mct_infer,
-    soft_kmeans,
-    update_prototypes,
-)
+from mct.transduce import confidence, init_from_embeddings, refine_batch, update_prototypes
 
 _MODULE_T0 = time.perf_counter()
 
@@ -116,7 +110,7 @@ def test_criterion_1_confidence_rows_normalize():
             metric = MetricSpec(kind="pair", scaler=ScalerParams.init(2 * dim, rng, hidden=4))
         steps = int(rng.integers(0, 4))
         episode = sample_episode(spec, ways, shots, queries, int(rng.integers(2**32)))
-        conf = soft_kmeans(episode, None, VIEWS[0], metric, steps)
+        conf = refine_batch([episode], None, VIEWS[:1], metric, steps)[0, -1]
         if np.max(np.abs(conf.sum(axis=1) - 1.0)) > 1e-9:
             failures += 1
     elapsed = time.perf_counter() - t0
@@ -155,23 +149,22 @@ def test_criterion_3_algorithm_equivalences():
         ep = sample_episode(FROZEN_SPEC, 5, 1, 15, derive_seed(31, i))
         # zeroed last branch plus no augmented views: both views encode
         # identically, so the ensemble must retrace the plain chain
-        a = mct_infer(ep, collapsed, VIEWS[:2], metric, 3)
-        b = soft_kmeans(ep, collapsed, VIEWS[0], metric, 3)
+        a = refine_batch([ep], collapsed, VIEWS[:2], metric, 3)[0, -1]
+        b = refine_batch([ep], collapsed, VIEWS[:1], metric, 3)[0, -1]
         worst = max(worst, float(np.max(np.abs(a - b))))
     ok_a = worst < 1e-12
 
     ep = sample_episode(FROZEN_SPEC, 5, 1, 15, derive_seed(32, 0))
-    protos = init_prototypes(ep, None, VIEWS)
-    locals_ = [confidence_of(ep, v, metric, protos) for v in VIEWS]
+    locals_ = [confidence_of(ep, v, metric) for v in VIEWS]
     expected = sum(locals_) / len(locals_)
-    ensembled = mct_infer(ep, None, VIEWS, metric, 0)
+    ensembled = refine_batch([ep], None, VIEWS, metric, 0)[0, -1]
     ok_b = np.array_equal(expected, ensembled)
 
     ok_c = True
     for i in range(20):
         ep = sample_episode(FROZEN_SPEC, 5, 1, 15, derive_seed(33, i))
-        inductive = confidence(ep.query_x, init_prototypes(ep, None, VIEWS[:1]).by_view["full"], metric)
-        if not np.array_equal(soft_kmeans(ep, None, VIEWS[0], metric, 0), inductive):
+        inductive = confidence_of(ep, VIEWS[0], metric)
+        if not np.array_equal(refine_batch([ep], None, VIEWS[:1], metric, 0)[0, -1], inductive):
             ok_c = False
     _verdict(
         3,
@@ -180,11 +173,9 @@ def test_criterion_3_algorithm_equivalences():
     )
 
 
-def confidence_of(ep, view, metric, protos):
-    from mct.encoder import encode_batch
-
-    emb = encode_batch(None, ep.query_x, view)
-    return confidence(emb, protos.by_view[view.name], metric)
+def confidence_of(ep, view, metric):
+    protos = init_from_embeddings(encode_batch(None, ep.support_x, view), ep.support_y, ep.ways)
+    return confidence(encode_batch(None, ep.query_x, view), protos, metric)
 
 
 def test_criterion_4_closed_forms():
@@ -219,8 +210,9 @@ def test_criterion_5_transduction_gain():
 
     for i in range(1000):
         ep = sample_episode(FROZEN_SPEC, 5, 1, 15, derive_seed(0, i))
-        acc0[i] = np.mean(predict_labels(soft_kmeans(ep, None, VIEWS[0], euclid, 0)) == ep.query_y)
-        acc10[i] = np.mean(predict_labels(soft_kmeans(ep, None, VIEWS[0], euclid, 10)) == ep.query_y)
+        trace = refine_batch([ep], None, VIEWS[:1], euclid, 10)[0]
+        acc0[i] = np.mean(predict_labels(trace[0]) == ep.query_y)
+        acc10[i] = np.mean(predict_labels(trace[10]) == ep.query_y)
     gain = float((acc10 - acc0).mean())
     _, p = stats.ttest_rel(acc10, acc0, alternative="greater")
     elapsed = time.perf_counter() - t0

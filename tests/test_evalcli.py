@@ -29,7 +29,7 @@ from mct.evalcli import (
 from mct import evalcli
 from mct.metatrain import GlobalClassifier, training_loss
 from mct.metric import MetricSpec, ScalerParams
-from mct.transduce import refine, soft_kmeans
+from mct.transduce import refine_batch
 from mct.encoder import VIEWS, EncoderParams
 from oracles import collector_off, metric_of, record_tapes, semi_infer, sets_matrix_stacks
 
@@ -123,7 +123,7 @@ class TestEvaluate:
         # identity encoder: manual single-view chain must agree bitwise
         for r in off.records:
             ep = sample_episode(PLAIN_SPEC, 5, 1, 15, r.seed)
-            conf = soft_kmeans(ep, None, VIEWS[0], MetricSpec.euclid(), 2)
+            conf = refine_batch([ep], None, VIEWS[:1], MetricSpec.euclid(), 2)[0, -1]
             np.testing.assert_array_equal(
                 nll(conf, ep.query_y), r.nll_final
             )
@@ -173,8 +173,8 @@ class TestEvaluate:
     def test_inference_is_blind_to_query_labels(self):
         ep = sample_episode(PLAIN_SPEC, 5, 1, 15, rng_seed=77)
         shuffled = replace(ep, query_y=np.roll(ep.query_y, 7))
-        a = soft_kmeans(ep, None, VIEWS[0], MetricSpec.euclid(), 3)
-        b = soft_kmeans(shuffled, None, VIEWS[0], MetricSpec.euclid(), 3)
+        a = refine_batch([ep], None, VIEWS[:1], MetricSpec.euclid(), 3)
+        b = refine_batch([shuffled], None, VIEWS[:1], MetricSpec.euclid(), 3)
         np.testing.assert_array_equal(a, b)
 
 
@@ -184,7 +184,7 @@ def trained_like_state(kind):
 
 
 def per_episode_records(state, source, protocol):
-    """One episode at a time through ``refine`` or ``soft_kmeans``/``semi_infer`` (oracle)."""
+    """One episode at a time through ``refine_batch`` or ``semi_infer`` (oracle)."""
     records = []
     for i in range(protocol.n_episodes):
         seed = derive_seed(protocol.master_seed, i)
@@ -192,13 +192,13 @@ def per_episode_records(state, source, protocol):
             ep = sample_episode(source, protocol.ways, protocol.shots, protocol.queries, seed,
                                 unlabeled=protocol.unlabeled_count,
                                 distractors=protocol.distractors)
-            conf0 = soft_kmeans(ep, state.encoder, VIEWS[0], state.metric, 0)
+            conf0 = refine_batch([ep], state.encoder, VIEWS[:1], state.metric, 0)[0, -1]
             conf = semi_infer(ep, state.encoder, state.metric)[2]
         else:
             ep = sample_episode(source, protocol.ways, protocol.shots, protocol.queries, seed)
             views = VIEWS if protocol.ensemble else VIEWS[:1]
             steps = protocol.T if protocol.mode == "transductive" else 0
-            trace = refine(ep, state.encoder, views, state.metric, steps)
+            trace = refine_batch([ep], state.encoder, views, state.metric, steps)[0]
             conf0, conf = trace[0], trace[-1]
         records.append(EpisodeRecord(
             index=i, seed=seed,
@@ -545,6 +545,20 @@ def table_file(tmp_path):
     return path
 
 
+def fresh_env():
+    """Environment for a fresh interpreter that imports this package, default warning filters."""
+    src = Path(evalcli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+    )}
+    env.pop("PYTHONWARNINGS", None)
+    return env
+
+
+REPORT_TO_STDOUT = [sys.executable, "-m", "mct", "eval", "--episodes", "2",
+                    "--transduction-steps", "0", "--report", "/dev/stdout"]
+
+
 class TestCli:
     def test_make_synth_emits_loadable_table(self, table_file):
         table = load_embeddings(table_file)
@@ -619,17 +633,12 @@ class TestCli:
 
     def test_diverging_train_prints_one_line(self, tmp_path):
         # a fresh interpreter with default warning filters, as a user runs it
-        src = Path(evalcli.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (str(src), os.environ.get("PYTHONPATH")) if p
-        )}
-        env.pop("PYTHONWARNINGS", None)
         ckpt = tmp_path / "m.mctp"
         run = subprocess.run(
             [sys.executable, "-c", "import sys; from mct.evalcli import main; "
              "sys.exit(main(sys.argv[1:]))",
              "train", "--lr", "50", "--steps", "30", "--out", str(ckpt)],
-            capture_output=True, text=True, env=env, timeout=300,
+            capture_output=True, text=True, env=fresh_env(), timeout=300,
         )
         assert run.returncode == 1
         assert run.stderr == (
@@ -740,19 +749,23 @@ class TestCli:
 
     def test_report_to_dev_stdout_is_written_in_place(self):
         # stdout is a pipe here, so /dev/stdout names that pipe
-        src = Path(evalcli.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (str(src), os.environ.get("PYTHONPATH")) if p
-        )}
-        run = subprocess.run(
-            [sys.executable, "-m", "mct", "eval", "--episodes", "2",
-             "--transduction-steps", "0", "--report", "/dev/stdout"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        run = subprocess.run(REPORT_TO_STDOUT, capture_output=True, text=True,
+                             env=fresh_env(), timeout=120)
         assert run.returncode == 0, run.stderr
         lines = run.stdout.splitlines()
         assert [json.loads(line)["record"] for line in lines[:3]] == ["episode", "episode", "summary"]
         assert "accuracy" in run.stdout.split("\n", 3)[3]
+
+    def test_report_to_stdout_redirected_to_a_file_keeps_the_table(self, tmp_path):
+        # /dev/stdout names out.txt here: replacing that file would send
+        # the table to an unlinked inode
+        piped = subprocess.run(REPORT_TO_STDOUT, capture_output=True, env=fresh_env(), timeout=120)
+        out = tmp_path / "out.txt"
+        with open(out, "wb") as fh:
+            run = subprocess.run(REPORT_TO_STDOUT, stdout=fh, stderr=subprocess.PIPE,
+                                 env=fresh_env(), timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert out.read_bytes() == piped.stdout
 
     def test_config_file_supplies_defaults(self, table_file, tmp_path):
         cfg = tmp_path / "mct.cfg"
@@ -798,15 +811,10 @@ class TestCli:
         assert "accuracy" in capsys.readouterr().out
 
     def test_python_dash_m_runs_without_warning(self, tmp_path):
-        src = Path(evalcli.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (str(src), os.environ.get("PYTHONPATH")) if p
-        )}
-        env.pop("PYTHONWARNINGS", None)
         out = tmp_path / "t.mcte"
         run = subprocess.run(
             [sys.executable, "-m", "mct", "make-synth", "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=fresh_env(), timeout=120,
         )
         assert run.returncode == 0
         assert "RuntimeWarning" not in run.stderr

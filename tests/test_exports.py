@@ -1,5 +1,6 @@
-"""Every exported name resolves, in the package and in each module."""
+"""Every exported name resolves, in the package, in each module and in each demo."""
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 
 import mct
 
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 MODULES = [
     "__main__", "checkpoint", "encoder", "episodes", "errors",
     "evalcli", "metatrain", "metric", "numkit", "transduce",
@@ -39,3 +41,15 @@ def test_reference_forms_live_in_the_tests():
         assert name not in mct.__all__ and not hasattr(mct, name)
         assert name not in getattr(mct, module).__all__
         assert not hasattr(getattr(mct, module), name)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_imports_resolve(demo):
+    # parsed, not run: the demos train and evaluate for minutes
+    tree = ast.parse(demo.read_text(), filename=str(demo))
+    names = [(node.module, alias.name) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mct"
+             for alias in node.names]
+    assert names
+    missing = [f"{m}.{n}" for m, n in names if not hasattr(importlib.import_module(m), n)]
+    assert not missing

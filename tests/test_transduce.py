@@ -14,12 +14,8 @@ from mct.metric import METRIC_KINDS, MetricSpec
 from mct.transduce import (
     confidence,
     init_from_embeddings,
-    init_prototypes,
-    mct_infer,
     predict_labels,
-    refine,
     refine_batch,
-    soft_kmeans,
     update_prototypes,
 )
 from oracles import check_confidence, metric_of, semi_infer
@@ -52,8 +48,9 @@ def synth_episode(seed=0, ways=5, shots=1, queries=15, dim=16, spread=4.0, std=1
 class TestInitPrototypes:
     def test_one_shot_prototype_is_the_support_point(self):
         ep, _ = synth_episode(shots=1)
-        protos = init_prototypes(ep, None, (VIEWS[0],))
-        np.testing.assert_array_equal(protos.by_view["full"], ep.support_x)
+        protos = init_from_embeddings(encode_batch(None, ep.support_x, VIEWS[0]),
+                                      ep.support_y, ep.ways)
+        np.testing.assert_array_equal(protos, ep.support_x)
 
     def test_opposite_points_average_to_zero(self):
         a = np.array([[1.0, -2.0], [-1.0, 2.0]])
@@ -62,10 +59,11 @@ class TestInitPrototypes:
 
     def test_collapsed_views_share_prototypes(self):
         ep, _ = synth_episode(dim=8)
-        protos = init_prototypes(palindromize(ep), None, VIEWS)
-        base = protos.by_view["full"]
-        for name in ("drop", "aug", "aug_drop"):
-            np.testing.assert_array_equal(protos.by_view[name], base)
+        sym = palindromize(ep)
+        protos = [init_from_embeddings(encode_batch(None, sym.support_x, v), sym.support_y, sym.ways)
+                  for v in VIEWS]
+        for other in protos[1:]:
+            np.testing.assert_array_equal(other, protos[0])
 
     def test_multi_shot_mean(self):
         emb = np.array([[0.0, 0.0], [2.0, 4.0], [10.0, 0.0], [10.0, 2.0]])
@@ -185,63 +183,57 @@ class TestUpdatePrototypes:
 class TestSoftKmeans:
     def test_t_zero_is_inductive(self):
         ep, _ = synth_episode(seed=3)
-        protos = init_prototypes(ep, None, (VIEWS[0],)).by_view["full"]
+        protos = init_from_embeddings(encode_batch(None, ep.support_x, VIEWS[0]),
+                                      ep.support_y, ep.ways)
         direct = confidence(ep.query_x, protos, EUCLID)
-        np.testing.assert_array_equal(soft_kmeans(ep, None, VIEWS[0], EUCLID, 0), direct)
+        np.testing.assert_array_equal(refine_batch([ep], None, VIEWS[:1], EUCLID, 0)[0, -1], direct)
 
     def test_t_one_matches_manual_chain(self):
         ep, _ = synth_episode(seed=4)
-        protos = init_prototypes(ep, None, (VIEWS[0],)).by_view["full"]
+        protos = init_from_embeddings(encode_batch(None, ep.support_x, VIEWS[0]),
+                                      ep.support_y, ep.ways)
         q0 = confidence(ep.query_x, protos, EUCLID)
         p1 = update_prototypes(ep.support_x, ep.support_y, ep.ways, ep.query_x, q0)
         q1 = confidence(ep.query_x, p1, EUCLID)
-        np.testing.assert_array_equal(soft_kmeans(ep, None, VIEWS[0], EUCLID, 1), q1)
+        np.testing.assert_array_equal(refine_batch([ep], None, VIEWS[:1], EUCLID, 1)[0, -1], q1)
 
     def test_negative_t_rejected(self):
         ep, _ = synth_episode()
         with pytest.raises(ContractError):
-            soft_kmeans(ep, None, VIEWS[0], EUCLID, -1)
+            refine_batch([ep], None, VIEWS[:1], EUCLID, -1)
 
     @settings(deadline=None, max_examples=15)
     @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=0, max_value=10))
     def test_property_rows_sum_to_one_at_every_depth(self, seed, T):
         ep, _ = synth_episode(seed=seed, queries=6)
-        conf = soft_kmeans(ep, None, VIEWS[0], EUCLID, T)
+        conf = refine_batch([ep], None, VIEWS[:1], EUCLID, T)[0, -1]
         check_confidence(conf, ep.ways)
 
 
 class TestMctInfer:
-    def test_singleton_view_is_soft_kmeans_bitwise(self):
-        ep, _ = synth_episode(seed=5)
-        for T in (0, 3):
-            np.testing.assert_array_equal(
-                mct_infer(ep, None, (VIEWS[0],), EUCLID, T),
-                soft_kmeans(ep, None, VIEWS[0], EUCLID, T),
-            )
-
     def test_collapsed_views_match_single_view(self):
         ep, _ = synth_episode(seed=6, dim=8)
         sym = palindromize(ep)
-        ens = mct_infer(sym, None, VIEWS, EUCLID, 10)
-        solo = soft_kmeans(sym, None, VIEWS[0], EUCLID, 10)
+        ens = refine_batch([sym], None, VIEWS, EUCLID, 10)[0, -1]
+        solo = refine_batch([sym], None, VIEWS[:1], EUCLID, 10)[0, -1]
         np.testing.assert_allclose(ens, solo, rtol=0, atol=1e-12)
 
     def test_two_view_ensemble_is_exact_mean(self):
         ep, _ = synth_episode(seed=7, dim=8)
         views = (view_by_name("full"), view_by_name("aug"))
-        ens = mct_infer(ep, None, views, EUCLID, 0)
-        p = soft_kmeans(ep, None, views[0], EUCLID, 0)
-        r = soft_kmeans(ep, None, views[1], EUCLID, 0)
+        ens = refine_batch([ep], None, views, EUCLID, 0)[0, -1]
+        p = refine_batch([ep], None, views[:1], EUCLID, 0)[0, -1]
+        r = refine_batch([ep], None, views[1:], EUCLID, 0)[0, -1]
         np.testing.assert_array_equal(ens, (p + r) / 2.0)
 
     def test_rows_sum_to_one(self):
         ep, _ = synth_episode(seed=8)
-        check_confidence(mct_infer(ep, None, VIEWS, EUCLID, 10), ep.ways)
+        check_confidence(refine_batch([ep], None, VIEWS, EUCLID, 10)[0, -1], ep.ways)
 
     def test_empty_views_rejected(self):
         ep, _ = synth_episode()
         with pytest.raises(ContractError):
-            mct_infer(ep, None, (), EUCLID, 1)
+            refine_batch([ep], None, (), EUCLID, 1)
 
 
 class TestSemiInfer:
@@ -270,15 +262,16 @@ class TestSemiInfer:
         encoder, width = ENCODERS["init"]
         metric = metric_of(kind, width)
         ep, _ = synth_episode(seed=12, unlabeled=6)
-        trace = refine(ep, encoder, VIEWS[:1], metric, 1)
+        trace = refine_batch([ep], encoder, VIEWS[:1], metric, 1)[0]
         assert trace.shape == (2, ep.query_x.shape[0], ep.ways)
-        assert np.array_equal(trace[0], soft_kmeans(ep, encoder, VIEWS[0], metric, 0))
+        assert np.array_equal(trace[0], refine_batch([ep], encoder, VIEWS[:1], metric, 0)[0, -1])
         assert np.array_equal(trace[1], semi_infer(ep, encoder, metric)[2])
 
     def test_refinement_moves_prototypes(self):
         ep, _ = synth_episode(seed=11, unlabeled=10)
         protos, _, q_conf = semi_infer(ep, None, EUCLID)
-        init = init_prototypes(ep, None, (VIEWS[0],)).by_view["full"]
+        init = init_from_embeddings(encode_batch(None, ep.support_x, VIEWS[0]),
+                                    ep.support_y, ep.ways)
         assert np.abs(protos - init).max() > 1e-9
         check_confidence(q_conf, ep.ways)
 
@@ -295,8 +288,9 @@ class TestPredictLabels:
         # a single spot check; the statistical version over 1000 episodes
         # lives in the acceptance suite
         ep, _ = synth_episode(seed=1234, queries=15)
-        t0 = np.mean(predict_labels(soft_kmeans(ep, None, VIEWS[0], EUCLID, 0)) == ep.query_y)
-        t10 = np.mean(predict_labels(soft_kmeans(ep, None, VIEWS[0], EUCLID, 10)) == ep.query_y)
+        trace = refine_batch([ep], None, VIEWS[:1], EUCLID, 10)[0]
+        t0 = np.mean(predict_labels(trace[0]) == ep.query_y)
+        t10 = np.mean(predict_labels(trace[10]) == ep.query_y)
         assert t10 >= t0
 
 
@@ -360,21 +354,20 @@ class TestRefine:
             for views in VIEW_SETS:
                 inductive = per_view_mct_infer(ep, encoder, views, metric, 0)
                 for T in (0, 1, 10):
-                    trace = refine(ep, encoder, views, metric, T)
+                    trace = refine_batch([ep], encoder, views, metric, T)[0]
                     assert trace.shape == (T + 1, ep.query_x.shape[0], ep.ways)
                     assert np.array_equal(trace[0], inductive)
                     expected = per_view_mct_infer(ep, encoder, views, metric, T)
                     assert np.array_equal(trace[-1], expected), (len(views), T)
-                    assert np.array_equal(mct_infer(ep, encoder, views, metric, T), expected)
                     if len(views) == 1:
                         solo = per_view_soft_kmeans(ep, encoder, views[0], metric, T)
-                        assert np.array_equal(soft_kmeans(ep, encoder, views[0], metric, T), solo)
+                        assert np.array_equal(trace[-1], solo)
 
     def test_trace_rows_are_the_shorter_runs(self):
         ep, _ = synth_episode(seed=23)
-        trace = refine(ep, None, VIEWS, EUCLID, 5)
+        trace = refine_batch([ep], None, VIEWS, EUCLID, 5)[0]
         for t in range(6):
-            assert np.array_equal(trace[t], mct_infer(ep, None, VIEWS, EUCLID, t))
+            assert np.array_equal(trace[t], refine_batch([ep], None, VIEWS, EUCLID, t)[0, -1])
 
     @pytest.mark.parametrize("mode,ensemble", [
         ("transductive", True), ("transductive", False), ("inductive", True),
@@ -411,7 +404,7 @@ class TestRefineBatch:
         episodes = batch_of(7, shots=2, queries=2)
         for views in (VIEWS[:1], VIEWS):
             for T in (0, 10):
-                solo = [refine(ep, encoder, views, metric, T) for ep in episodes]
+                solo = [refine_batch([ep], encoder, views, metric, T)[0] for ep in episodes]
                 for count in (1, 3, 4, 7):
                     batch = refine_batch(episodes[:count], encoder, views, metric, T)
                     assert batch.shape == (count, T + 1, 10, 5)
@@ -430,8 +423,8 @@ class TestRefineBatch:
         )
         other, _ = synth_episode(seed=41, shots=2, queries=2)
         batch = refine_batch([flipped, other], None, VIEWS, EUCLID, 3)
-        assert np.array_equal(batch[0], refine(flipped, None, VIEWS, EUCLID, 3))
-        assert np.array_equal(batch[1], refine(other, None, VIEWS, EUCLID, 3))
+        assert np.array_equal(batch[0], refine_batch([flipped], None, VIEWS, EUCLID, 3)[0])
+        assert np.array_equal(batch[1], refine_batch([other], None, VIEWS, EUCLID, 3)[0])
         check_confidence(batch[0, -1], ep.ways)
 
     @pytest.mark.parametrize("kind", METRIC_KINDS)
@@ -443,7 +436,7 @@ class TestRefineBatch:
         batch = refine_batch(episodes, encoder, VIEWS[:1], metric, 1)
         assert batch.shape == (5, 2, 75, 5)
         for ep, trace in zip(episodes, batch):
-            assert np.array_equal(trace[0], soft_kmeans(ep, encoder, VIEWS[0], metric, 0))
+            assert np.array_equal(trace[0], refine_batch([ep], encoder, VIEWS[:1], metric, 0)[0, -1])
             assert np.array_equal(trace[1], semi_infer(ep, encoder, metric)[2])
 
     def test_pool_drives_every_step_and_view(self):
@@ -456,13 +449,13 @@ class TestRefineBatch:
             query_x=np.concatenate([ep.query_x[:1] + 50.0, ep.query_x[1:]]),
             query_y=ep.query_y, unlabeled_x=ep.unlabeled_x,
         )
-        a = refine(ep, None, VIEWS, EUCLID, 3)
-        b = refine(moved, None, VIEWS, EUCLID, 3)
+        a = refine_batch([ep], None, VIEWS, EUCLID, 3)[0]
+        b = refine_batch([moved], None, VIEWS, EUCLID, 3)[0]
         assert np.array_equal(a[:, 1:], b[:, 1:])
-        no_pool = refine(Episode(
+        no_pool = refine_batch([Episode(
             ways=ep.ways, shots=ep.shots, support_x=ep.support_x, support_y=ep.support_y,
             query_x=ep.query_x, query_y=ep.query_y,
-        ), None, VIEWS, EUCLID, 3)
+        )], None, VIEWS, EUCLID, 3)[0]
         assert np.array_equal(a[0], no_pool[0])
         assert not np.array_equal(a[-1], no_pool[-1])
 
