@@ -38,7 +38,7 @@ from .encoder import (
 from .episodes import EmbeddingTable, Episode, SyntheticSpec, derive_seed, sample_episode
 from .errors import ContractError, DomainError
 from .metric import MetricSpec, pairwise
-from .transduce import confidence, init_from_embeddings, one_hot, update_prototypes
+from .transduce import init_from_embeddings, one_hot, update_prototypes
 
 __all__ = [
     "LrSchedule",
@@ -202,7 +202,7 @@ def _instance_loss_from_embeddings(
 ):
     """One transduction step: confidences from h-space weight one full-space update."""
     protos_h = init_from_embeddings(emb_s_h, episode.support_y, episode.ways)
-    conf = confidence(emb_q_h, protos_h, metric, tape)
+    conf = nk.softmax_neg(pairwise(metric, emb_q_h, protos_h, tape))
     if detach:
         conf = nk.value_of(conf)
     protos = update_prototypes(

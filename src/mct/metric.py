@@ -210,32 +210,65 @@ def _instance_side(scaler: ScalerParams, x, tape: nk.Tape | None = None):
     return nk.div(nk.unit_rows(x, _NORM_FLOOR), scaler_eval(scaler, x, tape))
 
 
-def query_terms(spec: MetricSpec, a) -> np.ndarray | None:
-    """The query-side part of :func:`pairwise` that no prototype enters.
+def query_terms(spec: MetricSpec, a) -> np.ndarray:
+    """The rows that ``spec`` compares on the query side, which no prototype enters.
 
-    For ``instance`` these are the unit rows of ``a`` divided by g(a);
-    the other kinds have none, since euclid and scaled use the rows as
-    they are and pair evaluates g on whole (query, prototype) pairs.
-    A refinement loop computes them once per episode and passes them to
-    every step's ``pairwise`` call. Untaped; ``a`` is (n, l) or (V, n, l).
+    For ``euclid`` and ``scaled`` these are the rows of ``a`` as they
+    are; for ``instance`` the unit rows divided by g(a); for ``pair``
+    the unit rows, since its g sees whole (query, prototype) pairs. A
+    refinement loop computes them once per episode and passes them to
+    every step's ``pairwise`` call, which then computes distances by
+    expansion. Untaped; ``a`` is (n, l) or (V, n, l).
     """
-    if spec.kind != "instance":
-        return None
-    return _instance_side(spec.scaler, a)
+    if spec.kind == "instance":
+        return _instance_side(spec.scaler, a)
+    if spec.kind == "pair":
+        return nk.unit_rows(a, _NORM_FLOOR)
+    return nk.value_of(a)
+
+
+def _expanded_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """All-pairs squared distances by expansion about the mean c of ``b``'s rows.
+
+    ``|a - c|^2 + |b - c|^2 - 2 (a - c)(b - c)^T``, clamped at 0, with
+    one matrix product per row set. Centring makes the rounding scale
+    with the spread of the rows about c, not with their distance from
+    the origin, and taking c from ``b`` alone keeps each query row's
+    distances independent of the other query rows. The centred operands
+    are fresh C-ordered arrays, so a view with negative strides gives
+    the bits of its contiguous copy, and every row set of a stack those
+    of its own call.
+    """
+    c = b.mean(axis=-2, keepdims=True)
+    a_c = np.subtract(a, c, order="C")
+    b_c = np.subtract(b, c, order="C")
+    d = np.matmul(a_c, np.swapaxes(b_c, -1, -2))
+    d *= -2.0
+    # the centred operands are spent: square them in place
+    d += np.square(a_c, out=a_c).sum(axis=-1)[..., :, None]
+    d += np.square(b_c, out=b_c).sum(axis=-1)[..., None, :]
+    return np.maximum(d, 0.0, out=d)
 
 
 def pairwise(spec: MetricSpec, a, b, tape: nk.Tape | None = None, *, query=None):
     """Distance matrix between row sets: entry (i, j) = d(a_i, b_j).
 
     ``a`` is the query side and ``b`` the prototype side; the pair kind
-    consumes concatenations in exactly that order. Identical rows map
-    to exactly zero under every kind. Untaped calls also take stacks of
-    V row sets, (V, n, l) against (V, m, l), and return (V, n, m) with
-    every slice bitwise equal to the unstacked call. Each kind has one
-    path for both forms. ``query`` may carry ``query_terms(spec, a)``,
-    which then stands in for the a side of the instance kind so that it
-    is not recomputed. A spec of P parameter sets scores the stack's row
-    set p with set p.
+    consumes concatenations in exactly that order. Untaped calls also
+    take stacks of V row sets, (V, n, l) against (V, m, l), and return
+    (V, n, m) with every slice bitwise equal to the unstacked call. Each
+    kind has one path for both forms. A spec of P parameter sets scores
+    the stack's row set p with set p.
+
+    Without ``query``, every squared difference is summed exactly as
+    :func:`numkit.sq_dist` sums it, and identical rows map to exactly
+    zero under every kind; training and gradient checks take this form.
+    ``query`` may carry ``query_terms(spec, a)``, which then stands in
+    for the compared a side so that it is not recomputed, and the
+    squared distances come by expansion about the prototype mean c (see
+    :func:`_expanded_sq_dist`): one matrix product per row set, never
+    negative, and off the difference form by rounding of the order of
+    eps * (|a - c|^2 + |b - c|^2).
     """
     av, bv = nk.value_of(a), nk.value_of(b)
     if (av.ndim not in (2, 3) or bv.ndim != av.ndim
@@ -245,20 +278,27 @@ def pairwise(spec: MetricSpec, a, b, tape: nk.Tape | None = None, *, query=None)
         raise ContractError("only plain (n, l) row sets and one parameter set are differentiated")
     if query is not None and np.shape(query) != av.shape:
         raise ContractError("query terms must match the query rows")
+
+    def sq_dist(a_side, b_side):
+        # a prepared call compares the query terms in place of a_side
+        if query is None:
+            return nk.sq_dist(a_side, b_side)
+        return _expanded_sq_dist(nk.value_of(query), nk.value_of(b_side))
+
     if spec.kind == "euclid":
-        return nk.sq_dist(a, b)
+        return sq_dist(a, b)
     if spec.kind == "scaled":
         s = nk.leaves(spec.to_named(), tape)["metric.s"]
         if spec.stack:
             s = s[:, None, None]
-        return nk.mul(s, nk.sq_dist(a, b))
+        return nk.mul(s, sq_dist(a, b))
     if spec.kind == "instance":
         a_side = _instance_side(spec.scaler, a, tape) if query is None else query
-        return nk.sq_dist(a_side, _instance_side(spec.scaler, b, tape))
+        return sq_dist(a_side, _instance_side(spec.scaler, b, tape))
     # pair kind: one g per (query, prototype) combination
     n, m = av.shape[-2], bv.shape[-2]
-    a_hat = nk.unit_rows(a, _NORM_FLOOR)
+    a_hat = nk.unit_rows(a, _NORM_FLOOR) if query is None else query
     b_hat = nk.unit_rows(b, _NORM_FLOOR)
     pairs = nk.concat([nk.repeat_rows(a, m), nk.tile_rows(b, n)], axis=-1)
     g = nk.reshape(scaler_eval(spec.scaler, pairs, tape), (*av.shape[:-2], n, m))
-    return nk.div(nk.sq_dist(a_hat, b_hat), nk.mul(g, g))
+    return nk.div(sq_dist(a_hat, b_hat), nk.mul(g, g))

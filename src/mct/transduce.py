@@ -65,9 +65,15 @@ def init_from_embeddings(support_emb, support_y, ways: int):
     return nk.div(nk.matmul(y_t, support_emb), counts[:, None])
 
 
-def confidence(query_emb, protos, metric: MetricSpec, tape: nk.Tape | None = None):
-    """Rows of class confidences: softmax over negative distances."""
-    return nk.softmax_neg(pairwise(metric, query_emb, protos, tape))
+def confidence(query_emb, protos, metric: MetricSpec):
+    """Rows of class confidences: softmax over negative distances.
+
+    Untaped. The distances are the ones :func:`refine_batch` scores
+    with, by expansion from prepared query terms, so one view's
+    confidences are bitwise that engine's at T=0.
+    """
+    terms = query_terms(metric, query_emb)
+    return nk.softmax_neg(pairwise(metric, query_emb, protos, query=terms))
 
 
 def update_prototypes(
@@ -126,7 +132,9 @@ def refine_batch(
     row set of the batch is encoded in one call per view and carried as
     an (E*V, n, l) stack, so a step makes one distance call and one
     softmax per scored set and one prototype update; class sums and
-    query-side metric terms are computed once. Queries and pool never
+    query-side metric terms are computed once, and each distance call
+    expands about the prototype mean from those terms (see
+    :func:`pairwise`). Queries and pool never
     share a stack: the row count changes BLAS rounding. Every value is
     bitwise equal to running the episodes and views one by one.
     """

@@ -208,14 +208,36 @@ class TestPairwise:
             pairwise(MetricSpec.euclid(), np.ones((2, 3)), np.ones((2, 4)))
 
     def test_stack_slices_equal_unstacked_calls_bitwise(self):
+        # prepared calls expand about the prototype mean: each slice is
+        # bitwise its own prepared call, and the difference form only
+        # within a bound, never below zero
         rng = np.random.default_rng(7)
         A = rng.normal(size=(3, 7, 6))
         B = rng.normal(size=(3, 5, 6))
+        B[:, 0] = A[:, 0]  # an exact zero in the difference form
+        flipped = A[..., ::-1]
+        assert flipped.strides[-1] < 0
         for spec in all_specs(6):
             per_slice = np.stack([pairwise(spec, a, b) for a, b in zip(A, B)])
             assert np.array_equal(pairwise(spec, A, B), per_slice)
             prepared = pairwise(spec, A, B, query=query_terms(spec, A))
-            assert np.array_equal(prepared, per_slice)
+            assert np.array_equal(prepared, np.stack([
+                pairwise(spec, a, b, query=query_terms(spec, a)) for a, b in zip(A, B)
+            ]))
+            assert np.all(prepared >= 0.0)
+            assert np.max(np.abs(prepared - per_slice)) <= 1e-12 * np.max(per_slice)
+            copy = np.ascontiguousarray(flipped)
+            assert np.array_equal(
+                pairwise(spec, flipped, B, query=query_terms(spec, flipped)),
+                pairwise(spec, copy, B, query=query_terms(spec, copy)),
+            )
+        # rows in column-major order: the expansion itself takes the C-ordered bits
+        wide = rng.normal(size=(15, 64))
+        protos = rng.normal(size=(5, 64))
+        for spec in all_specs(64)[:2]:  # euclid and scaled, whose query terms are the rows
+            fortran = np.asfortranarray(wide)
+            assert np.array_equal(pairwise(spec, fortran, protos, query=fortran),
+                                  pairwise(spec, wide, protos, query=wide))
 
     @pytest.mark.parametrize("ways", [1, 5, 15])
     def test_blocked_sq_diff_equals_one_reduction(self, ways):

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mct import numkit as nk
 from mct.checkpoint import ModelState
 from mct.encoder import VIEWS, EncoderParams, encode_batch, view_by_name
 from mct.episodes import Episode, SyntheticSpec, derive_seed, gen_synthetic, sample_episode
 from mct.errors import ContractError
 from mct.evalcli import EvalProtocol, evaluate, nll
-from mct.metric import METRIC_KINDS, MetricSpec
+from mct.metatrain import TrainConfig, train
+from mct.metric import METRIC_KINDS, MetricSpec, pairwise
 from mct.transduce import (
     confidence,
     init_from_embeddings,
@@ -99,6 +101,21 @@ class TestConfidence:
         protos = np.array([[0.0, 0.0], [np.sqrt(np.log(2.0)), 0.0]])
         conf = confidence(q, protos, EUCLID)
         np.testing.assert_allclose(conf[0], [2.0 / 3.0, 1.0 / 3.0], rtol=1e-14)
+
+    @pytest.mark.parametrize("kind", ["euclid", "scaled"])
+    def test_translated_rows_keep_the_difference_form_argmax(self, kind):
+        # distances by expansion centre on the prototype mean, so an
+        # offset far from the origin costs no precision
+        metric = MetricSpec.scaled(7.5) if kind == "scaled" else EUCLID
+        for seed in range(20):
+            ep, _ = synth_episode(seed=seed)
+            protos = init_from_embeddings(ep.support_x, ep.support_y, ep.ways)
+            for offset in (0.0, 1e4, 1e6):
+                q, p = ep.query_x + offset, protos + offset
+                conf = confidence(q, p, metric)
+                exact = nk.softmax_neg(pairwise(metric, q, p))
+                assert np.array_equal(predict_labels(conf), predict_labels(exact))
+                np.testing.assert_allclose(conf, exact, rtol=0, atol=1e-6)
 
     def test_rows_sum_to_one_under_learned_metric(self):
         rng = np.random.default_rng(0)
@@ -340,6 +357,15 @@ ENCODERS = {
 VIEW_SETS = (VIEWS[:1], VIEWS[1:3], VIEWS)
 
 
+@pytest.fixture(scope="module")
+def trained_state():
+    """A 20-step instance model over the residual encoder."""
+    pool = SyntheticSpec(input_dim=16, class_spread=4.0, within_std=1.0,
+                         pool_classes=20, pool_seed=7)
+    state, _ = train(pool, TrainConfig(steps=20, ways=4, shots=1, queries=3, seed=11))
+    return state
+
+
 class TestRefine:
     @pytest.mark.parametrize("kind", METRIC_KINDS)
     @pytest.mark.parametrize("encoder_name", sorted(ENCODERS))
@@ -362,6 +388,29 @@ class TestRefine:
                     if len(views) == 1:
                         solo = per_view_soft_kmeans(ep, encoder, views[0], metric, T)
                         assert np.array_equal(trace[-1], solo)
+
+    @pytest.mark.parametrize("kind", METRIC_KINDS)
+    @pytest.mark.parametrize("encoder_name", ["identity", "trained"])
+    def test_t_zero_is_each_views_confidence_and_their_mean(self, kind, encoder_name,
+                                                            trained_state):
+        # criterion 3's T=0 identity for every kind, view and encoder
+        encoder, metric = None, metric_of(kind, 16)
+        if encoder_name == "trained":
+            encoder = trained_state.encoder
+            metric = (trained_state.metric if kind == "instance"
+                      else metric_of(kind, encoder.positions * encoder.channels))
+        for seed in range(5):
+            ep, _ = synth_episode(seed=40 + seed)
+            locals_ = []
+            for view in VIEWS:
+                protos = init_from_embeddings(
+                    encode_batch(encoder, ep.support_x, view), ep.support_y, ep.ways
+                )
+                local = confidence(encode_batch(encoder, ep.query_x, view), protos, metric)
+                assert np.array_equal(refine_batch([ep], encoder, (view,), metric, 0)[0, 0], local)
+                locals_.append(local)
+            mean = (locals_[0] + locals_[1] + locals_[2] + locals_[3]) / 4
+            assert np.array_equal(refine_batch([ep], encoder, VIEWS, metric, 0)[0, 0], mean)
 
     def test_trace_rows_are_the_shorter_runs(self):
         ep, _ = synth_episode(seed=23)
