@@ -217,8 +217,22 @@ def encode_batch(
     Likewise, params holding P parameter sets encode one row set into a
     (P, n, positions*channels) stack, slice p bitwise set p's call.
     """
+    return _encode_views(params, x, (view,), mode, tape, rng)[0]
+
+
+def _encode_views(params, x, views, mode="eval", tape=None, rng=None) -> list:
+    """``encode_batch(params, x, v, ...)`` for each view v in ``views``, in order.
+
+    Views that differ only in ``drop_last_block`` share one pass through
+    the input projection and every block but the last, so a drop view's
+    embedding is its full view's before that block; each result is
+    bitwise its own ``encode_batch`` call. Only eval mode takes several
+    views, since train mode draws dropout masks per pass.
+    """
     if mode not in ("train", "eval"):
         raise ContractError(f"mode must be 'train' or 'eval', got {mode!r}")
+    if mode != "eval" and len(views) != 1:
+        raise ContractError("only eval mode encodes several views in one call")
     xv = nk.value_of(x)
     if xv.ndim not in (2, 3):
         raise ContractError("encode_batch expects (n, input_dim) rows")
@@ -228,35 +242,40 @@ def encode_batch(
             raise ContractError("only untaped eval-mode calls take stacked row or parameter sets")
         if xv.ndim == 3 and stacked:
             raise ContractError("stacked parameter sets encode one shared row set")
-    h = x
-    if view.augment:
-        h = nk.flip_last(h)
-    if params is None:
-        return h
-    if xv.shape[-1] != params.input_dim:
+    if params is not None and xv.shape[-1] != params.input_dim:
         raise ContractError(
             f"input dim {xv.shape[-1]} does not match encoder ({params.input_dim})"
         )
-    drop_on = mode == "train" and params.dropout > 0.0
+    drop_on = params is not None and mode == "train" and params.dropout > 0.0
     if drop_on and rng is None:
         raise ContractError("train mode needs an rng for dropout")
+    p = None if params is None else nk.leaves(params.to_named(), tape)
 
-    p = nk.leaves(params.to_named(), tape)
-    h = nk.relu(nk.affine(h, p["encoder.w_in"], p["encoder.b_in"]))
-    if drop_on:
-        h = _dropout(h, params.dropout, rng)
-    last = len(params.blocks) - 1
-    for i in range(len(params.blocks)):
-        if view.drop_last_block and i == last:
-            # rng draws for the skipped branch are not consumed: the drop
-            # view is its own deterministic function of the seed
+    def blocks(h, indices):
+        for i in indices:
+            w1, b1, w2, b2 = (p[f"encoder.block{i}.{part}"] for part in _BLOCK_PARTS)
+            branch = nk.relu(nk.affine(h, w1, b1))
+            if drop_on:
+                branch = _dropout(branch, params.dropout, rng)
+            h = nk.add(h, nk.affine(branch, w2, b2))
+        return h
+
+    out = {}
+    for augment in dict.fromkeys(v.augment for v in views):
+        h = nk.flip_last(x) if augment else x
+        if params is None:
+            out[augment, True] = out[augment, False] = h
             continue
-        w1, b1, w2, b2 = (p[f"encoder.block{i}.{part}"] for part in _BLOCK_PARTS)
-        branch = nk.relu(nk.affine(h, w1, b1))
+        h = nk.relu(nk.affine(h, p["encoder.w_in"], p["encoder.b_in"]))
         if drop_on:
-            branch = _dropout(branch, params.dropout, rng)
-        h = nk.add(h, nk.affine(branch, w2, b2))
-    return h
+            h = _dropout(h, params.dropout, rng)
+        last = len(params.blocks) - 1
+        # rng draws for a skipped last branch are not consumed: the drop
+        # view is its own deterministic function of the seed
+        out[augment, True] = h = blocks(h, range(last))
+        if any(not v.drop_last_block for v in views if v.augment == augment):
+            out[augment, False] = blocks(h, (last,))
+    return [out[v.augment, v.drop_last_block] for v in views]
 
 
 def per_position(flat, positions: int, channels: int):

@@ -14,6 +14,7 @@ exp(beta), so it is positive for every parameter setting and starts in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -210,42 +211,66 @@ def _instance_side(scaler: ScalerParams, x, tape: nk.Tape | None = None):
     return nk.div(nk.unit_rows(x, _NORM_FLOOR), scaler_eval(scaler, x, tape))
 
 
-def query_terms(spec: MetricSpec, a) -> np.ndarray:
-    """The rows that ``spec`` compares on the query side, which no prototype enters.
+class _QueryTerms(NamedTuple):
+    """A query row set prepared for distances by expansion about ``centre``.
 
-    For ``euclid`` and ``scaled`` these are the rows of ``a`` as they
-    are; for ``instance`` the unit rows divided by g(a); for ``pair``
-    the unit rows, since its g sees whole (query, prototype) pairs. A
-    refinement loop computes them once per episode and passes them to
-    every step's ``pairwise`` call, which then computes distances by
-    expansion. Untaped; ``a`` is (n, l) or (V, n, l).
+    ``rows`` are the compared query rows minus the centre, C-ordered;
+    ``sq_norms`` are their squared norms; ``centre`` is the mean of the
+    compared prototype rows the terms were prepared about, (..., 1, l).
     """
+
+    rows: np.ndarray
+    sq_norms: np.ndarray
+    centre: np.ndarray
+
+
+def _compared_rows(spec: MetricSpec, x) -> np.ndarray:
+    """The rows that ``spec`` compares in place of ``x``, untaped: the rows
+    themselves for ``euclid``/``scaled``, the unit rows divided by g for
+    ``instance``, the unit rows for ``pair``, whose g sees whole pairs."""
     if spec.kind == "instance":
-        return _instance_side(spec.scaler, a)
-    if spec.kind == "pair":
-        return nk.unit_rows(a, _NORM_FLOOR)
-    return nk.value_of(a)
+        x = _instance_side(spec.scaler, x)
+    elif spec.kind == "pair":
+        x = nk.unit_rows(x, _NORM_FLOOR)
+    return nk.value_of(x)
 
 
-def _expanded_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All-pairs squared distances by expansion about the mean c of ``b``'s rows.
+def query_terms(spec: MetricSpec, a, protos) -> _QueryTerms:
+    """The query side of ``spec``'s distances, prepared about ``protos``.
+
+    The centre c is the mean of the compared rows of ``protos``, and the
+    terms hold the compared rows of ``a`` (see :func:`_compared_rows`)
+    minus c with their squared norms. A refinement loop prepares them
+    once per row set about its step-0 prototypes, which the support set
+    alone determines, and passes them to every step's ``pairwise`` call,
+    which then computes distances by expansion about that fixed c.
+    Untaped; ``a`` is (n, l) or (V, n, l), ``protos`` (m, l) or (V, m, l).
+    """
+    centre = _compared_rows(spec, protos).mean(axis=-2, keepdims=True)
+    rows = np.subtract(_compared_rows(spec, a), centre, order="C")
+    return _QueryTerms(rows, np.square(rows).sum(axis=-1), centre)
+
+
+def _expanded_sq_dist(terms: _QueryTerms, b: np.ndarray) -> np.ndarray:
+    """All-pairs squared distances by expansion about the terms' centre c.
 
     ``|a - c|^2 + |b - c|^2 - 2 (a - c)(b - c)^T``, clamped at 0, with
-    one matrix product per row set. Centring makes the rounding scale
-    with the spread of the rows about c, not with their distance from
-    the origin, and taking c from ``b`` alone keeps each query row's
-    distances independent of the other query rows. The centred operands
-    are fresh C-ordered arrays, so a view with negative strides gives
-    the bits of its contiguous copy, and every row set of a stack those
-    of its own call.
+    one matrix product per row set; the query side comes prepared, so a
+    call centres and squares only the prototype rows ``b``. Centring
+    makes the rounding scale with the spread of the rows about c, not
+    with their distance from the origin. c is the mean of a row set's
+    step-0 prototypes, so later prototypes, weighted means of the same
+    rows, stay near it, and no query row enters it, which keeps each
+    query row's distances independent of the other query rows. Both
+    centred operands are fresh C-ordered arrays, so a view with negative
+    strides gives the bits of its contiguous copy, and every row set of
+    a stack those of its own call.
     """
-    c = b.mean(axis=-2, keepdims=True)
-    a_c = np.subtract(a, c, order="C")
-    b_c = np.subtract(b, c, order="C")
-    d = np.matmul(a_c, np.swapaxes(b_c, -1, -2))
+    b_c = np.subtract(b, terms.centre, order="C")
+    d = np.matmul(terms.rows, np.swapaxes(b_c, -1, -2))
     d *= -2.0
-    # the centred operands are spent: square them in place
-    d += np.square(a_c, out=a_c).sum(axis=-1)[..., :, None]
+    d += terms.sq_norms[..., :, None]
+    # the centred prototypes are spent: square them in place
     d += np.square(b_c, out=b_c).sum(axis=-1)[..., None, :]
     return np.maximum(d, 0.0, out=d)
 
@@ -263,9 +288,10 @@ def pairwise(spec: MetricSpec, a, b, tape: nk.Tape | None = None, *, query=None)
     Without ``query``, every squared difference is summed exactly as
     :func:`numkit.sq_dist` sums it, and identical rows map to exactly
     zero under every kind; training and gradient checks take this form.
-    ``query`` may carry ``query_terms(spec, a)``, which then stands in
-    for the compared a side so that it is not recomputed, and the
-    squared distances come by expansion about the prototype mean c (see
+    ``query`` may carry ``query_terms(spec, a, protos)``, which then
+    stands in for the compared a side so that it is not recomputed, and
+    the squared distances come by expansion about the terms' own centre
+    c, the mean of the compared ``protos`` they were prepared about (see
     :func:`_expanded_sq_dist`): one matrix product per row set, never
     negative, and off the difference form by rounding of the order of
     eps * (|a - c|^2 + |b - c|^2).
@@ -276,14 +302,16 @@ def pairwise(spec: MetricSpec, a, b, tape: nk.Tape | None = None, *, query=None)
         raise ContractError("pairwise expects row sets of one embedding width")
     if tape is not None and (av.ndim != 2 or query is not None or spec.stack):
         raise ContractError("only plain (n, l) row sets and one parameter set are differentiated")
-    if query is not None and np.shape(query) != av.shape:
+    if query is not None and (not isinstance(query, _QueryTerms)
+                              or query.rows.shape != av.shape
+                              or query.centre.shape != (*av.shape[:-2], 1, av.shape[-1])):
         raise ContractError("query terms must match the query rows")
 
     def sq_dist(a_side, b_side):
         # a prepared call compares the query terms in place of a_side
         if query is None:
             return nk.sq_dist(a_side, b_side)
-        return _expanded_sq_dist(nk.value_of(query), nk.value_of(b_side))
+        return _expanded_sq_dist(query, nk.value_of(b_side))
 
     if spec.kind == "euclid":
         return sq_dist(a, b)

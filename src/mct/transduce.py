@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import numkit as nk
-from .encoder import ViewSpec, encode_batch
+from .encoder import ViewSpec, _encode_views
 from .errors import ContractError
 from .metric import MetricSpec, pairwise, query_terms
 
@@ -69,10 +69,11 @@ def confidence(query_emb, protos, metric: MetricSpec):
     """Rows of class confidences: softmax over negative distances.
 
     Untaped. The distances are the ones :func:`refine_batch` scores
-    with, by expansion from prepared query terms, so one view's
-    confidences are bitwise that engine's at T=0.
+    with, by expansion from query terms prepared about ``protos`` (the
+    centre is the mean of these prototypes), so one view's confidences
+    are bitwise that engine's at T=0.
     """
-    terms = query_terms(metric, query_emb)
+    terms = query_terms(metric, query_emb, protos)
     return nk.softmax_neg(pairwise(metric, query_emb, protos, query=terms))
 
 
@@ -129,14 +130,17 @@ def refine_batch(
 
     Untaped. The E episodes must share one shape (ways, support, query
     and pool sizes; neither the queries nor a pool may be empty). Each
-    row set of the batch is encoded in one call per view and carried as
-    an (E*V, n, l) stack, so a step makes one distance call and one
-    softmax per scored set and one prototype update; class sums and
-    query-side metric terms are computed once, and each distance call
-    expands about the prototype mean from those terms (see
-    :func:`pairwise`). Queries and pool never
-    share a stack: the row count changes BLAS rounding. Every value is
-    bitwise equal to running the episodes and views one by one.
+    row set of the batch is encoded once, views that differ only in the
+    last block sharing the rest of the encoder, and carried as an
+    (E*V, n, l) stack, so a step makes one distance call and one softmax
+    per scored set and one prototype update. What no step changes is
+    computed once: the class sums, and each scored set's query terms
+    (see :func:`query_terms`), centred on the mean of its step-0
+    prototypes, so every step's distances expand about that fixed
+    centre and step 0 is bitwise :func:`confidence`. Queries and pool
+    never share a stack: the row count changes BLAS rounding. Every
+    value is bitwise equal to running the episodes and views one by one
+    with the same centres.
     """
     if T < 0:
         raise ContractError("T must be non-negative")
@@ -158,8 +162,7 @@ def refine_batch(
 
     def embed(rows):
         # (E, V, n, l): episode-major, so each episode's views are adjacent
-        x = np.stack(rows)
-        return np.stack([encode_batch(encoder, x, v) for v in views], axis=1)
+        return np.stack(_encode_views(encoder, np.stack(rows), views), axis=1)
 
     def flat(emb):
         return emb.reshape(n_e * n_v, emb.shape[2], -1)
@@ -175,17 +178,18 @@ def refine_batch(
         return out / n_v
 
     emb_s = embed([ep.support_x for ep in episodes])
-    emb_q = embed([ep.query_x for ep in episodes])
-    q_terms = query_terms(metric, flat(emb_q))
-    # the rows whose confidences weight each update: the pool, else the queries
-    emb_d, d_terms = emb_q, q_terms
-    if pooled:
-        emb_d = embed([ep.unlabeled_x for ep in episodes])
-        d_terms = query_terms(metric, flat(emb_d))
     counts = np.stack([_class_counts(ep.support_y, ways) for ep in episodes])[:, None, :, None]
     indicator = np.stack([one_hot(ep.support_y, ways).T for ep in episodes])[:, None]
     class_sums = np.matmul(indicator, emb_s)
     protos = class_sums / counts
+    protos0 = protos.reshape(n_e * n_v, ways, -1)
+    emb_q = embed([ep.query_x for ep in episodes])
+    q_terms = query_terms(metric, flat(emb_q), protos0)
+    # the rows whose confidences weight each update: the pool, else the queries
+    emb_d, d_terms = emb_q, q_terms
+    if pooled:
+        emb_d = embed([ep.unlabeled_x for ep in episodes])
+        d_terms = query_terms(metric, flat(emb_d), protos0)
     trace = np.empty((n_e, T + 1, first.query_x.shape[0], ways))
     for t in range(T + 1):
         conf = ensemble(emb_q, q_terms, protos)

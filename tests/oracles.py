@@ -9,7 +9,7 @@ import numpy as np
 from mct import numkit as nk
 from mct.encoder import VIEWS, encode_batch
 from mct.errors import ContractError
-from mct.metric import MetricSpec, pairwise
+from mct.metric import MetricSpec, pairwise, query_terms
 from mct.transduce import confidence, init_from_embeddings, update_prototypes
 
 
@@ -41,9 +41,20 @@ def check_confidence(conf, ways: int):
     assert np.all(np.abs(cv.sum(axis=1) - 1.0) <= 1e-9)
 
 
+def centred_confidence(query_emb, protos, metric, protos0):
+    """``confidence`` of ``query_emb`` against ``protos``, expanded about ``protos0``'s centre.
+
+    The refinement engine prepares each scored set's terms once, about
+    its step-0 prototypes; with ``protos0 is protos`` this is ``confidence``.
+    """
+    terms = query_terms(metric, query_emb, protos0)
+    return nk.softmax_neg(pairwise(metric, query_emb, protos, query=terms))
+
+
 def semi_infer(episode, encoder, metric):
     """One plain-view update weighted by the pool's confidences, then the queries scored.
 
+    Both scored sets centre on the initial prototypes, as in the engine.
     Returns (refined prototypes, pool confidences, query confidences).
     """
     if episode.unlabeled_x is None or episode.unlabeled_x.shape[0] == 0:
@@ -53,7 +64,8 @@ def semi_infer(episode, encoder, metric):
     protos = init_from_embeddings(emb_s, episode.support_y, episode.ways)
     u_conf = confidence(emb_u, protos, metric)
     refined = update_prototypes(emb_s, episode.support_y, episode.ways, emb_u, u_conf)
-    return refined, u_conf, confidence(encode_batch(encoder, episode.query_x), refined, metric)
+    q_conf = centred_confidence(encode_batch(encoder, episode.query_x), refined, metric, protos)
+    return refined, u_conf, q_conf
 
 
 def sets_matrix_stacks(named, todo, step):

@@ -14,6 +14,7 @@ from mct.encoder import (
     EncoderParams,
     PerturbPolicy,
     ViewSpec,
+    _encode_views,
     embedding_dim,
     encode_batch,
     per_position,
@@ -174,6 +175,31 @@ class TestEncode:
             encode_batch(p, x, mode="train", rng=np.random.default_rng(0))
         with pytest.raises(ContractError):
             encode_batch(p, np.zeros((1, 2, 3, 6)))
+
+    @pytest.mark.parametrize("n_blocks", [None, 1, 2], ids=["identity", "1-block", "2-block"])
+    def test_views_sharing_a_prefix_are_each_views_own_call(self, n_blocks, monkeypatch):
+        # refinement encodes a row set under all four views in one call:
+        # each view pair shares the input projection and every block but
+        # the last, and every result keeps the bits of its own call
+        params = None if n_blocks is None else tiny_encoder(n_blocks=n_blocks)
+        x = np.random.default_rng(11).normal(size=(3, 5, 6))
+        for views in (VIEWS, VIEWS[::-1], VIEWS[:1], (view_by_name("drop"),)):
+            out = _encode_views(params, x, views)
+            assert len(out) == len(views)
+            for view, got in zip(views, out):
+                assert np.array_equal(got, encode_batch(params, x, view)), view.name
+        if params is not None:
+            calls = []
+            affine = nk.affine
+            monkeypatch.setattr(nk, "affine", lambda *a: calls.append(1) or affine(*a))
+            _encode_views(params, x, VIEWS)
+            # a prefix pass per augment setting, and the last block for the two full views
+            assert len(calls) == 2 * (1 + 2 * (n_blocks - 1)) + 2 * 2
+
+    def test_several_views_only_in_eval_mode(self):
+        with pytest.raises(ContractError, match="only eval mode"):
+            _encode_views(tiny_encoder(), np.zeros((2, 6)), VIEWS[:2], mode="train",
+                          rng=np.random.default_rng(0))
 
     def test_per_position_layout(self):
         flat = np.arange(12.0).reshape(2, 6)

@@ -220,24 +220,26 @@ class TestPairwise:
         for spec in all_specs(6):
             per_slice = np.stack([pairwise(spec, a, b) for a, b in zip(A, B)])
             assert np.array_equal(pairwise(spec, A, B), per_slice)
-            prepared = pairwise(spec, A, B, query=query_terms(spec, A))
+            prepared = pairwise(spec, A, B, query=query_terms(spec, A, B))
             assert np.array_equal(prepared, np.stack([
-                pairwise(spec, a, b, query=query_terms(spec, a)) for a, b in zip(A, B)
+                pairwise(spec, a, b, query=query_terms(spec, a, b)) for a, b in zip(A, B)
             ]))
             assert np.all(prepared >= 0.0)
             assert np.max(np.abs(prepared - per_slice)) <= 1e-12 * np.max(per_slice)
             copy = np.ascontiguousarray(flipped)
             assert np.array_equal(
-                pairwise(spec, flipped, B, query=query_terms(spec, flipped)),
-                pairwise(spec, copy, B, query=query_terms(spec, copy)),
+                pairwise(spec, flipped, B, query=query_terms(spec, flipped, B)),
+                pairwise(spec, copy, B, query=query_terms(spec, copy, B)),
             )
         # rows in column-major order: the expansion itself takes the C-ordered bits
         wide = rng.normal(size=(15, 64))
         protos = rng.normal(size=(5, 64))
-        for spec in all_specs(64)[:2]:  # euclid and scaled, whose query terms are the rows
+        for spec in all_specs(64)[:2]:  # euclid and scaled, which compare the rows as they are
             fortran = np.asfortranarray(wide)
-            assert np.array_equal(pairwise(spec, fortran, protos, query=fortran),
-                                  pairwise(spec, wide, protos, query=wide))
+            assert np.array_equal(
+                pairwise(spec, fortran, protos, query=query_terms(spec, fortran, protos)),
+                pairwise(spec, wide, protos, query=query_terms(spec, wide, protos)),
+            )
 
     @pytest.mark.parametrize("ways", [1, 5, 15])
     def test_blocked_sq_diff_equals_one_reduction(self, ways):
@@ -281,7 +283,7 @@ class TestPairwise:
         with pytest.raises(ContractError):
             pairwise(spec, a[None], b[None], nk.Tape())
         with pytest.raises(ContractError):
-            pairwise(spec, a, b, nk.Tape(), query=query_terms(spec, a))
+            pairwise(spec, a, b, nk.Tape(), query=query_terms(spec, a, b))
         with pytest.raises(ContractError):
             pairwise(spec, a, b, query=np.ones((3, 3)))
 

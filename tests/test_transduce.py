@@ -20,7 +20,7 @@ from mct.transduce import (
     refine_batch,
     update_prototypes,
 )
-from oracles import check_confidence, metric_of, semi_infer
+from oracles import centred_confidence, check_confidence, metric_of, semi_infer
 
 EUCLID = MetricSpec.euclid()
 
@@ -211,7 +211,8 @@ class TestSoftKmeans:
                                       ep.support_y, ep.ways)
         q0 = confidence(ep.query_x, protos, EUCLID)
         p1 = update_prototypes(ep.support_x, ep.support_y, ep.ways, ep.query_x, q0)
-        q1 = confidence(ep.query_x, p1, EUCLID)
+        # every step's distances expand about the step-0 prototypes' mean
+        q1 = centred_confidence(ep.query_x, p1, EUCLID, protos)
         np.testing.assert_array_equal(refine_batch([ep], None, VIEWS[:1], EUCLID, 1)[0, -1], q1)
 
     def test_negative_t_rejected(self):
@@ -320,11 +321,11 @@ def per_view_soft_kmeans(episode, encoder, view, metric, T):
     """Single-view refinement, one step at a time (test oracle)."""
     emb_s = encode_batch(encoder, episode.support_x, view)
     emb_q = encode_batch(encoder, episode.query_x, view)
-    protos = init_from_embeddings(emb_s, episode.support_y, episode.ways)
+    protos0 = protos = init_from_embeddings(emb_s, episode.support_y, episode.ways)
     conf = confidence(emb_q, protos, metric)
     for _ in range(T):
         protos = update_prototypes(emb_s, episode.support_y, episode.ways, emb_q, conf)
-        conf = confidence(emb_q, protos, metric)
+        conf = centred_confidence(emb_q, protos, metric, protos0)
     return conf
 
 
@@ -332,12 +333,13 @@ def per_view_mct_infer(episode, encoder, views, metric, T):
     """Ensemble refinement with one prototype set per view, view by view (test oracle)."""
     emb_s = {v.name: encode_batch(encoder, episode.support_x, v) for v in views}
     emb_q = {v.name: encode_batch(encoder, episode.query_x, v) for v in views}
-    protos = {
+    protos0 = protos = {
         v.name: init_from_embeddings(emb_s[v.name], episode.support_y, episode.ways)
         for v in views
     }
     for t in range(T + 1):
-        locals_ = [confidence(emb_q[v.name], protos[v.name], metric) for v in views]
+        locals_ = [centred_confidence(emb_q[v.name], protos[v.name], metric, protos0[v.name])
+                   for v in views]
         ensemble = sum(locals_) / len(views)
         if t == T:
             return ensemble
@@ -411,6 +413,28 @@ class TestRefine:
                 locals_.append(local)
             mean = (locals_[0] + locals_[1] + locals_[2] + locals_[3]) / 4
             assert np.array_equal(refine_batch([ep], encoder, VIEWS, metric, 0)[0, 0], mean)
+
+    @pytest.mark.parametrize("kind", ["euclid", "scaled", "instance"])
+    def test_translated_rows_keep_the_difference_chain(self, kind):
+        # every step expands about the step-0 prototype mean, so rows far
+        # from the origin cost no precision however far the prototypes move
+        metric = MetricSpec.scaled(7.5) if kind == "scaled" else metric_of(kind, 16)
+        for seed in range(20):
+            base, _ = synth_episode(seed=seed)
+            for offset in (0.0, 1e4, 1e6):
+                ep = Episode(
+                    ways=base.ways, shots=base.shots,
+                    support_x=base.support_x + offset, support_y=base.support_y,
+                    query_x=base.query_x + offset, query_y=base.query_y,
+                )
+                trace = refine_batch([ep], None, VIEWS[:1], metric, 10)[0]
+                protos = init_from_embeddings(ep.support_x, ep.support_y, ep.ways)
+                for t in range(11):
+                    exact = nk.softmax_neg(pairwise(metric, ep.query_x, protos))
+                    assert np.array_equal(predict_labels(trace[t]), predict_labels(exact))
+                    np.testing.assert_allclose(trace[t], exact, rtol=0, atol=1e-6)
+                    protos = update_prototypes(ep.support_x, ep.support_y, ep.ways,
+                                               ep.query_x, exact)
 
     def test_trace_rows_are_the_shorter_runs(self):
         ep, _ = synth_episode(seed=23)
