@@ -344,7 +344,10 @@ def _nesterov_update(
     weight_decay: float,
 ) -> np.ndarray:
     d = grad + weight_decay * value
-    v = momentum * velocities.get(name, np.zeros_like(value)) + d
+    prev = velocities.get(name)
+    if prev is None:
+        prev = np.zeros_like(value)
+    v = momentum * prev + d
     velocities[name] = v
     return value - lr * (d + momentum * v)
 

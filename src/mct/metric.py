@@ -243,36 +243,17 @@ def query_terms(spec: MetricSpec, a, protos) -> _QueryTerms:
     minus c with their squared norms. A refinement loop prepares them
     once per row set about its step-0 prototypes, which the support set
     alone determines, and passes them to every step's ``pairwise`` call,
-    which then computes distances by expansion about that fixed c.
+    which then computes distances by expansion about that fixed c (see
+    :func:`numkit.expand_centred`). Later prototypes, weighted means of
+    the same rows, stay near c, and no query row enters it, so each
+    query row's distances are independent of the other query rows.
     Untaped; ``a`` is (n, l) or (V, n, l), ``protos`` (m, l) or (V, m, l).
     """
     centre = _compared_rows(spec, protos).mean(axis=-2, keepdims=True)
+    # the compared rows are freed before the squares are made; holding
+    # them through the squaring raised evaluation's page faults by a third
     rows = np.subtract(_compared_rows(spec, a), centre, order="C")
     return _QueryTerms(rows, np.square(rows).sum(axis=-1), centre)
-
-
-def _expanded_sq_dist(terms: _QueryTerms, b: np.ndarray) -> np.ndarray:
-    """All-pairs squared distances by expansion about the terms' centre c.
-
-    ``|a - c|^2 + |b - c|^2 - 2 (a - c)(b - c)^T``, clamped at 0, with
-    one matrix product per row set; the query side comes prepared, so a
-    call centres and squares only the prototype rows ``b``. Centring
-    makes the rounding scale with the spread of the rows about c, not
-    with their distance from the origin. c is the mean of a row set's
-    step-0 prototypes, so later prototypes, weighted means of the same
-    rows, stay near it, and no query row enters it, which keeps each
-    query row's distances independent of the other query rows. Both
-    centred operands are fresh C-ordered arrays, so a view with negative
-    strides gives the bits of its contiguous copy, and every row set of
-    a stack those of its own call.
-    """
-    b_c = np.subtract(b, terms.centre, order="C")
-    d = np.matmul(terms.rows, np.swapaxes(b_c, -1, -2))
-    d *= -2.0
-    d += terms.sq_norms[..., :, None]
-    # the centred prototypes are spent: square them in place
-    d += np.square(b_c, out=b_c).sum(axis=-1)[..., None, :]
-    return np.maximum(d, 0.0, out=d)
 
 
 def pairwise(spec: MetricSpec, a, b, tape: nk.Tape | None = None, *, query=None):
@@ -285,16 +266,26 @@ def pairwise(spec: MetricSpec, a, b, tape: nk.Tape | None = None, *, query=None)
     kind has one path for both forms. A spec of P parameter sets scores
     the stack's row set p with set p.
 
-    Without ``query``, every squared difference is summed exactly as
-    :func:`numkit.sq_dist` sums it, and identical rows map to exactly
-    zero under every kind; training and gradient checks take this form.
-    ``query`` may carry ``query_terms(spec, a, protos)``, which then
-    stands in for the compared a side so that it is not recomputed, and
-    the squared distances come by expansion about the terms' own centre
-    c, the mean of the compared ``protos`` they were prepared about (see
-    :func:`_expanded_sq_dist`): one matrix product per row set, never
+    The learned kinds (``instance``, ``pair``) compute their squared
+    distances by expansion about a centre c (see
+    :func:`numkit.expand_centred`): one matrix product per row set, never
     negative, and off the difference form by rounding of the order of
-    eps * (|a - c|^2 + |b - c|^2).
+    eps * (|a - c|^2 + |b - c|^2), so identical rows map to a tiny
+    non-negative number rather than exactly zero. ``euclid`` and
+    ``scaled`` compare raw embeddings, whose spread would cost finite
+    difference checks their precision, so without ``query`` they sum
+    every squared difference exactly as :func:`numkit.sq_dist` does,
+    and identical rows map to exactly zero.
+
+    Without ``query``, c is the mean of the compared rows of ``b``, on
+    the tape and off it (:func:`numkit.expanded_sq_dist`); training and
+    gradient checks take this form. ``query`` may carry
+    ``query_terms(spec, a, protos)``, which then stands in for the
+    compared a side so that it is not recomputed, and every kind expands
+    about the terms' own c, the mean of the compared ``protos`` they
+    were prepared about. For the learned kinds,
+    ``pairwise(spec, a, b)`` is therefore bitwise
+    ``pairwise(spec, a, b, query=query_terms(spec, a, b))``.
     """
     av, bv = nk.value_of(a), nk.value_of(b)
     if (av.ndim not in (2, 3) or bv.ndim != av.ndim
@@ -309,9 +300,12 @@ def pairwise(spec: MetricSpec, a, b, tape: nk.Tape | None = None, *, query=None)
 
     def sq_dist(a_side, b_side):
         # a prepared call compares the query terms in place of a_side
-        if query is None:
-            return nk.sq_dist(a_side, b_side)
-        return _expanded_sq_dist(query, nk.value_of(b_side))
+        if query is not None:
+            b_c = np.subtract(nk.value_of(b_side), query.centre, order="C")
+            return nk.expand_centred(query.rows, query.sq_norms, b_c)
+        if spec.kind in ("instance", "pair"):
+            return nk.expanded_sq_dist(a_side, b_side)
+        return nk.sq_dist(a_side, b_side)
 
     if spec.kind == "euclid":
         return sq_dist(a, b)

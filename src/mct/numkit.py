@@ -22,6 +22,15 @@ that group in the group's order, forward and backward, so its value and
 gradients are bitwise those of the composition, which stays available
 from the elementary primitives and serves as their reference.
 
+One more node, :func:`expanded_sq_dist`, is *not* bitwise a composition.
+It computes the same all-pairs squared distances as :func:`sq_dist` by
+expansion about the mean of the compared rows, with one matrix product
+forward and two backward, so its values and gradients match the
+difference composition only to rounding, and identical rows map to a
+tiny non-negative number rather than exactly zero. Its arithmetic,
+:func:`expand_centred`, is the one that evaluation's prepared
+distances use too.
+
 Bitwise equality also needs the adjoint order kept. :func:`grad` sums
 the contributions to a Var as ``prev + gi`` in the order it meets them,
 and float addition is not associative. So a fused node gives each input
@@ -71,6 +80,8 @@ __all__ = [
     "logsumexp",
     "softmax_neg",
     "sq_dist",
+    "expand_centred",
+    "expanded_sq_dist",
     "cross_entropy",
     "affine",
     "unit_rows",
@@ -190,7 +201,8 @@ def grad(tape: Tape, loss) -> dict[Var, np.ndarray]:
             prev = adjoints.get(id(v))
             adjoints[id(v)] = gi if prev is None else prev + gi
     return {
-        p: adjoints.get(id(p), np.zeros_like(p.value)) for p in tape._params
+        p: adjoints[id(p)] if id(p) in adjoints else np.zeros_like(p.value)
+        for p in tape._params
     }
 
 
@@ -636,6 +648,67 @@ def sq_dist(a, b):
         return gb, ga
 
     # b's reshape came last in the group, so its adjoint lands first
+    return _apply(out, (_as_var(b, tape), _as_var(a, tape)), backward, tape)
+
+
+def expand_centred(a_c: np.ndarray, a_sq: np.ndarray, b_c: np.ndarray) -> np.ndarray:
+    """All-pairs squared distances from rows centred about one c.
+
+    ``|a - c|^2 + |b - c|^2 - 2 (a - c)(b - c)^T``, clamped at 0, with
+    one matrix product per row set. ``a_c`` and ``b_c`` are the rows
+    minus c as fresh C-ordered arrays (``np.subtract(x, c,
+    order="C")``), so a view with negative strides, or a column-major
+    one, gives the bits of its contiguous copy, and every row set of a
+    stack those of its own call; ``a_sq`` is ``np.square(a_c).sum(-1)``.
+    ``b_c`` is spent, squared in place once the product has read it.
+    Centring makes the rounding scale with the spread of the rows about
+    c, eps * (|a - c|^2 + |b - c|^2), not with their distance from the
+    origin.
+    """
+    d = np.matmul(a_c, np.swapaxes(b_c, -1, -2))
+    d *= -2.0
+    d += a_sq[..., :, None]
+    d += np.square(b_c, out=b_c).sum(axis=-1)[..., None, :]
+    return np.maximum(d, 0.0, out=d)
+
+
+def expanded_sq_dist(a, b):
+    """All-pairs squared distances by expansion about c, the mean of ``b``'s rows.
+
+    The values of :func:`sq_dist` by :func:`expand_centred`, one matrix
+    product in place of the differences; not bitwise any composition
+    (see the module docstring). ``a`` is (..., n, l) and ``b``
+    (..., m, l), one centre per row set; taped calls take plain (n, l)
+    row sets, and every slice of an untaped stack is bitwise its own
+    call. Taking c from ``b`` alone keeps each row of ``a`` independent
+    of the others.
+
+    The exact distance does not depend on c, so the backward holds c
+    constant: ``ga = 2 (rowsum(g) (a - c) - g (b - c))`` and
+    ``gb = 2 (colsum(g) (b - c) - g^T (a - c))``, two matrix products
+    and no (n, m, l) array.
+    """
+    tape = _tape_of(a, b)
+    av, bv = value_of(a), value_of(b)
+    if tape is not None and (av.ndim, bv.ndim) != (2, 2):
+        raise ContractError("expanded_sq_dist differentiates plain (n, l) row sets only")
+    centre = bv.mean(axis=-2, keepdims=True)
+    a_c = np.subtract(av, centre, order="C")
+    b_c = np.subtract(bv, centre, order="C")
+    out = expand_centred(a_c, np.square(a_c).sum(axis=-1), b_c.copy())  # the backward reads b_c
+    if tape is None:
+        return out
+
+    def backward(g):
+        gb = g.sum(axis=0)[:, None] * b_c
+        gb -= g.T @ a_c
+        gb *= 2.0
+        ga = g.sum(axis=1)[:, None] * a_c
+        ga -= g @ b_c
+        ga *= 2.0
+        return gb, ga
+
+    # listed as sq_dist lists them, b first
     return _apply(out, (_as_var(b, tape), _as_var(a, tape)), backward, tape)
 
 

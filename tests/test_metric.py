@@ -200,8 +200,27 @@ class TestPairwise:
     def test_diagonal_exactly_zero(self):
         rng = np.random.default_rng(6)
         A = rng.normal(size=(5, 4))
-        for spec in all_specs(4):
+        euclid, scaled, instance, pair = all_specs(4)
+        for spec in (euclid, scaled):
             np.testing.assert_array_equal(np.diag(pairwise(spec, A, A)), np.zeros(5))
+        # the learned kinds expand, so a diagonal entry is rounding: a few
+        # eps, since they compare rows of norm at most 1 (unit rows over g > 1)
+        for spec in (instance, pair):
+            diag = np.diag(pairwise(spec, A, A))
+            assert np.all(diag >= 0.0) and np.all(diag <= 1e-14)
+
+    def test_learned_kinds_unprepared_are_prepared_bitwise(self):
+        # one expansion for training and evaluation: without terms the
+        # learned kinds centre on the compared prototypes, as query_terms does
+        rng = np.random.default_rng(12)
+        for lead in ((), (3,)):
+            A, B = rng.normal(size=(*lead, 9, 6)), rng.normal(size=(*lead, 4, 6))
+            for spec in all_specs(6)[2:]:
+                got = pairwise(spec, A, B)
+                assert np.array_equal(got, pairwise(spec, A, B, query=query_terms(spec, A, B)))
+                if not lead:
+                    tape = nk.Tape()
+                    assert np.array_equal(nk.value_of(pairwise(spec, A, B, tape)), got)
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ContractError):

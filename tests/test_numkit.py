@@ -623,6 +623,62 @@ class TestFusedPrimitives:
         assert np.array_equal(nk.unit_rows(np.array([[3.0, 4.0]]), 1e-12), [[0.6, 0.8]])
 
 
+class TestExpandedSqDist:
+    """The expansion node against the difference composition it stands in for.
+
+    It is not bitwise that composition: values and gradients agree within
+    ``RTOL`` of the composition's largest entry.
+    """
+
+    RTOL = 1e-12
+
+    def assert_close(self, got, want):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= self.RTOL * np.max(np.abs(want))
+
+    def assert_matches_composition(self, a, b):
+        got, got_grads = taped(nk.expanded_sq_dist, [a, b])
+        want, want_grads = taped(ref_sq_dist, [a, b])
+        assert np.array_equal(got, nk.expanded_sq_dist(a, b))  # one arithmetic on and off the tape
+        assert np.all(got >= 0.0)
+        self.assert_close(got, want)
+        for g, w in zip(got_grads, want_grads):
+            self.assert_close(g, w)
+
+    @pytest.mark.parametrize("n,m,l", [(120, 15, 64), (11, 9, 2), (5, 9, 1)])
+    def test_gradients_match_the_difference_composition(self, n, m, l):
+        rng = np.random.default_rng(n * 100 + m * 10 + l)
+        self.assert_matches_composition(rng.normal(size=(n, l)), rng.normal(size=(m, l)))
+
+    @pytest.mark.parametrize("offset", [1e4, 1e6])
+    def test_translated_rows_stay_within_the_bound(self, offset):
+        # about the origin the expansion would cancel terms of order
+        # offset**2 * l and miss the bound by orders of magnitude
+        rng = np.random.default_rng(5)
+        a, b = rng.normal(size=(30, 16)), rng.normal(size=(5, 16))
+        self.assert_matches_composition(a + offset, b + offset)
+
+    def test_stack_slices_are_their_own_calls(self):
+        rng = np.random.default_rng(8)
+        a, b = rng.normal(size=(4, 11, 6)), rng.normal(size=(4, 5, 6))
+        flipped = a[..., ::-1]
+        assert flipped.strides[-1] < 0
+        for rows in (a, flipped):
+            stacked = nk.expanded_sq_dist(rows, b)
+            assert stacked.shape == (4, 11, 5)
+            for p in range(4):
+                assert np.array_equal(stacked[p], nk.expanded_sq_dist(rows[p], b[p]))
+        assert np.array_equal(nk.expanded_sq_dist(flipped, b),
+                              nk.expanded_sq_dist(np.ascontiguousarray(flipped), b))
+
+    def test_one_record_and_plain_row_sets_on_the_tape(self):
+        tape = nk.Tape()
+        nk.expanded_sq_dist(tape.param(np.ones((5, 3))), tape.param(np.zeros((4, 3))))
+        assert len(tape) == 1
+        with pytest.raises(ContractError):
+            nk.expanded_sq_dist(tape.param(np.ones((2, 3, 4))), np.ones((2, 5, 4)))
+
+
 class TestParamReuse:
     def test_same_object_and_equal_copy_share_one_leaf(self):
         tape = nk.Tape()
