@@ -74,19 +74,23 @@ __all__ = [
 MODES = ("inductive", "transductive", "semi")
 
 
-def nll(conf, labels) -> float:
+def nll(conf, labels) -> float | np.ndarray:
     """Mean over rows of -log(confidence of the true class).
 
-    A row with zero confidence on its true class yields +inf; callers
-    flag it rather than clamp it away.
+    (n, ways) confidences with n labels give a float. Stacks, (..., n,
+    ways) confidences with (..., n) labels, give the (...) array of
+    per-set means, each bitwise its own set's call. A row with zero
+    confidence on its true class yields +inf; callers flag it rather
+    than clamp it away.
     """
     cv = np.asarray(conf, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    if cv.ndim != 2 or cv.shape[0] != y.shape[0]:
+    if cv.ndim < 2 or cv.shape[:-1] != y.shape:
         raise ContractError("confidence rows must align with labels")
-    q_true = cv[np.arange(y.size), y - 1]
+    q_true = np.take_along_axis(cv, y[..., None] - 1, axis=-1)[..., 0]
     with np.errstate(divide="ignore"):
-        return float(np.mean(-np.log(q_true)))
+        means = np.mean(-np.log(q_true), axis=-1)
+    return float(means) if cv.ndim == 2 else means
 
 
 @dataclass(frozen=True)
@@ -164,13 +168,12 @@ def _score_batch(state: ModelState, source, protocol: EvalProtocol, indices):
         for seed in seeds
     ]
     traces = refine_batch(episodes, state.encoder, views, state.metric, steps)
+    labels = np.stack([ep.query_y for ep in episodes])
+    accuracy = np.mean(predict_labels(traces[:, -1]) == labels, axis=-1)
+    nll0, nll_t = nll(traces[:, 0], labels), nll(traces[:, -1], labels)
     return [
-        EpisodeRecord(
-            index=i, seed=seed,
-            accuracy=float(np.mean(predict_labels(trace[-1]) == ep.query_y)),
-            nll=nll(trace[0], ep.query_y), nll_final=nll(trace[-1], ep.query_y),
-        )
-        for i, seed, ep, trace in zip(indices, seeds, episodes, traces)
+        EpisodeRecord(index=i, seed=seed, accuracy=float(acc), nll=float(n0), nll_final=float(nt))
+        for i, seed, acc, n0, nt in zip(indices, seeds, accuracy, nll0, nll_t)
     ]
 
 

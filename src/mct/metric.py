@@ -9,6 +9,12 @@ evaluates g once per embedding (each side scaled by its own g), while
 pair. g ends in a sigmoid that is scaled by exp(alpha) and shifted by
 exp(beta), so it is positive for every parameter setting and starts in
 (1, 2) at the fresh alpha = beta = 0 point.
+
+Two functions compute distances. :func:`pairwise` serves training and
+gradient checks, on the tape and off it, laid out (n, m) with the query
+rows outermost. Refinement prepares each query row set once
+(:func:`query_terms`) and calls :func:`prepared_distances`, which lays
+its distances out ways-major, (m, n) with the prototypes outermost.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ __all__ = [
     "MetricSpec",
     "scaler_eval",
     "query_terms",
+    "prepared_distances",
     "pairwise",
     "METRIC_KINDS",
 ]
@@ -216,12 +223,14 @@ class _QueryTerms(NamedTuple):
 
     ``rows`` are the compared query rows minus the centre, C-ordered;
     ``sq_norms`` are their squared norms; ``centre`` is the mean of the
-    compared prototype rows the terms were prepared about, (..., 1, l).
+    compared prototype rows the terms were prepared about, (..., 1, l);
+    ``raw`` are the query rows as given, which the pair kind's g reads.
     """
 
     rows: np.ndarray
     sq_norms: np.ndarray
     centre: np.ndarray
+    raw: np.ndarray
 
 
 def _compared_rows(spec: MetricSpec, x) -> np.ndarray:
@@ -235,28 +244,69 @@ def _compared_rows(spec: MetricSpec, x) -> np.ndarray:
     return nk.value_of(x)
 
 
-def query_terms(spec: MetricSpec, a, protos) -> _QueryTerms:
+def query_terms(spec: MetricSpec, a, protos, compared=None) -> _QueryTerms:
     """The query side of ``spec``'s distances, prepared about ``protos``.
 
     The centre c is the mean of the compared rows of ``protos``, and the
     terms hold the compared rows of ``a`` (see :func:`_compared_rows`)
     minus c with their squared norms. A refinement loop prepares them
     once per row set about its step-0 prototypes, which the support set
-    alone determines, and passes them to every step's ``pairwise`` call,
-    which then computes distances by expansion about that fixed c (see
-    :func:`numkit.expand_centred`). Later prototypes, weighted means of
-    the same rows, stay near c, and no query row enters it, so each
-    query row's distances are independent of the other query rows.
-    Untaped; ``a`` is (n, l) or (V, n, l), ``protos`` (m, l) or (V, m, l).
+    alone determines, and passes them to every step's
+    :func:`prepared_distances`, which then expands about that fixed c
+    (see :func:`numkit.expand_centred`). Later prototypes, weighted
+    means of the same rows, stay near c, and no query row enters it, so
+    each query row's distances are independent of the other query rows.
+    ``compared`` may carry ``_compared_rows(spec, protos)`` when the
+    caller has them, so that they are not made twice. Untaped; ``a`` is
+    (n, l) or (V, n, l), ``protos`` (m, l) or (V, m, l).
     """
-    centre = _compared_rows(spec, protos).mean(axis=-2, keepdims=True)
+    if compared is None:
+        compared = _compared_rows(spec, protos)
+    centre = compared.mean(axis=-2, keepdims=True)
     # the compared rows are freed before the squares are made; holding
     # them through the squaring raised evaluation's page faults by a third
     rows = np.subtract(_compared_rows(spec, a), centre, order="C")
-    return _QueryTerms(rows, np.square(rows).sum(axis=-1), centre)
+    return _QueryTerms(rows, np.square(rows).sum(axis=-1), centre, nk.value_of(a))
 
 
-def pairwise(spec: MetricSpec, a, b, tape: nk.Tape | None = None, *, query=None):
+def prepared_distances(spec: MetricSpec, terms: _QueryTerms, protos, compared=None) -> np.ndarray:
+    """Distances from prepared query rows to ``protos``, ways-major.
+
+    Entry (..., j, i) is d(a_i, b_j) for the query rows a that ``terms``
+    (see :func:`query_terms`) were prepared from: the prototypes are the
+    outer axis, (m, n) or (V, m, n) for (m, l) or (V, m, l) ``protos``,
+    so a softmax over classes runs along axis -2 in vectorized passes
+    over the queries, and the ways-major confidences multiply straight
+    into an embedding stack. Every kind expands about the terms' centre
+    (see :func:`numkit.expand_centred`), with one matrix product per row
+    set, and every entry is bitwise the transpose of the row-major
+    expansion. For the learned kinds that is ``pairwise(spec, a, b)``'s
+    entry; for ``euclid`` and ``scaled`` it is off the exact difference
+    form by rounding. ``compared`` may carry
+    ``_compared_rows(spec, protos)`` when the caller has them. Untaped;
+    a spec of P parameter sets scores the stack's row set p with set p.
+    """
+    pv = nk.value_of(protos)
+    if (not isinstance(terms, _QueryTerms) or pv.ndim != terms.rows.ndim
+            or pv.shape[:-2] != terms.rows.shape[:-2] or pv.shape[-1] != terms.rows.shape[-1]):
+        raise ContractError("query terms must match the prototypes")
+    if compared is None:
+        compared = _compared_rows(spec, pv)
+    b_c = np.subtract(compared, terms.centre, order="C")
+    d = nk.expand_centred(terms.rows, terms.sq_norms, b_c, b_major=True)
+    if spec.kind == "scaled":
+        s = np.asarray(spec.s, dtype=np.float64)
+        return (s[:, None, None] if spec.stack else s) * d
+    if spec.kind == "pair":
+        # g in the row-major layout pairwise evaluates it in, read transposed
+        n, m = terms.rows.shape[-2], pv.shape[-2]
+        pairs = nk.concat([nk.repeat_rows(terms.raw, m), nk.tile_rows(pv, n)], axis=-1)
+        g = np.swapaxes(scaler_eval(spec.scaler, pairs).reshape(*pv.shape[:-2], n, m), -1, -2)
+        return d / (g * g)
+    return d
+
+
+def pairwise(spec: MetricSpec, a, b, tape: nk.Tape | None = None):
     """Distance matrix between row sets: entry (i, j) = d(a_i, b_j).
 
     ``a`` is the query side and ``b`` the prototype side; the pair kind
@@ -264,63 +314,46 @@ def pairwise(spec: MetricSpec, a, b, tape: nk.Tape | None = None, *, query=None)
     take stacks of V row sets, (V, n, l) against (V, m, l), and return
     (V, n, m) with every slice bitwise equal to the unstacked call. Each
     kind has one path for both forms. A spec of P parameter sets scores
-    the stack's row set p with set p.
+    the stack's row set p with set p. Training and gradient checks call
+    it; refinement prepares its query side once and calls
+    :func:`prepared_distances`.
 
     The learned kinds (``instance``, ``pair``) compute their squared
-    distances by expansion about a centre c (see
-    :func:`numkit.expand_centred`): one matrix product per row set, never
-    negative, and off the difference form by rounding of the order of
-    eps * (|a - c|^2 + |b - c|^2), so identical rows map to a tiny
-    non-negative number rather than exactly zero. ``euclid`` and
-    ``scaled`` compare raw embeddings, whose spread would cost finite
-    difference checks their precision, so without ``query`` they sum
-    every squared difference exactly as :func:`numkit.sq_dist` does,
-    and identical rows map to exactly zero.
-
-    Without ``query``, c is the mean of the compared rows of ``b``, on
-    the tape and off it (:func:`numkit.expanded_sq_dist`); training and
-    gradient checks take this form. ``query`` may carry
-    ``query_terms(spec, a, protos)``, which then stands in for the
-    compared a side so that it is not recomputed, and every kind expands
-    about the terms' own c, the mean of the compared ``protos`` they
-    were prepared about. For the learned kinds,
-    ``pairwise(spec, a, b)`` is therefore bitwise
-    ``pairwise(spec, a, b, query=query_terms(spec, a, b))``.
+    distances by expansion about c, the mean of the compared rows of
+    ``b``, on the tape and off it (:func:`numkit.expanded_sq_dist`): one
+    matrix product per row set, never negative, and off the difference
+    form by rounding of the order of eps * (|a - c|^2 + |b - c|^2), so
+    identical rows map to a tiny non-negative number rather than exactly
+    zero. That is the centre :func:`query_terms` takes, so for the
+    learned kinds ``pairwise(spec, a, b)`` is bitwise the transpose of
+    ``prepared_distances(spec, query_terms(spec, a, b), b)``. ``euclid``
+    and ``scaled`` compare raw embeddings, whose spread would cost
+    finite difference checks their precision, so they sum every squared
+    difference exactly as :func:`numkit.sq_dist` does, and identical
+    rows map to exactly zero.
     """
     av, bv = nk.value_of(a), nk.value_of(b)
     if (av.ndim not in (2, 3) or bv.ndim != av.ndim
             or av.shape[:-2] != bv.shape[:-2] or av.shape[-1] != bv.shape[-1]):
         raise ContractError("pairwise expects row sets of one embedding width")
-    if tape is not None and (av.ndim != 2 or query is not None or spec.stack):
+    if tape is not None and (av.ndim != 2 or spec.stack):
         raise ContractError("only plain (n, l) row sets and one parameter set are differentiated")
-    if query is not None and (not isinstance(query, _QueryTerms)
-                              or query.rows.shape != av.shape
-                              or query.centre.shape != (*av.shape[:-2], 1, av.shape[-1])):
-        raise ContractError("query terms must match the query rows")
-
-    def sq_dist(a_side, b_side):
-        # a prepared call compares the query terms in place of a_side
-        if query is not None:
-            b_c = np.subtract(nk.value_of(b_side), query.centre, order="C")
-            return nk.expand_centred(query.rows, query.sq_norms, b_c)
-        if spec.kind in ("instance", "pair"):
-            return nk.expanded_sq_dist(a_side, b_side)
-        return nk.sq_dist(a_side, b_side)
 
     if spec.kind == "euclid":
-        return sq_dist(a, b)
+        return nk.sq_dist(a, b)
     if spec.kind == "scaled":
         s = nk.leaves(spec.to_named(), tape)["metric.s"]
         if spec.stack:
             s = s[:, None, None]
-        return nk.mul(s, sq_dist(a, b))
+        return nk.mul(s, nk.sq_dist(a, b))
     if spec.kind == "instance":
-        a_side = _instance_side(spec.scaler, a, tape) if query is None else query
-        return sq_dist(a_side, _instance_side(spec.scaler, b, tape))
+        return nk.expanded_sq_dist(
+            _instance_side(spec.scaler, a, tape), _instance_side(spec.scaler, b, tape)
+        )
     # pair kind: one g per (query, prototype) combination
     n, m = av.shape[-2], bv.shape[-2]
-    a_hat = nk.unit_rows(a, _NORM_FLOOR) if query is None else query
+    a_hat = nk.unit_rows(a, _NORM_FLOOR)
     b_hat = nk.unit_rows(b, _NORM_FLOOR)
     pairs = nk.concat([nk.repeat_rows(a, m), nk.tile_rows(b, n)], axis=-1)
     g = nk.reshape(scaler_eval(spec.scaler, pairs, tape), (*av.shape[:-2], n, m))
-    return nk.div(sq_dist(a_hat, b_hat), nk.mul(g, g))
+    return nk.div(nk.expanded_sq_dist(a_hat, b_hat), nk.mul(g, g))

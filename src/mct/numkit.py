@@ -29,7 +29,9 @@ forward and two backward, so its values and gradients match the
 difference composition only to rounding, and identical rows map to a
 tiny non-negative number rather than exactly zero. Its arithmetic,
 :func:`expand_centred`, is the one that evaluation's prepared
-distances use too.
+distances use too; they take it ways-major, the prototypes as the outer
+axis, with every entry bitwise the transposed row-major one, and
+:func:`softmax_neg` takes the class axis as an argument to match.
 
 Bitwise equality also needs the adjoint order kept. :func:`grad` sums
 the contributions to a Var as ``prev + gi`` in the order it meets them,
@@ -450,12 +452,16 @@ def relu(x):
 
 
 def _sigmoid_value(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so no exp overflows.
+
+    Both branches read e = exp(min(x, -x)), which is exp(-x) or exp(x)
+    on its side, and ``where`` picks per entry: no boolean mask, no
+    gather and no scatter, and the bits of a masked evaluation of the
+    two forms, for ±0, ±inf and nan of either sign too (``minimum``
+    passes its first nan on, where -|x| would flip a nan's sign).
+    """
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(x):
@@ -553,32 +559,43 @@ def logsumexp(x, axis: int = -1, keepdims: bool = False):
     return _apply(out, (_as_var(x, tape),), backward, tape)
 
 
-def softmax_neg(distances):
-    """Probabilities exp(-d_c) / sum_c' exp(-d_c') along the last axis.
+def softmax_neg(distances, axis: int = -1):
+    """Probabilities exp(-d_c) / sum_c' exp(-d_c') along ``axis``, the class axis.
 
     Computed with the max-shift trick, so adding a constant to every
     entry of a row leaves the output bit-identical. Rows sum to one.
-    The row maximum is one reduction over a class-major copy: a maximum
-    is exact in any order, and numpy then runs one vectorized pass per
-    class instead of one short reduction per row.
+    The shifted exponents are exp(m - d) with m the row minimum of d,
+    which is -d - max(-d) bit for bit, with no negated copy. Along the
+    last axis m is one reduction over a class-major copy: a minimum is
+    exact in any order, and numpy then runs one vectorized pass per
+    class instead of one short reduction per row. A ways-major layout,
+    (..., ways, n) with ``axis=-2``, needs no copy: the minimum and the
+    sum are each one vectorized pass per class over the n rows. That sum
+    adds the classes in order, which is bitwise the last axis' sum for
+    fewer than 8 classes; numpy sums 8 or more contiguous entries
+    pairwise, so there the two layouts agree to the last bits only.
     """
     tape = _tape_of(distances)
     dv = value_of(distances)
-    if dv.ndim == 0 or dv.shape[-1] == 0:
+    if dv.ndim == 0 or dv.shape[axis] == 0:
         raise ContractError("softmax_neg needs at least one entry")
-    if not np.all(np.isfinite(dv)):
+    if not np.isfinite(dv).all():
         raise DomainError("softmax_neg input must be finite")
-    z = -dv
-    ways = z.shape[-1]
-    m = np.maximum.reduce(z.reshape(-1, ways).T.copy(), axis=0)
-    m = m.reshape(*z.shape[:-1], 1)
-    e = np.exp(z - m)
-    out = e / e.sum(axis=-1, keepdims=True)
+    # the shift is the row minimum m of d: m - d is (-d) - max(-d) bit for bit
+    if axis % dv.ndim == dv.ndim - 1:
+        ways = dv.shape[-1]
+        m = np.minimum.reduce(dv.reshape(-1, ways).T.copy(), axis=0)
+        m = m.reshape(*dv.shape[:-1], 1)
+    else:
+        m = np.minimum.reduce(dv, axis=axis, keepdims=True)
+    out = np.subtract(m, dv)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
     if tape is None:
         return out
 
     def backward(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
+        inner = (g * out).sum(axis=axis, keepdims=True)
         return (-out * (g - inner),)
 
     return _apply(out, (_as_var(distances, tape),), backward, tape)
@@ -651,7 +668,9 @@ def sq_dist(a, b):
     return _apply(out, (_as_var(b, tape), _as_var(a, tape)), backward, tape)
 
 
-def expand_centred(a_c: np.ndarray, a_sq: np.ndarray, b_c: np.ndarray) -> np.ndarray:
+def expand_centred(
+    a_c: np.ndarray, a_sq: np.ndarray, b_c: np.ndarray, *, b_major: bool = False
+) -> np.ndarray:
     """All-pairs squared distances from rows centred about one c.
 
     ``|a - c|^2 + |b - c|^2 - 2 (a - c)(b - c)^T``, clamped at 0, with
@@ -664,11 +683,22 @@ def expand_centred(a_c: np.ndarray, a_sq: np.ndarray, b_c: np.ndarray) -> np.nda
     Centring makes the rounding scale with the spread of the rows about
     c, eps * (|a - c|^2 + |b - c|^2), not with their distance from the
     origin.
+
+    The result is (..., n, m), or with ``b_major`` (..., m, n), b's rows
+    outermost: the product is then ``b_c`` against a transposed view of
+    ``a_c`` (a contiguous transposed copy takes another BLAS kernel and
+    other bits), and every entry adds a's square before b's, so it is
+    bitwise the (..., n, m) one's.
     """
-    d = np.matmul(a_c, np.swapaxes(b_c, -1, -2))
+    if b_major:
+        d = np.matmul(b_c, np.swapaxes(a_c, -1, -2))
+        a_sq, b_axis = a_sq[..., None, :], -1
+    else:
+        d = np.matmul(a_c, np.swapaxes(b_c, -1, -2))
+        a_sq, b_axis = a_sq[..., :, None], -2
     d *= -2.0
-    d += a_sq[..., :, None]
-    d += np.square(b_c, out=b_c).sum(axis=-1)[..., None, :]
+    d += a_sq
+    d += np.expand_dims(np.square(b_c, out=b_c).sum(axis=-1), b_axis)
     return np.maximum(d, 0.0, out=d)
 
 

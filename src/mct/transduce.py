@@ -16,6 +16,10 @@ one :func:`update_prototypes` makes.
 
 Confidence matrices are plain (n, ways) float64 arrays whose rows sum
 to one; prototype matrices are (ways, embed_dim), row c-1 for class c.
+Inside a refinement step the confidences are laid out ways-major,
+(ways, n), so the softmax and the view mean run in vectorized passes
+over the items and the update multiplies them straight into the
+embeddings; what the engine returns is row-major again.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 from . import numkit as nk
 from .encoder import ViewSpec, _encode_views
 from .errors import ContractError
-from .metric import MetricSpec, pairwise, query_terms
+from .metric import MetricSpec, _compared_rows, prepared_distances, query_terms
 
 __all__ = [
     "one_hot",
@@ -70,11 +74,14 @@ def confidence(query_emb, protos, metric: MetricSpec):
 
     Untaped. The distances are the ones :func:`refine_batch` scores
     with, by expansion from query terms prepared about ``protos`` (the
-    centre is the mean of these prototypes), so one view's confidences
-    are bitwise that engine's at T=0.
+    centre is the mean of these prototypes) and laid out ways-major, so
+    one view's confidences are bitwise that engine's at T=0; they come
+    back row-major, (n, ways).
     """
-    terms = query_terms(metric, query_emb, protos)
-    return nk.softmax_neg(pairwise(metric, query_emb, protos, query=terms))
+    compared = _compared_rows(metric, protos)
+    terms = query_terms(metric, query_emb, protos, compared)
+    conf = nk.softmax_neg(prepared_distances(metric, terms, protos, compared), axis=-2)
+    return nk.transpose(conf)
 
 
 def update_prototypes(
@@ -99,15 +106,20 @@ def update_prototypes(
             f"confidence shape {cv.shape} does not match {qv.shape[-2]} items x {ways} classes"
         )
     class_sums = nk.matmul(one_hot(support_y, ways).T, support_emb)
-    return _weighted_mean(class_sums, _class_counts(support_y, ways)[:, None], query_emb, conf)
+    weights = nk.transpose(conf)
+    mass = nk.reshape(nk.asum(conf, axis=-2), (*cv.shape[:-2], ways, 1))
+    return _weighted_mean(class_sums, _class_counts(support_y, ways)[:, None], query_emb,
+                          weights, mass)
 
 
-def _weighted_mean(class_sums, counts, emb, conf):
-    """(class_sums + conf^T emb) / (counts + conf's column sums); leading axes broadcast."""
-    cv = nk.value_of(conf)
-    num = nk.add(class_sums, nk.matmul(nk.transpose(conf), emb))
-    mass = nk.reshape(nk.asum(conf, axis=-2), (*cv.shape[:-2], cv.shape[-1], 1))
-    return nk.div(num, nk.add(counts, mass))
+def _weighted_mean(class_sums, counts, emb, weights, mass):
+    """(class_sums + weights emb) / (counts + mass); leading axes broadcast.
+
+    ``weights`` are the confidences ways-major, (..., ways, n), and
+    ``mass`` their sums over the n items, (..., ways, 1), summed from
+    the row-major (..., n, ways) confidences item by item.
+    """
+    return nk.div(nk.add(class_sums, nk.matmul(weights, emb)), nk.add(counts, mass))
 
 
 def refine_batch(
@@ -134,13 +146,21 @@ def refine_batch(
     last block sharing the rest of the encoder, and carried as an
     (E*V, n, l) stack, so a step makes one distance call and one softmax
     per scored set and one prototype update. What no step changes is
-    computed once: the class sums, and each scored set's query terms
-    (see :func:`query_terms`), centred on the mean of its step-0
-    prototypes, so every step's distances expand about that fixed
-    centre and step 0 is bitwise :func:`confidence`. Queries and pool
-    never share a stack: the row count changes BLAS rounding. Every
-    value is bitwise equal to running the episodes and views one by one
-    with the same centres.
+    computed once: the class sums, the compared step-0 prototypes, and
+    each scored set's query terms (see :func:`query_terms`), centred on
+    the mean of those prototypes, so every step's distances expand about
+    that fixed centre and step 0 is bitwise :func:`confidence`. A step
+    runs ways-major, (E*V, ways, n): the distances
+    (:func:`prepared_distances`), the softmax along the class axis and
+    the view mean, whose (E, ways, n) ensemble multiplies straight into
+    the embedding stack. The class mass is summed from the row-major
+    trace slice, or a row-major copy for a pool, item by item, as
+    :func:`update_prototypes` sums it. Queries and pool never share a
+    stack: the row count changes BLAS rounding. Every value is bitwise
+    equal to running the episodes and views one by one with the same
+    centres, and, for fewer than 8 ways, to the same steps laid out
+    row-major; from 8 ways on, numpy sums a row-major softmax's classes
+    pairwise, so the two layouts agree only to the last bits.
     """
     if T < 0:
         raise ContractError("T must be non-negative")
@@ -164,14 +184,14 @@ def refine_batch(
         # (E, V, n, l): episode-major, so each episode's views are adjacent
         return np.stack(_encode_views(encoder, np.stack(rows), views), axis=1)
 
-    def flat(emb):
-        return emb.reshape(n_e * n_v, emb.shape[2], -1)
+    def flat(x):
+        return x.reshape(n_e * n_v, x.shape[2], -1)
 
-    def ensemble(emb, terms, protos):
-        """(E, n, ways): the mean over views of one row set's confidences."""
-        local = nk.softmax_neg(pairwise(
-            metric, flat(emb), protos.reshape(n_e * n_v, ways, -1), query=terms
-        )).reshape(*emb.shape[:3], ways)
+    def ensemble(terms, protos, compared):
+        """(E, ways, n): the mean over views of one row set's ways-major confidences."""
+        local = nk.softmax_neg(
+            prepared_distances(metric, terms, flat(protos), compared), axis=-2
+        ).reshape(n_e, n_v, ways, -1)
         out = local[:, 0]
         for v in range(1, n_v):
             out = out + local[:, v]
@@ -182,25 +202,33 @@ def refine_batch(
     indicator = np.stack([one_hot(ep.support_y, ways).T for ep in episodes])[:, None]
     class_sums = np.matmul(indicator, emb_s)
     protos = class_sums / counts
-    protos0 = protos.reshape(n_e * n_v, ways, -1)
+    compared = _compared_rows(metric, flat(protos))
     emb_q = embed([ep.query_x for ep in episodes])
-    q_terms = query_terms(metric, flat(emb_q), protos0)
+    q_terms = query_terms(metric, flat(emb_q), flat(protos), compared)
     # the rows whose confidences weight each update: the pool, else the queries
     emb_d, d_terms = emb_q, q_terms
     if pooled:
         emb_d = embed([ep.unlabeled_x for ep in episodes])
-        d_terms = query_terms(metric, flat(emb_d), protos0)
+        d_terms = query_terms(metric, flat(emb_d), flat(protos), compared)
     trace = np.empty((n_e, T + 1, first.query_x.shape[0], ways))
     for t in range(T + 1):
-        conf = ensemble(emb_q, q_terms, protos)
-        trace[:, t] = conf
+        if t:
+            compared = _compared_rows(metric, flat(protos))
+        conf = ensemble(q_terms, protos, compared)
+        trace[:, t] = np.swapaxes(conf, -1, -2)
         if t < T:
+            row_major = trace[:, t]
             if pooled:
-                conf = ensemble(emb_d, d_terms, protos)
-            protos = _weighted_mean(class_sums, counts, emb_d, conf[:, None])
+                conf = ensemble(d_terms, protos, compared)
+                row_major = nk.transpose(conf)
+            mass = row_major.sum(axis=-2).reshape(n_e, 1, ways, 1)
+            protos = _weighted_mean(class_sums, counts, emb_d, conf[:, None], mass)
     return trace
 
 
 def predict_labels(conf) -> np.ndarray:
-    """Most confident class per row, in {1..ways}; ties go to the lowest."""
-    return np.argmax(nk.value_of(conf), axis=1) + 1
+    """Most confident class per row, in {1..ways}; ties go to the lowest.
+
+    Takes (n, ways) rows or stacks of them, (..., n, ways).
+    """
+    return np.argmax(nk.value_of(conf), axis=-1) + 1

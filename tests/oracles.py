@@ -7,10 +7,12 @@ from contextlib import contextmanager
 import numpy as np
 
 from mct import numkit as nk
-from mct.encoder import VIEWS, encode_batch
+from mct.encoder import VIEWS, _encode_views, encode_batch
 from mct.errors import ContractError
-from mct.metric import MetricSpec, pairwise, query_terms
-from mct.transduce import confidence, init_from_embeddings, update_prototypes
+from mct.metric import MetricSpec, _compared_rows, pairwise, query_terms, scaler_eval
+from mct.transduce import (
+    _class_counts, confidence, init_from_embeddings, one_hot, update_prototypes,
+)
 
 
 def metric_of(kind, dim, seed=0):
@@ -41,14 +43,83 @@ def check_confidence(conf, ways: int):
     assert np.all(np.abs(cv.sum(axis=1) - 1.0) <= 1e-9)
 
 
+def row_major_distances(metric, terms, protos):
+    """``prepared_distances`` laid out row-major, (..., n, m): the reference for its layout.
+
+    The same expansion about the terms' centre, with the query rows as
+    the outer axis: the product of the query rows against the
+    transposed prototypes, and the pair kind's g read as evaluated.
+    """
+    pv = np.asarray(protos, dtype=np.float64)
+    b_c = np.subtract(_compared_rows(metric, pv), terms.centre, order="C")
+    d = nk.expand_centred(terms.rows, terms.sq_norms, b_c)
+    if metric.kind == "scaled":
+        s = np.asarray(metric.s, dtype=np.float64)
+        return (s[:, None, None] if metric.stack else s) * d
+    if metric.kind == "pair":
+        n, m = terms.rows.shape[-2], pv.shape[-2]
+        pairs = nk.concat([nk.repeat_rows(terms.raw, m), nk.tile_rows(pv, n)], axis=-1)
+        g = scaler_eval(metric.scaler, pairs).reshape(*pv.shape[:-2], n, m)
+        return d / (g * g)
+    return d
+
+
 def centred_confidence(query_emb, protos, metric, protos0):
     """``confidence`` of ``query_emb`` against ``protos``, expanded about ``protos0``'s centre.
 
     The refinement engine prepares each scored set's terms once, about
-    its step-0 prototypes; with ``protos0 is protos`` this is ``confidence``.
+    its step-0 prototypes; with ``protos0 is protos`` this is
+    ``confidence``. Laid out row-major, with the softmax on the last axis.
     """
     terms = query_terms(metric, query_emb, protos0)
-    return nk.softmax_neg(pairwise(metric, query_emb, protos, query=terms))
+    return nk.softmax_neg(row_major_distances(metric, terms, protos))
+
+
+def row_major_refine(episodes, encoder, views, metric, T):
+    """``refine_batch`` with every step laid out row-major, (E*V, n, ways): the reference.
+
+    Distances by :func:`row_major_distances`, the softmax on the last
+    axis, the view mean on that layout, and the update through the
+    transposed copy of the ensemble, with the class mass summed over its
+    rows, as :func:`update_prototypes` makes it.
+    """
+    first = episodes[0]
+    ways, n_e, n_v = first.ways, len(episodes), len(views)
+
+    def embed(rows):
+        return np.stack(_encode_views(encoder, np.stack(rows), views), axis=1)
+
+    def flat(x):
+        return x.reshape(n_e * n_v, x.shape[2], -1)
+
+    def ensemble(emb, terms, protos):
+        local = nk.softmax_neg(row_major_distances(metric, terms, flat(protos)))
+        local = local.reshape(*emb.shape[:3], ways)
+        out = local[:, 0]
+        for v in range(1, n_v):
+            out = out + local[:, v]
+        return out / n_v
+
+    emb_s = embed([ep.support_x for ep in episodes])
+    counts = np.stack([_class_counts(ep.support_y, ways) for ep in episodes])[:, None, :, None]
+    class_sums = np.stack([one_hot(ep.support_y, ways).T for ep in episodes])[:, None] @ emb_s
+    protos = class_sums / counts
+    emb_q = embed([ep.query_x for ep in episodes])
+    q_terms = query_terms(metric, flat(emb_q), flat(protos))
+    emb_d, d_terms = emb_q, q_terms
+    if first.unlabeled_x is not None:
+        emb_d = embed([ep.unlabeled_x for ep in episodes])
+        d_terms = query_terms(metric, flat(emb_d), flat(protos))
+    trace = np.empty((n_e, T + 1, first.query_x.shape[0], ways))
+    for t in range(T + 1):
+        conf = trace[:, t] = ensemble(emb_q, q_terms, protos)
+        if t < T:
+            if first.unlabeled_x is not None:
+                conf = ensemble(emb_d, d_terms, protos)
+            weights = conf[:, None]
+            mass = weights.sum(axis=-2).reshape(n_e, 1, ways, 1)
+            protos = (class_sums + nk.transpose(weights) @ emb_d) / (counts + mass)
+    return trace
 
 
 def semi_infer(episode, encoder, metric):

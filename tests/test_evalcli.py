@@ -57,6 +57,24 @@ class TestNll:
     def test_misaligned_labels_rejected(self):
         with pytest.raises(ContractError):
             nll(np.eye(3), [1, 2])
+        with pytest.raises(ContractError):
+            nll(np.full((2, 3, 4), 0.25), np.ones((3, 2), dtype=np.int64))
+
+    def test_stacks_are_each_sets_own_call_bitwise(self):
+        # evaluation scores a batch's t=0 and t=T slices of its trace in one call each
+        rng = np.random.default_rng(3)
+        for lead, n, ways in (((6,), 15, 5), ((2, 3), 75, 20), ((4,), 7, 2)):
+            trace = rng.dirichlet(np.ones(ways), size=(*lead, 3, n))
+            labels = rng.integers(1, ways + 1, size=(*lead, n))
+            first = (0,) * len(lead)
+            trace[first][1, 0, labels[first][0] - 1] = 0.0  # one set with an infinite NLL
+            conf = trace[..., 1, :, :]  # a strided slice, as a trace step is
+            got = nll(conf, labels)
+            assert isinstance(got, np.ndarray) and got.shape == lead
+            assert np.isinf(got[first])
+            for idx in np.ndindex(*lead):
+                one = nll(conf[idx], labels[idx])
+                assert isinstance(one, float) and got[idx] == one
 
 
 class TestEvaluate:

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from mct import numkit as nk
 from mct.errors import ContractError, DomainError
 from mct.metric import (
-    METRIC_KINDS, MetricSpec, ScalerParams, pairwise, query_terms, scaler_eval,
+    METRIC_KINDS, MetricSpec, ScalerParams, pairwise, prepared_distances, query_terms,
+    scaler_eval,
 )
 from oracles import distance
 
@@ -211,13 +212,16 @@ class TestPairwise:
 
     def test_learned_kinds_unprepared_are_prepared_bitwise(self):
         # one expansion for training and evaluation: without terms the
-        # learned kinds centre on the compared prototypes, as query_terms does
+        # learned kinds centre on the compared prototypes, as query_terms
+        # does, and the ways-major layout is the transpose, bit for bit
         rng = np.random.default_rng(12)
         for lead in ((), (3,)):
             A, B = rng.normal(size=(*lead, 9, 6)), rng.normal(size=(*lead, 4, 6))
             for spec in all_specs(6)[2:]:
                 got = pairwise(spec, A, B)
-                assert np.array_equal(got, pairwise(spec, A, B, query=query_terms(spec, A, B)))
+                prepared = prepared_distances(spec, query_terms(spec, A, B), B)
+                assert prepared.shape == (*lead, 4, 9)
+                assert np.array_equal(got, np.swapaxes(prepared, -1, -2))
                 if not lead:
                     tape = nk.Tape()
                     assert np.array_equal(nk.value_of(pairwise(spec, A, B, tape)), got)
@@ -227,7 +231,7 @@ class TestPairwise:
             pairwise(MetricSpec.euclid(), np.ones((2, 3)), np.ones((2, 4)))
 
     def test_stack_slices_equal_unstacked_calls_bitwise(self):
-        # prepared calls expand about the prototype mean: each slice is
+        # prepared distances expand about the prototype mean: each slice is
         # bitwise its own prepared call, and the difference form only
         # within a bound, never below zero
         rng = np.random.default_rng(7)
@@ -239,16 +243,17 @@ class TestPairwise:
         for spec in all_specs(6):
             per_slice = np.stack([pairwise(spec, a, b) for a, b in zip(A, B)])
             assert np.array_equal(pairwise(spec, A, B), per_slice)
-            prepared = pairwise(spec, A, B, query=query_terms(spec, A, B))
+            prepared = prepared_distances(spec, query_terms(spec, A, B), B)
             assert np.array_equal(prepared, np.stack([
-                pairwise(spec, a, b, query=query_terms(spec, a, b)) for a, b in zip(A, B)
+                prepared_distances(spec, query_terms(spec, a, b), b) for a, b in zip(A, B)
             ]))
             assert np.all(prepared >= 0.0)
-            assert np.max(np.abs(prepared - per_slice)) <= 1e-12 * np.max(per_slice)
+            gap = np.swapaxes(prepared, -1, -2) - per_slice
+            assert np.max(np.abs(gap)) <= 1e-12 * np.max(per_slice)
             copy = np.ascontiguousarray(flipped)
             assert np.array_equal(
-                pairwise(spec, flipped, B, query=query_terms(spec, flipped, B)),
-                pairwise(spec, copy, B, query=query_terms(spec, copy, B)),
+                prepared_distances(spec, query_terms(spec, flipped, B), B),
+                prepared_distances(spec, query_terms(spec, copy, B), B),
             )
         # rows in column-major order: the expansion itself takes the C-ordered bits
         wide = rng.normal(size=(15, 64))
@@ -256,8 +261,8 @@ class TestPairwise:
         for spec in all_specs(64)[:2]:  # euclid and scaled, which compare the rows as they are
             fortran = np.asfortranarray(wide)
             assert np.array_equal(
-                pairwise(spec, fortran, protos, query=query_terms(spec, fortran, protos)),
-                pairwise(spec, wide, protos, query=query_terms(spec, wide, protos)),
+                prepared_distances(spec, query_terms(spec, fortran, protos), protos),
+                prepared_distances(spec, query_terms(spec, wide, protos), protos),
             )
 
     @pytest.mark.parametrize("ways", [1, 5, 15])
@@ -301,10 +306,12 @@ class TestPairwise:
         a, b = np.ones((2, 3)), np.full((4, 3), 2.0)
         with pytest.raises(ContractError):
             pairwise(spec, a[None], b[None], nk.Tape())
-        with pytest.raises(ContractError):
-            pairwise(spec, a, b, nk.Tape(), query=query_terms(spec, a, b))
-        with pytest.raises(ContractError):
-            pairwise(spec, a, b, query=np.ones((3, 3)))
+        # prepared distances take no tape, and only terms that fit the prototypes
+        terms = query_terms(spec, a, b)
+        assert isinstance(prepared_distances(spec, terms, b), np.ndarray)
+        for bad_terms, protos in ((np.ones((3, 3)), b), (terms, b[None]), (terms, b[:, :2])):
+            with pytest.raises(ContractError):
+                prepared_distances(spec, bad_terms, protos)
 
 
 class TestMetricGradients:

@@ -74,13 +74,40 @@ class TestSoftmaxNeg:
             assert np.array_equal(got[i, 3], nk.softmax_neg(d[i, 3]))
         assert nk.softmax_neg(d[:, :0]).shape == (4, 0, ways)
 
+    @pytest.mark.parametrize("ways", [1, 2, 5, 7, 8, 15])
+    def test_ways_major_axis_is_the_transposed_rows(self, ways):
+        # refinement lays distances out (..., ways, n); fewer than 8 classes
+        # sum in the same order on both layouts, 8 or more pairwise on the rows
+        rng = np.random.default_rng(ways)
+        d = rng.uniform(0.0, 30.0, size=(4, 9, ways))
+        d[0, 0] = 0.0  # ties at the row maximum
+        rows = nk.softmax_neg(d)
+        got = nk.softmax_neg(np.ascontiguousarray(np.swapaxes(d, -1, -2)), axis=-2)
+        assert got.shape == (4, ways, 9)
+        if ways < 8:
+            assert np.array_equal(np.swapaxes(got, -1, -2), rows)
+        else:
+            assert np.max(np.abs(np.swapaxes(got, -1, -2) - rows)) <= 1e-15
+        tape = nk.Tape()
+        x = tape.param(np.swapaxes(d[0], -1, -2))
+        w = rng.normal(size=(ways, 9))
+        g_major = nk.grad(tape, nk.asum(nk.mul(nk.softmax_neg(x, axis=-2), w)))[x]
+        tape = nk.Tape()
+        x = tape.param(d[0])
+        g_rows = nk.grad(tape, nk.asum(nk.mul(nk.softmax_neg(x), w.T)))[x]
+        np.testing.assert_allclose(g_major, g_rows.T, rtol=0, atol=1e-15)
+
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
             nk.softmax_neg(np.array([1.0, np.nan]))
+        with pytest.raises(DomainError):
+            nk.softmax_neg(np.array([[1.0, 2.0], [np.inf, 0.0]]), axis=-2)
 
     def test_rejects_empty_axis(self):
         with pytest.raises(ContractError):
             nk.softmax_neg(np.zeros((3, 0)))
+        with pytest.raises(ContractError):
+            nk.softmax_neg(np.zeros((3, 0, 4)), axis=-2)
 
     @given(
         st.lists(
@@ -97,6 +124,32 @@ class TestSoftmaxNeg:
         # adding the shift rounds the inputs themselves, so allow a few ulps
         q = nk.softmax_neg(np.array(row) + shift)
         np.testing.assert_allclose(p, q, rtol=0, atol=1e-10)
+
+
+def masked_sigmoid(x):
+    """The two stable sigmoid forms evaluated under a boolean mask: the reference."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoidValue:
+    def test_bits_are_the_masked_forms(self):
+        nan = np.float64(np.nan)
+        edges = np.array([
+            0.0, -0.0, np.inf, -np.inf, nan, -nan, 5e-324, -5e-324, 1e-300, -1e-300,
+            1.0, -1.0, 36.7, -36.7, 709.8, -709.8, 745.2, -745.2, 1e308, -1e308,
+        ])
+        rng = np.random.default_rng(4)
+        with np.errstate(under="ignore"):
+            for x in (edges, np.asarray(-0.3), rng.normal(size=(0, 1)),
+                      20.0 * rng.normal(size=(3, 50, 1)), 1e3 * rng.normal(size=(400,))):
+                got = nk._sigmoid_value(x)
+                assert got.shape == x.shape and got.dtype == np.float64
+                assert np.array_equal(got.view(np.uint64), masked_sigmoid(x).view(np.uint64))
 
 
 class TestLogsumexp:

@@ -9,7 +9,7 @@ from mct import numkit as nk
 from mct.checkpoint import ModelState
 from mct.encoder import VIEWS, EncoderParams, encode_batch, view_by_name
 from mct.episodes import Episode, SyntheticSpec, derive_seed, gen_synthetic, sample_episode
-from mct.errors import ContractError
+from mct.errors import ContractError, DomainError
 from mct.evalcli import EvalProtocol, evaluate, nll
 from mct.metatrain import TrainConfig, train
 from mct.metric import METRIC_KINDS, MetricSpec, pairwise
@@ -20,7 +20,9 @@ from mct.transduce import (
     refine_batch,
     update_prototypes,
 )
-from oracles import centred_confidence, check_confidence, metric_of, semi_infer
+from oracles import (
+    centred_confidence, check_confidence, metric_of, row_major_refine, semi_infer,
+)
 
 EUCLID = MetricSpec.euclid()
 
@@ -468,6 +470,42 @@ def batch_of(count, seed=30, **kw):
     return [synth_episode(seed=seed + i, **kw)[0] for i in range(count)]
 
 
+class TestWaysMajor:
+    """The engine's ways-major steps against the row-major ones (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("kind", METRIC_KINDS)
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_bitwise_the_row_major_steps_below_eight_ways(self, kind, pooled):
+        encoder, width = ENCODERS["init"]
+        metric = metric_of(kind, width)
+        for ways in range(2, 8):
+            episodes = batch_of(3, seed=70 + 3 * ways, ways=ways, queries=4,
+                                unlabeled=5 if pooled else 0)
+            for views in (VIEWS[:1], VIEWS):
+                got = refine_batch(episodes, encoder, views, metric, 4)
+                assert np.array_equal(got, row_major_refine(episodes, encoder, views, metric, 4))
+
+    @pytest.mark.parametrize("kind", METRIC_KINDS)
+    @pytest.mark.parametrize("ways", [8, 15])
+    def test_last_bits_from_eight_ways(self, kind, ways):
+        # numpy sums 8 or more classes of a row pairwise, and the ways-major
+        # softmax sums them in order, so step 0 agrees to the last bits. The
+        # learned kinds' bounded distances keep it there; the sharper
+        # confidences over raw embeddings (euclid, scaled) amplify it step by
+        # step, to at most 8.8e-13 by T=10 over 3 seeds, 2 encoders, 8-20 ways
+        encoder, width = ENCODERS["init"]
+        metric = metric_of(kind, width)
+        bound = 1e-15 if kind in ("instance", "pair") else 5e-12
+        for pooled in (False, True):
+            episodes = batch_of(3, seed=90 + ways, ways=ways, queries=4,
+                                unlabeled=5 if pooled else 0)
+            for views in (VIEWS[:1], VIEWS):
+                got = refine_batch(episodes, encoder, views, metric, 10)
+                ref = row_major_refine(episodes, encoder, views, metric, 10)
+                gap = np.abs(got - ref).max(axis=(0, 2, 3))
+                assert gap[0] <= 1e-15 and np.max(gap) <= bound
+
+
 class TestRefineBatch:
     @pytest.mark.parametrize("kind", METRIC_KINDS)
     @pytest.mark.parametrize("encoder_name", sorted(ENCODERS))
@@ -531,6 +569,20 @@ class TestRefineBatch:
         )], None, VIEWS, EUCLID, 3)[0]
         assert np.array_equal(a[0], no_pool[0])
         assert not np.array_equal(a[-1], no_pool[-1])
+
+    def test_non_finite_distances_raise_domain_error(self):
+        # query rows whose squares overflow: the ways-major softmax still checks
+        ep = batch_of(1, seed=61)[0]
+        far = Episode(
+            ways=ep.ways, shots=ep.shots, support_x=ep.support_x, support_y=ep.support_y,
+            query_x=ep.query_x * 1e200, query_y=ep.query_y,
+        )
+        with np.errstate(all="ignore"):
+            for kind in ("euclid", "scaled"):
+                with pytest.raises(DomainError, match="softmax_neg input must be finite"):
+                    refine_batch([far], None, VIEWS, metric_of(kind, 16), 3)
+                with pytest.raises(DomainError, match="softmax_neg input must be finite"):
+                    confidence(far.query_x, ep.support_x, metric_of(kind, 16))
 
     def test_mixed_ragged_and_empty_pools_rejected(self):
         with_pool = batch_of(1, seed=70, unlabeled=2)[0]
