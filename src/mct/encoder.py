@@ -297,9 +297,13 @@ class PerturbPolicy:
     """Strength settings for input perturbation.
 
     Weak = reversal with ``flip_prob`` plus additive noise sigma_weak.
-    Strong = reversal plus sigma_strong noise plus zeroing a
-    ``mask_frac`` fraction of coordinates (masking happens last, so a
-    full mask yields the exact zero vector at any noise level).
+    Strong = reversal plus sigma_strong noise plus zeroing
+    ``int(round(mask_frac * dim))`` coordinates of each row. Python's
+    ``round`` halves to even, so 0.25 of 2 coordinates masks none and
+    0.25 of 10 masks 2. Each row's masked coordinates are those one
+    ``rng.choice(dim, size=k, replace=False)`` call would pick.
+    Masking happens last, so a full mask yields the exact zero vector at
+    any noise level. Both noise scales must be finite and non-negative.
     """
 
     flip_prob: float = 0.5
@@ -310,10 +314,48 @@ class PerturbPolicy:
     def __post_init__(self):
         if not 0.0 <= self.flip_prob <= 1.0:
             raise DomainError("flip_prob must lie in [0, 1]")
-        if self.sigma_weak < 0 or self.sigma_strong < 0:
-            raise DomainError("noise scales must be non-negative")
+        if not all(np.isfinite(s) and s >= 0 for s in (self.sigma_weak, self.sigma_strong)):
+            raise DomainError("noise scales must be finite and non-negative")
         if not 0.0 <= self.mask_frac <= 1.0:
             raise DomainError("mask_frac must lie in [0, 1]")
+
+
+def _choice_masks(n: int, dim: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """(n, dim) boolean masks of k coordinates per row, drawn in one call.
+
+    Row i marks the set that the i-th of n successive calls of
+    ``rng.choice(dim, size=k, replace=False)`` returns, and ``rng`` ends
+    in the state those calls leave. numpy draws each of them as bounded
+    integers on [0, high]: below the size threshold, Floyd's algorithm
+    (highs ``dim-k .. dim-1``) and then a shuffle of the k indices
+    (highs ``k-1 .. 1``); for ``dim > 10000`` and ``k > dim // 50``, a
+    partial Fisher-Yates shuffle of ``arange(dim)`` (highs ``dim-1``
+    down to ``max(dim-k, 1)``). One ``rng.integers`` call makes every
+    row's draws in that order, and a high of 0 draws nothing in either.
+    The shuffle of Floyd's indices does not change their set, so its
+    draws are only consumed.
+    """
+    rows = np.arange(n)
+    mask = np.zeros((n, dim), dtype=bool)
+    if dim > 10000 and k > dim // 50:
+        highs = np.arange(dim - 1, max(dim - k, 1) - 1, -1)
+        draws = rng.integers(0, highs, size=(n, highs.size), endpoint=True)
+        idx = np.tile(np.arange(dim), (n, 1))
+        for c, i in enumerate(highs):
+            j = draws[:, c]
+            held = idx[rows, j]
+            idx[rows, j] = idx[:, i]
+            idx[:, i] = held
+        mask[rows[:, None], idx[:, dim - k:]] = True
+        return mask
+    floyd = np.arange(dim - k, dim)
+    highs = np.concatenate([floyd, np.arange(k - 1, 0, -1)])
+    draws = rng.integers(0, highs, size=(n, highs.size), endpoint=True)
+    for c, j in enumerate(floyd):
+        # Floyd's step: a value already taken is replaced by j itself
+        val = draws[:, c]
+        mask[rows, np.where(mask[rows, val], j, val)] = True
+    return mask
 
 
 def perturb_input(
@@ -326,7 +368,10 @@ def perturb_input(
 
     Accepts one vector or a batch of rows; each row draws its own flip,
     noise, and mask. With all policy parameters zero this is the
-    identity map.
+    identity map. A strong call masks ``int(round(mask_frac * dim))``
+    coordinates per row (see ``PerturbPolicy``); the masks and the state
+    ``rng`` is left in are those of one ``rng.choice(dim, size=k,
+    replace=False)`` call per row, drawn for all rows at once.
     """
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
@@ -345,7 +390,5 @@ def perturb_input(
     if sigma > 0.0:
         out = out + sigma * rng.standard_normal((n, dim))
     if strength == "strong" and policy.mask_frac > 0.0:
-        k = int(round(policy.mask_frac * dim))
-        for i in range(n):
-            out[i, rng.choice(dim, size=k, replace=False)] = 0.0
+        out[_choice_masks(n, dim, int(round(policy.mask_frac * dim)), rng)] = 0.0
     return out[0] if single else out

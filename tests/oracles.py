@@ -7,7 +7,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from mct import numkit as nk
-from mct.encoder import VIEWS, _encode_views, encode_batch
+from mct.encoder import VIEWS, PerturbPolicy, _encode_views, encode_batch
 from mct.errors import ContractError
 from mct.metric import MetricSpec, _compared_rows, pairwise, query_terms, scaler_eval
 from mct.transduce import (
@@ -120,6 +120,28 @@ def row_major_refine(episodes, encoder, views, metric, T):
             mass = weights.sum(axis=-2).reshape(n_e, 1, ways, 1)
             protos = (class_sums + nk.transpose(weights) @ emb_d) / (counts + mass)
     return trace
+
+
+def per_row_perturb_input(x, strength, rng, policy=PerturbPolicy()):
+    """``perturb_input`` with one ``rng.choice(dim, size=k, replace=False)`` call per row: the reference.
+
+    Flips, noise and masks as the package makes them, for valid input;
+    each strong row's mask is its own ``choice`` draw.
+    """
+    arr = np.asarray(x, dtype=np.float64)
+    single = arr.ndim == 1
+    out = (arr[None, :] if single else arr).copy()
+    n, dim = out.shape
+    flips = rng.random(n) < policy.flip_prob
+    out[flips] = out[flips, ::-1]
+    sigma = policy.sigma_weak if strength == "weak" else policy.sigma_strong
+    if sigma > 0.0:
+        out = out + sigma * rng.standard_normal((n, dim))
+    if strength == "strong" and policy.mask_frac > 0.0:
+        k = int(round(policy.mask_frac * dim))
+        for i in range(n):
+            out[i, rng.choice(dim, size=k, replace=False)] = 0.0
+    return out[0] if single else out
 
 
 def semi_infer(episode, encoder, metric):

@@ -23,7 +23,7 @@ from mct.encoder import (
 )
 from mct.errors import ContractError, DomainError, FormatError
 from mct.metric import MetricSpec
-from oracles import encode
+from oracles import encode, per_row_perturb_input
 
 
 def tiny_encoder(input_dim=6, hidden=8, n_blocks=2, seed=0, dropout=0.1):
@@ -284,6 +284,55 @@ class TestPerturbInput:
         assert abs(out.var() - 0.1875) < 5e-3
         # exactly 2 of 8 coordinates zeroed per row
         assert np.all((out == 0.0).sum(axis=1) == 2)
+
+    @staticmethod
+    def assert_per_row_stream(x, strength, policy, seed):
+        # a leading 32-bit draw leaves half of PCG64's buffered word for the masks
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        fast.integers(0, 5)
+        slow.integers(0, 5)
+        out = perturb_input(x, strength, fast, policy)
+        ref = per_row_perturb_input(x, strength, slow, policy)
+        assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+        assert fast.bit_generator.state == slow.bit_generator.state
+        assert fast.random() == slow.random()
+
+    @pytest.mark.parametrize("strength", ["weak", "strong"])
+    @pytest.mark.parametrize("mask_frac", [0.0, 0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 16, 64])
+    def test_masks_are_the_per_row_choice_stream(self, dim, mask_frac, strength):
+        policy = PerturbPolicy(mask_frac=mask_frac)
+        for seed, n in enumerate((0, 1, 7, 120)):
+            x = np.random.default_rng(100 + seed).normal(size=(n, dim))
+            self.assert_per_row_stream(x, strength, policy, seed)
+        self.assert_per_row_stream(x[0], strength, policy, 9)
+
+    @pytest.mark.parametrize("dim,k", [(10001, 201), (10001, 200), (20000, 5000), (20000, 20000)])
+    def test_masks_past_choices_size_threshold(self, dim, k):
+        # numpy's choice shuffles a tail of arange(dim) once dim > 10000 and
+        # k > dim // 50, and keeps Floyd's algorithm at k = dim // 50
+        policy = PerturbPolicy(mask_frac=k / dim)
+        assert int(round(policy.mask_frac * dim)) == k
+        x = np.random.default_rng(dim + k).normal(size=(3, dim))
+        self.assert_per_row_stream(x, "strong", policy, k)
+
+    def test_masked_count_rounds_half_to_even(self):
+        policy = PerturbPolicy(sigma_strong=0.0, mask_frac=0.25)
+        for dim, k in ((2, 0), (6, 2), (10, 2), (14, 4)):
+            out = perturb_input(np.ones((5, dim)), "strong", np.random.default_rng(dim), policy)
+            assert np.all((out == 0.0).sum(axis=1) == k)
+
+    @pytest.mark.parametrize("field", ["sigma_weak", "sigma_strong"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.1])
+    def test_policy_rejects_bad_noise_scales(self, field, value):
+        with pytest.raises(DomainError, match="noise scales"):
+            PerturbPolicy(**{field: value})
+
+    @pytest.mark.parametrize("field", ["flip_prob", "mask_frac"])
+    @pytest.mark.parametrize("value", [np.nan, -0.1, 1.5])
+    def test_policy_rejects_bad_fractions(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            PerturbPolicy(**{field: value})
 
     def test_rejects_bad_strength(self):
         with pytest.raises(ContractError):

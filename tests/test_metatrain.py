@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mct import numkit as nk
+from mct import metatrain, numkit as nk
 from mct.checkpoint import load_state
 from mct.encoder import (
     EncoderParams, PerturbPolicy, VIEWS, encode_batch, per_position, perturb_input, view_by_name,
@@ -26,7 +26,7 @@ from mct.metatrain import (
 )
 from mct.metric import MetricSpec
 from mct.transduce import confidence, init_from_embeddings, update_prototypes
-from oracles import collector_off, metric_of, record_tapes
+from oracles import collector_off, metric_of, per_row_perturb_input, record_tapes
 
 EUCLID = MetricSpec.euclid()
 
@@ -313,6 +313,18 @@ class TestTrainStep:
         np.testing.assert_array_equal(s1.classifier.weight, s2.classifier.weight)
         for k, v in s1.metric.scaler.to_named().items():
             np.testing.assert_array_equal(v, s2.metric.scaler.to_named()[k])
+
+    def test_training_stream_is_the_per_row_masks(self, tmp_path, monkeypatch):
+        # the batched masks must leave every later draw, loss and checkpoint byte unchanged
+        def run(name):
+            path = tmp_path / name
+            cfg = TrainConfig(steps=20, seed=5, checkpoint_every=20, checkpoint_path=str(path))
+            _, reports = train(POOL_SPEC, cfg)
+            return np.array([r.loss for r in reports]).tobytes(), path.read_bytes()
+
+        fast = run("fast.mctp")
+        monkeypatch.setattr(metatrain, "perturb_input", per_row_perturb_input)
+        assert fast == run("per_row.mctp")
 
     def test_seed_changes_outcome(self):
         s1, _ = train(POOL_SPEC, tiny_config())
