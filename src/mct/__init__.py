@@ -56,14 +56,13 @@ from .metatrain import (
     TrainConfig,
     TrainState,
     dimension_loss,
-    instance_loss,
     lr_at,
     train,
     train_step,
     training_loss,
 )
 from .metric import METRIC_KINDS, MetricSpec, ScalerParams, pairwise, scaler_eval
-from .transduce import confidence, predict_labels, refine_batch, update_prototypes
+from .transduce import predict_labels, refine_batch, update_prototypes
 
 __version__ = "0.1.0"
 
@@ -82,10 +81,10 @@ __all__ = [
     "MetricSpec", "ScalerParams", "METRIC_KINDS",
     "scaler_eval", "pairwise",
     # transduction
-    "confidence", "update_prototypes", "refine_batch", "predict_labels",
+    "update_prototypes", "refine_batch", "predict_labels",
     # training
     "TrainConfig", "TrainState", "StepReport", "GlobalClassifier",
-    "LrSchedule", "lr_at", "instance_loss", "dimension_loss",
+    "LrSchedule", "lr_at", "dimension_loss",
     "training_loss", "train", "train_step",
     # checkpoints
     "ModelState", "save_state", "load_state", "save_tensors", "load_tensors",

@@ -7,8 +7,11 @@ log-likelihood both before the first transductive step and at the final
 step. Reports render as JSON lines (one record per episode plus a
 summary) and as a plain-text table; both renderings are byte-stable
 given (model, seed, protocol); the worker count is accepted for
-compatibility and changes nothing. Every mode, semi included, refines
-a few same-shape episodes at a time through ``transduce.refine_batch``.
+compatibility and changes nothing. Every mode refines a few same-shape
+episodes at a time through ``transduce.refine_batch``, with the four
+views or the plain one as ``ensemble`` says, over 0 steps in inductive
+mode and ``T`` otherwise; semi mode only adds each episode's unlabeled
+pool, which then weights the updates in place of the queries.
 
 ``gradcheck`` rebuilds a small model from flat parameters as
 ``train_step`` does, drives ``metatrain.training_loss`` with it on
@@ -159,10 +162,9 @@ _BATCH = 4
 def _score_batch(state: ModelState, source, protocol: EvalProtocol, indices):
     seeds = [derive_seed(protocol.master_seed, i) for i in indices]
     semi = protocol.mode == "semi"
-    # semi mode's fixed protocol: one update driven by the pool, plain view only
     pool = dict(unlabeled=protocol.unlabeled_count, distractors=protocol.distractors) if semi else {}
-    views = VIEWS if protocol.ensemble and not semi else VIEWS[:1]
-    steps = {"inductive": 0, "transductive": protocol.T, "semi": 1}[protocol.mode]
+    views = VIEWS if protocol.ensemble else VIEWS[:1]
+    steps = 0 if protocol.mode == "inductive" else protocol.T
     episodes = [
         sample_episode(source, protocol.ways, protocol.shots, protocol.queries, seed, **pool)
         for seed in seeds
@@ -185,9 +187,9 @@ def evaluate(state: ModelState, source, protocol: EvalProtocol) -> Report:
     confidences. Episode i is seeded from (master_seed, i). Episodes of
     every mode are sampled in index order and refined a few at a time
     through one ``refine_batch`` call, in this process. Semi-mode
-    episodes carry an unlabeled pool that drives one update in the plain
-    view, whatever ``T`` and ``ensemble`` say. ``protocol.workers`` is
-    validated but changes neither the computation nor the result.
+    episodes carry an unlabeled pool that drives every update.
+    ``protocol.workers`` is validated but changes neither the
+    computation nor the result.
     """
     n = protocol.n_episodes
     records = []
@@ -486,12 +488,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--checkpoint", help=".mctp file; omit to score raw embeddings")
     add_source(p_eval)
     p_eval.add_argument("--mode", choices=MODES, default="transductive")
-    p_eval.add_argument("--transduction-steps", type=_count, default=None,
-                        help="default 10; semi mode takes none")
+    p_eval.add_argument("--transduction-steps", type=_count, default=10,
+                        help="refinement steps T; inductive mode makes none (default 10)")
     p_eval.add_argument("--metric", choices=METRIC_KINDS, default=None,
                         help="override the checkpoint metric (fresh seeded init)")
-    p_eval.add_argument("--ensemble", choices=("on", "off"), default=None,
-                        help="default on; semi mode takes none")
+    p_eval.add_argument("--ensemble", choices=("on", "off"), default="on",
+                        help="average the four views, or score the plain view alone (default on)")
     p_eval.add_argument("--episodes", type=at_least(1), default=1000)
     p_eval.add_argument("--ways", type=at_least(2), default=5)
     p_eval.add_argument("--shots", type=at_least(1), default=1)
@@ -577,15 +579,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.mode == "semi":
-        why, flags = "always makes one plain-view update", (
-            ("--transduction-steps", args.transduction_steps), ("--ensemble", args.ensemble))
-    else:
-        why, flags = "draws no unlabeled pool", (
-            ("--unlabeled", args.unlabeled), ("--distractors", args.distractors))
-    given = [flag for flag, value in flags if value is not None]
-    if given:
-        print(f"error: {args.mode} mode {why} and takes no {' or '.join(given)}", file=sys.stderr)
+    given = [flag for flag, value in (("--unlabeled", args.unlabeled),
+                                      ("--distractors", args.distractors)) if value is not None]
+    if given and args.mode != "semi":
+        print(f"error: {args.mode} mode draws no unlabeled pool and takes no"
+              f" {' or '.join(given)}", file=sys.stderr)
         return 2
     source = _make_source(args)
     if args.checkpoint:
@@ -599,8 +597,8 @@ def _cmd_eval(args) -> int:
     protocol = EvalProtocol(
         ways=args.ways, shots=args.shots, queries=args.queries,
         n_episodes=args.episodes,
-        T=10 if args.transduction_steps is None else args.transduction_steps,
-        mode=args.mode, ensemble=args.ensemble != "off",
+        T=args.transduction_steps,
+        mode=args.mode, ensemble=args.ensemble == "on",
         master_seed=args.seed, unlabeled=args.unlabeled,
         distractors=args.distractors or 0, workers=args.workers,
     )

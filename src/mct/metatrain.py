@@ -47,7 +47,6 @@ __all__ = [
     "GlobalClassifier",
     "TrainState",
     "StepReport",
-    "instance_loss",
     "dimension_loss",
     "training_loss",
     "train_step",
@@ -223,29 +222,6 @@ def _embed(episode, encoder, view, tape, mode, rng):
     return emb_s_full, emb_q_full, emb_s_h, emb_q_h
 
 
-def instance_loss(
-    episode: Episode,
-    encoder: EncoderParams | None,
-    view: ViewSpec,
-    metric: MetricSpec,
-    tape: nk.Tape | None = None,
-    *,
-    detach_confidence: bool = False,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
-):
-    """Negative log-likelihood of true query classes after one transduction step.
-
-    Confidences come from ``view``'s embedding space; the scored
-    prototypes live in the full-path space. Equals the mean over queries
-    of d(x̃, P_ỹ) plus log-sum-exp over classes of -d(x̃, P_c).
-    """
-    return _instance_loss_from_embeddings(
-        episode, metric, *_embed(episode, encoder, view, tape, mode, rng),
-        tape, detach_confidence,
-    )
-
-
 def training_loss(
     episode: Episode,
     encoder: EncoderParams | None,
@@ -261,8 +237,11 @@ def training_loss(
 ):
     """The training objective L = lam * L_I + L_D, as ``(L, L_I, L_D)``.
 
-    L_I is :func:`instance_loss` with confidences from ``view``; L_D is
-    :func:`dimension_loss` over the full-path embeddings L_I scores.
+    L_I is the negative log-likelihood of the true query classes after
+    one transduction step: confidences from ``view``'s embedding space
+    weight the update of the full-path prototypes, which the queries are
+    scored against. L_D is :func:`dimension_loss` over the full-path
+    embeddings L_I scores.
 
     Untaped, the encoder, metric and classifier may hold P parameter
     sets under one shared leading axis (their ``stack``); every part of

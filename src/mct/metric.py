@@ -273,18 +273,15 @@ def prepared_distances(spec: MetricSpec, terms: _QueryTerms, protos, compared=No
     """Distances from prepared query rows to ``protos``, ways-major.
 
     Entry (..., j, i) is d(a_i, b_j) for the query rows a that ``terms``
-    (see :func:`query_terms`) were prepared from: the prototypes are the
-    outer axis, (m, n) or (V, m, n) for (m, l) or (V, m, l) ``protos``,
-    so a softmax over classes runs along axis -2 in vectorized passes
-    over the queries, and the ways-major confidences multiply straight
-    into an embedding stack. Every kind expands about the terms' centre
-    (see :func:`numkit.expand_centred`), with one matrix product per row
-    set, and every entry is bitwise the transpose of the row-major
-    expansion. For the learned kinds that is ``pairwise(spec, a, b)``'s
-    entry; for ``euclid`` and ``scaled`` it is off the exact difference
-    form by rounding. ``compared`` may carry
-    ``_compared_rows(spec, protos)`` when the caller has them. Untaped;
-    a spec of P parameter sets scores the stack's row set p with set p.
+    (see :func:`query_terms`) were prepared from: (m, n) or (V, m, n)
+    for (m, l) or (V, m, l) ``protos``. Every kind expands about the
+    terms' centre (see :func:`numkit.expand_centred`), and every entry
+    is bitwise the transpose of the row-major expansion: for the learned
+    kinds that is ``pairwise(spec, a, b)``'s entry, for ``euclid`` and
+    ``scaled`` the difference form to rounding. ``compared`` may carry
+    ``_compared_rows(spec, protos)``. Untaped; a spec of P parameter
+    sets scores the stack's row set p with set p. Terms that do not
+    match ``protos`` are a :class:`ContractError`.
     """
     pv = nk.value_of(protos)
     if (not isinstance(terms, _QueryTerms) or pv.ndim != terms.rows.ndim
@@ -312,25 +309,17 @@ def pairwise(spec: MetricSpec, a, b, tape: nk.Tape | None = None):
     ``a`` is the query side and ``b`` the prototype side; the pair kind
     consumes concatenations in exactly that order. Untaped calls also
     take stacks of V row sets, (V, n, l) against (V, m, l), and return
-    (V, n, m) with every slice bitwise equal to the unstacked call. Each
-    kind has one path for both forms. A spec of P parameter sets scores
-    the stack's row set p with set p. Training and gradient checks call
-    it; refinement prepares its query side once and calls
-    :func:`prepared_distances`.
+    (V, n, m) with every slice bitwise equal to the unstacked call. A
+    spec of P parameter sets scores the stack's row set p with set p.
+    Row sets of different widths, or a taped stack, are a
+    :class:`ContractError`.
 
-    The learned kinds (``instance``, ``pair``) compute their squared
-    distances by expansion about c, the mean of the compared rows of
-    ``b``, on the tape and off it (:func:`numkit.expanded_sq_dist`): one
-    matrix product per row set, never negative, and off the difference
-    form by rounding of the order of eps * (|a - c|^2 + |b - c|^2), so
-    identical rows map to a tiny non-negative number rather than exactly
-    zero. That is the centre :func:`query_terms` takes, so for the
-    learned kinds ``pairwise(spec, a, b)`` is bitwise the transpose of
-    ``prepared_distances(spec, query_terms(spec, a, b), b)``. ``euclid``
-    and ``scaled`` compare raw embeddings, whose spread would cost
-    finite difference checks their precision, so they sum every squared
-    difference exactly as :func:`numkit.sq_dist` does, and identical
-    rows map to exactly zero.
+    The learned kinds expand about the mean of the compared rows of
+    ``b`` (:func:`numkit.expanded_sq_dist`), so identical rows map to a
+    tiny non-negative number, and ``pairwise(spec, a, b)`` is bitwise
+    the transpose of ``prepared_distances(spec, query_terms(spec, a, b),
+    b)``. ``euclid`` and ``scaled`` sum every squared difference, as
+    :func:`numkit.sq_dist` does, so identical rows map to exactly zero.
     """
     av, bv = nk.value_of(a), nk.value_of(b)
     if (av.ndim not in (2, 3) or bv.ndim != av.ndim

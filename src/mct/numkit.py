@@ -19,8 +19,8 @@ squared distances), :func:`cross_entropy`, :func:`affine` (x @ w + b),
 :func:`unit_rows` (row normalization) and :func:`calibrated_sigmoid`
 (exp(alpha) * sigmoid(h) + exp(beta)). Each runs the numpy operations of
 that group in the group's order, forward and backward, so its value and
-gradients are bitwise those of the composition, which stays available
-from the elementary primitives and serves as their reference.
+gradients are bitwise those of the composition; the tests build that
+composition from elementary tape ops and compare against it.
 
 One more node, :func:`expanded_sq_dist`, is *not* bitwise a composition.
 It computes the same all-pairs squared distances as :func:`sq_dist` by
@@ -61,7 +61,6 @@ __all__ = [
     "leaves",
     "value_of",
     "add",
-    "sub",
     "mul",
     "div",
     "neg",
@@ -70,16 +69,10 @@ __all__ = [
     "reshape",
     "concat",
     "relu",
-    "sigmoid",
-    "exp",
-    "log",
-    "sqrt",
     "asum",
-    "mean",
     "flip_last",
     "repeat_rows",
     "tile_rows",
-    "logsumexp",
     "softmax_neg",
     "sq_dist",
     "expand_centred",
@@ -309,12 +302,6 @@ def add(a, b):
     ))
 
 
-def sub(a, b):
-    return _binary(a, b, np.subtract, lambda av, bv, out: (
-        lambda g: (_unbroadcast(g, av.shape), _unbroadcast(-g, bv.shape))
-    ))
-
-
 def mul(a, b):
     return _binary(a, b, np.multiply, lambda av, bv, out: (
         lambda g: (_unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape))
@@ -464,26 +451,6 @@ def _sigmoid_value(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def sigmoid(x):
-    return _unary(
-        x,
-        _sigmoid_value,
-        lambda xv, out: (lambda g: (g * out * (1.0 - out),)),
-    )
-
-
-def exp(x):
-    return _unary(x, np.exp, lambda xv, out: (lambda g: (g * out,)))
-
-
-def log(x):
-    return _unary(x, np.log, lambda xv, out: (lambda g: (g / xv,)))
-
-
-def sqrt(x):
-    return _unary(x, np.sqrt, lambda xv, out: (lambda g: (g * 0.5 / out,)))
-
-
 # --------------------------------------------------------------------------
 # Reductions
 # --------------------------------------------------------------------------
@@ -515,65 +482,16 @@ def asum(x, axis=None, keepdims: bool = False):
     return _apply(out, (_as_var(x, tape),), backward, tape)
 
 
-def mean(x, axis=None, keepdims: bool = False):
-    """Arithmetic mean over ``axis`` (all axes when None)."""
-    tape = _tape_of(x)
-    xv = value_of(x)
-    out = xv.mean(axis=axis, keepdims=keepdims)
-    if tape is None:
-        return out
-    shape = xv.shape
-    count = xv.size if axis is None else xv.size // out.size
-
-    def backward(g):
-        return (_expand_reduced(g, shape, axis, keepdims) / count,)
-
-    return _apply(out, (_as_var(x, tape),), backward, tape)
-
-
-def logsumexp(x, axis: int = -1, keepdims: bool = False):
-    """log(sum(exp(x))) along ``axis``, stabilized by max subtraction.
-
-    Exact for a single element. An empty reduction axis is a
-    :class:`ContractError`, non-finite input a :class:`DomainError`.
-    """
-    tape = _tape_of(x)
-    xv = value_of(x)
-    if xv.ndim == 0 or xv.shape[axis] == 0:
-        raise ContractError("logsumexp needs at least one element")
-    if not np.all(np.isfinite(xv)):
-        raise DomainError("logsumexp input must be finite")
-    m = xv.max(axis=axis, keepdims=True)
-    shifted = np.exp(xv - m)
-    total = shifted.sum(axis=axis, keepdims=True)
-    out_keep = m + np.log(total)
-    out = out_keep if keepdims else np.squeeze(out_keep, axis=axis)
-    if tape is None:
-        return out
-    softmax = shifted / total
-    shape = xv.shape
-
-    def backward(g):
-        return (_expand_reduced(g, shape, axis, keepdims) * softmax,)
-
-    return _apply(out, (_as_var(x, tape),), backward, tape)
-
-
 def softmax_neg(distances, axis: int = -1):
     """Probabilities exp(-d_c) / sum_c' exp(-d_c') along ``axis``, the class axis.
 
-    Computed with the max-shift trick, so adding a constant to every
-    entry of a row leaves the output bit-identical. Rows sum to one.
-    The shifted exponents are exp(m - d) with m the row minimum of d,
-    which is -d - max(-d) bit for bit, with no negated copy. Along the
-    last axis m is one reduction over a class-major copy: a minimum is
-    exact in any order, and numpy then runs one vectorized pass per
-    class instead of one short reduction per row. A ways-major layout,
-    (..., ways, n) with ``axis=-2``, needs no copy: the minimum and the
-    sum are each one vectorized pass per class over the n rows. That sum
-    adds the classes in order, which is bitwise the last axis' sum for
-    fewer than 8 classes; numpy sums 8 or more contiguous entries
-    pairwise, so there the two layouts agree to the last bits only.
+    Shifted by the minimum along ``axis``, so adding a constant to every
+    entry of a row leaves the output bit-identical, and the exponents
+    are bitwise -d - max(-d). Rows sum to one. The last axis and a
+    ways-major ``axis=-2`` give bitwise transposed results for fewer
+    than 8 classes; from 8 on, numpy sums the last axis pairwise, so
+    they agree to the last bits only. An empty class axis is a
+    :class:`ContractError`, non-finite input a :class:`DomainError`.
     """
     tape = _tape_of(distances)
     dv = value_of(distances)

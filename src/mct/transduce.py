@@ -7,19 +7,16 @@ weight to that class's prototype, while every support item keeps weight
 exactly 1, and the process repeats for T steps. The multi-view variant
 runs one prototype set per encoder view, averages the per-view
 confidences into a single ensemble at every step, and updates all views
-with that shared ensemble, each in its own embedding space; an
+with that shared ensemble, each in its own embedding space. An
 episode's unlabeled pool, if it has one, drives the update in place of
-the queries. :func:`refine_batch` runs it for a batch of same-shape
-episodes and returns the query ensemble at every step (one episode is a
-batch of one, one view is plain soft k-means), and its update is the
-one :func:`update_prototypes` makes.
+the queries: semi-supervised evaluation is this same refinement with a
+pool. :func:`refine_batch` runs it for a batch of same-shape episodes
+and returns the query ensemble at every step (one episode is a batch of
+one, one view is plain soft k-means), and its update is the one
+:func:`update_prototypes` makes.
 
 Confidence matrices are plain (n, ways) float64 arrays whose rows sum
 to one; prototype matrices are (ways, embed_dim), row c-1 for class c.
-Inside a refinement step the confidences are laid out ways-major,
-(ways, n), so the softmax and the view mean run in vectorized passes
-over the items and the update multiplies them straight into the
-embeddings; what the engine returns is row-major again.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ from .metric import MetricSpec, _compared_rows, prepared_distances, query_terms
 __all__ = [
     "one_hot",
     "init_from_embeddings",
-    "confidence",
     "update_prototypes",
     "refine_batch",
     "predict_labels",
@@ -67,21 +63,6 @@ def init_from_embeddings(support_emb, support_y, ways: int):
     y_t = one_hot(support_y, ways).T
     counts = _class_counts(support_y, ways)
     return nk.div(nk.matmul(y_t, support_emb), counts[:, None])
-
-
-def confidence(query_emb, protos, metric: MetricSpec):
-    """Rows of class confidences: softmax over negative distances.
-
-    Untaped. The distances are the ones :func:`refine_batch` scores
-    with, by expansion from query terms prepared about ``protos`` (the
-    centre is the mean of these prototypes) and laid out ways-major, so
-    one view's confidences are bitwise that engine's at T=0; they come
-    back row-major, (n, ways).
-    """
-    compared = _compared_rows(metric, protos)
-    terms = query_terms(metric, query_emb, protos, compared)
-    conf = nk.softmax_neg(prepared_distances(metric, terms, protos, compared), axis=-2)
-    return nk.transpose(conf)
 
 
 def update_prototypes(
@@ -132,35 +113,22 @@ def refine_batch(
     """Multi-view ensemble transduction over a batch of episodes.
 
     At every step each view scores the queries against its own
-    prototypes; the ensemble confidence is the exact arithmetic mean of
-    those local confidences. Every view's prototypes are then updated in
-    its own embedding space with the ensemble weights of the episode's
-    unlabeled pool, scored the same way, or else of its queries.
-    Episodes never mix. Returns an (E, T+1, n_query, ways) array whose
-    entry [i, t] is episode i's query ensemble at step t, so [i, 0] is
-    plain inductive inference.
+    prototypes; the ensemble confidence is the mean of those local
+    confidences. Every view's prototypes are then updated in its own
+    embedding space with the ensemble weights of the episode's unlabeled
+    pool, scored the same way, or else of its queries. Episodes never
+    mix. Returns an (E, T+1, n_query, ways) array whose entry [i, t] is
+    episode i's query ensemble at step t, so [i, 0] is plain inductive
+    inference.
 
     Untaped. The E episodes must share one shape (ways, support, query
-    and pool sizes; neither the queries nor a pool may be empty). Each
-    row set of the batch is encoded once, views that differ only in the
-    last block sharing the rest of the encoder, and carried as an
-    (E*V, n, l) stack, so a step makes one distance call and one softmax
-    per scored set and one prototype update. What no step changes is
-    computed once: the class sums, the compared step-0 prototypes, and
-    each scored set's query terms (see :func:`query_terms`), centred on
-    the mean of those prototypes, so every step's distances expand about
-    that fixed centre and step 0 is bitwise :func:`confidence`. A step
-    runs ways-major, (E*V, ways, n): the distances
-    (:func:`prepared_distances`), the softmax along the class axis and
-    the view mean, whose (E, ways, n) ensemble multiplies straight into
-    the embedding stack. The class mass is summed from the row-major
-    trace slice, or a row-major copy for a pool, item by item, as
-    :func:`update_prototypes` sums it. Queries and pool never share a
-    stack: the row count changes BLAS rounding. Every value is bitwise
-    equal to running the episodes and views one by one with the same
-    centres, and, for fewer than 8 ways, to the same steps laid out
-    row-major; from 8 ways on, numpy sums a row-major softmax's classes
-    pairwise, so the two layouts agree only to the last bits.
+    and pool sizes), and neither the queries nor a pool may be empty;
+    that, a negative T or no view or episode is a
+    :class:`ContractError`. Each scored set's distances expand about one
+    fixed centre, the mean of its step-0 prototypes (see
+    :func:`query_terms`). Every value is bitwise equal to running the
+    episodes and views one by one with the same centres and, for fewer
+    than 8 ways, to the same steps laid out row-major.
     """
     if T < 0:
         raise ContractError("T must be non-negative")
@@ -208,6 +176,7 @@ def refine_batch(
     # the rows whose confidences weight each update: the pool, else the queries
     emb_d, d_terms = emb_q, q_terms
     if pooled:
+        # never stacked with the queries: the row count changes BLAS rounding
         emb_d = embed([ep.unlabeled_x for ep in episodes])
         d_terms = query_terms(metric, flat(emb_d), flat(protos), compared)
     trace = np.empty((n_e, T + 1, first.query_x.shape[0], ways))
@@ -221,6 +190,7 @@ def refine_batch(
             if pooled:
                 conf = ensemble(d_terms, protos, compared)
                 row_major = nk.transpose(conf)
+            # summed item by item over row-major confidences, as update_prototypes sums it
             mass = row_major.sum(axis=-2).reshape(n_e, 1, ways, 1)
             protos = _weighted_mean(class_sums, counts, emb_d, conf[:, None], mass)
     return trace

@@ -8,11 +8,12 @@ import numpy as np
 
 from mct import numkit as nk
 from mct.encoder import VIEWS, PerturbPolicy, _encode_views, encode_batch
-from mct.errors import ContractError
-from mct.metric import MetricSpec, _compared_rows, pairwise, query_terms, scaler_eval
-from mct.transduce import (
-    _class_counts, confidence, init_from_embeddings, one_hot, update_prototypes,
+from mct.errors import ContractError, DomainError
+from mct.metatrain import _embed, _instance_loss_from_embeddings
+from mct.metric import (
+    MetricSpec, _compared_rows, pairwise, prepared_distances, query_terms, scaler_eval,
 )
+from mct.transduce import _class_counts, init_from_embeddings, one_hot, update_prototypes
 
 
 def metric_of(kind, dim, seed=0):
@@ -33,6 +34,101 @@ def encode(params, x, view=VIEWS[0]):
 def distance(spec, a1, a2):
     """d(a1, a2) for two single embeddings: the one entry of a 1 x 1 ``pairwise``."""
     return pairwise(spec, np.reshape(a1, (1, -1)), np.reshape(a2, (1, -1)))[0, 0]
+
+
+def confidence(query_emb, protos, metric):
+    """One view's (n, ways) query confidences: ``refine_batch``'s step 0 for one episode.
+
+    Untaped. The distances expand about the mean of the compared rows of
+    ``protos`` and are laid out ways-major, as the engine lays them out;
+    the confidences come back row-major.
+    """
+    compared = _compared_rows(metric, protos)
+    terms = query_terms(metric, query_emb, protos, compared)
+    conf = nk.softmax_neg(prepared_distances(metric, terms, protos, compared), axis=-2)
+    return nk.transpose(conf)
+
+
+def instance_loss(episode, encoder, view, metric, tape=None, *,
+                  detach_confidence=False, mode="eval", rng=None):
+    """``training_loss``'s L_I alone: query NLL after one transduction step.
+
+    Confidences come from ``view``'s embedding space; the scored
+    prototypes live in the full-path space. Equals the mean over queries
+    of d(x, P_y) plus log-sum-exp over classes of -d(x, P_c). Needs no
+    global labels.
+    """
+    embs = _embed(episode, encoder, view, tape, mode, rng)
+    return _instance_loss_from_embeddings(episode, metric, *embs, tape, detach_confidence)
+
+
+# Elementary tape ops that no package module composes. They are the
+# references the fused nodes (cross_entropy, unit_rows, calibrated_sigmoid)
+# must equal bit for bit, built on numkit's own private helpers.
+
+
+def sub(a, b):
+    return nk._binary(a, b, np.subtract, lambda av, bv, out: (
+        lambda g: (nk._unbroadcast(g, av.shape), nk._unbroadcast(-g, bv.shape))
+    ))
+
+
+def sigmoid(x):
+    return nk._unary(x, nk._sigmoid_value, lambda xv, out: (lambda g: (g * out * (1.0 - out),)))
+
+
+def exp(x):
+    return nk._unary(x, np.exp, lambda xv, out: (lambda g: (g * out,)))
+
+
+def log(x):
+    return nk._unary(x, np.log, lambda xv, out: (lambda g: (g / xv,)))
+
+
+def sqrt(x):
+    return nk._unary(x, np.sqrt, lambda xv, out: (lambda g: (g * 0.5 / out,)))
+
+
+def mean(x, axis=None, keepdims=False):
+    """Arithmetic mean over ``axis`` (all axes when None)."""
+    tape = nk._tape_of(x)
+    xv = nk.value_of(x)
+    out = xv.mean(axis=axis, keepdims=keepdims)
+    if tape is None:
+        return out
+    count = xv.size if axis is None else xv.size // out.size
+
+    def backward(g):
+        return (nk._expand_reduced(g, xv.shape, axis, keepdims) / count,)
+
+    return nk._apply(out, (nk._as_var(x, tape),), backward, tape)
+
+
+def logsumexp(x, axis=-1, keepdims=False):
+    """log(sum(exp(x))) along ``axis``, stabilized by max subtraction.
+
+    Exact for a single element. An empty reduction axis is a
+    ContractError, non-finite input a DomainError.
+    """
+    tape = nk._tape_of(x)
+    xv = nk.value_of(x)
+    if xv.ndim == 0 or xv.shape[axis] == 0:
+        raise ContractError("logsumexp needs at least one element")
+    if not np.all(np.isfinite(xv)):
+        raise DomainError("logsumexp input must be finite")
+    m = xv.max(axis=axis, keepdims=True)
+    shifted = np.exp(xv - m)
+    total = shifted.sum(axis=axis, keepdims=True)
+    out_keep = m + np.log(total)
+    out = out_keep if keepdims else np.squeeze(out_keep, axis=axis)
+    if tape is None:
+        return out
+    softmax = shifted / total
+
+    def backward(g):
+        return (nk._expand_reduced(g, xv.shape, axis, keepdims) * softmax,)
+
+    return nk._apply(out, (nk._as_var(x, tape),), backward, tape)
 
 
 def check_confidence(conf, ways: int):

@@ -24,7 +24,8 @@ from mct.episodes import (
 from mct.evalcli import EvalProtocol, evaluate, gradcheck, main, nll
 from mct.metatrain import TrainConfig, train
 from mct.metric import MetricSpec, ScalerParams
-from mct.transduce import confidence, init_from_embeddings, refine_batch, update_prototypes
+from mct.transduce import init_from_embeddings, refine_batch, update_prototypes
+from oracles import confidence
 
 _MODULE_T0 = time.perf_counter()
 

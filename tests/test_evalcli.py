@@ -202,28 +202,27 @@ def trained_like_state(kind):
 
 
 def per_episode_records(state, source, protocol):
-    """One episode at a time through ``refine_batch`` or ``semi_infer`` (oracle)."""
+    """One episode at a time through ``refine_batch`` (oracle)."""
     records = []
     for i in range(protocol.n_episodes):
         seed = derive_seed(protocol.master_seed, i)
-        if protocol.mode == "semi":
-            ep = sample_episode(source, protocol.ways, protocol.shots, protocol.queries, seed,
-                                unlabeled=protocol.unlabeled_count,
-                                distractors=protocol.distractors)
-            conf0 = refine_batch([ep], state.encoder, VIEWS[:1], state.metric, 0)[0, -1]
-            conf = semi_infer(ep, state.encoder, state.metric)[2]
-        else:
-            ep = sample_episode(source, protocol.ways, protocol.shots, protocol.queries, seed)
-            views = VIEWS if protocol.ensemble else VIEWS[:1]
-            steps = protocol.T if protocol.mode == "transductive" else 0
-            trace = refine_batch([ep], state.encoder, views, state.metric, steps)[0]
-            conf0, conf = trace[0], trace[-1]
-        records.append(EpisodeRecord(
-            index=i, seed=seed,
-            accuracy=float(np.mean(np.argmax(conf, axis=1) + 1 == ep.query_y)),
-            nll=nll(conf0, ep.query_y), nll_final=nll(conf, ep.query_y),
-        ))
+        semi = protocol.mode == "semi"
+        pool = dict(unlabeled=protocol.unlabeled_count, distractors=protocol.distractors)
+        ep = sample_episode(source, protocol.ways, protocol.shots, protocol.queries, seed,
+                            **(pool if semi else {}))
+        views = VIEWS if protocol.ensemble else VIEWS[:1]
+        steps = 0 if protocol.mode == "inductive" else protocol.T
+        trace = refine_batch([ep], state.encoder, views, state.metric, steps)[0]
+        records.append(record_of(i, seed, ep, trace[0], trace[-1]))
     return tuple(records)
+
+
+def record_of(index, seed, ep, conf0, conf):
+    return EpisodeRecord(
+        index=index, seed=seed,
+        accuracy=float(np.mean(np.argmax(conf, axis=1) + 1 == ep.query_y)),
+        nll=nll(conf0, ep.query_y), nll_final=nll(conf, ep.query_y),
+    )
 
 
 class TestBatchedEvaluate:
@@ -246,16 +245,34 @@ class TestBatchedEvaluate:
 
     @pytest.mark.parametrize("kind", ["euclid", "scaled", "instance", "pair"])
     def test_semi_records_equal_two_pass_scoring(self, kind, monkeypatch):
+        # one plain-view update from the pool: Ren et al.'s soft k-means baseline
         state = trained_like_state(kind)
         for n_episodes in (1, 5, 9):
-            protocol = EvalProtocol(n_episodes=n_episodes, mode="semi", unlabeled=4,
-                                    distractors=1, master_seed=8)
+            protocol = EvalProtocol(n_episodes=n_episodes, mode="semi", T=1, ensemble=False,
+                                    unlabeled=4, distractors=1, master_seed=8)
             report = evaluate(state, PLAIN_SPEC, protocol)
-            assert report.records == per_episode_records(state, PLAIN_SPEC, protocol)
+            two_pass = []
+            for r in report.records:
+                ep = sample_episode(PLAIN_SPEC, 5, 1, 15, r.seed, unlabeled=4, distractors=1)
+                conf0 = refine_batch([ep], state.encoder, VIEWS[:1], state.metric, 0)[0, -1]
+                conf = semi_infer(ep, state.encoder, state.metric)[2]
+                two_pass.append(record_of(r.index, r.seed, ep, conf0, conf))
+            assert report.records == tuple(two_pass)
             with monkeypatch.context() as m:
                 m.setattr(evalcli, "_BATCH", 1)
                 one_by_one = render_jsonl(evaluate(state, PLAIN_SPEC, protocol))
             assert render_jsonl(report) == one_by_one, n_episodes
+
+    @pytest.mark.parametrize("kind", ["euclid", "scaled", "instance", "pair"])
+    def test_semi_records_equal_per_episode_refinement(self, kind):
+        # the defaults: T=10 over the four views, every update weighted by the pool
+        state = trained_like_state(kind)
+        for n_episodes in (1, 5):
+            protocol = EvalProtocol(n_episodes=n_episodes, mode="semi", unlabeled=4,
+                                    distractors=1, master_seed=8)
+            assert (protocol.T, protocol.ensemble) == (10, True)
+            report = evaluate(state, PLAIN_SPEC, protocol)
+            assert report.records == per_episode_records(state, PLAIN_SPEC, protocol)
 
 
 class TestRendering:
@@ -862,21 +879,38 @@ class TestCli:
         ([], "transduction-steps=10\n"),
         ([], "ensemble=on\n"),
     ])
-    def test_semi_mode_rejects_flags_it_would_ignore(
-        self, table_file, tmp_path, capsys, flags, config
-    ):
-        args = ["eval", "--source", str(table_file), "--mode", "semi", "--episodes", "2",
-                "--report", str(tmp_path / "r.jsonl"), *flags]
+    def test_semi_mode_honours_steps_and_ensemble(self, table_file, tmp_path, flags, config):
+        # an encoder, so that the four views differ
+        checkpoint = tmp_path / "m.mctp"
+        encoder = EncoderParams.init(8, np.random.default_rng(6), hidden=32, positions=2,
+                                     channels=16)
+        save_state(checkpoint, ModelState(metric=metric_of("instance", 32), encoder=encoder))
+        report = tmp_path / "r.jsonl"
+        args = ["eval", "--source", str(table_file), "--checkpoint", str(checkpoint),
+                "--mode", "semi", "--queries", "4", "--unlabeled", "4", "--episodes", "2",
+                "--report", str(report), *flags]
+        given = dict(zip(flags[::2], flags[1::2]))
         if config:
             cfg = tmp_path / "mct.cfg"
             cfg.write_text(config)
             args += ["--config", str(cfg)]
-        assert main(args) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: semi mode") and err.count("\n") == 1
-        named = [f for f in flags if f.startswith("--")] or ["--" + config.split("=")[0]]
-        assert all(f in err for f in named)
-        assert not (tmp_path / "r.jsonl").exists()
+            key, value = config.strip().split("=")
+            given["--" + key] = value
+        assert main(args) == 0
+        defaults = EvalProtocol(queries=4, n_episodes=2, mode="semi", unlabeled=4)
+        protocol = replace(defaults, T=int(given.get("--transduction-steps", 10)),
+                           ensemble=given.get("--ensemble", "on") == "on")
+
+        def rendered(protocol):
+            return render_jsonl(evaluate(load_state(checkpoint), load_embeddings(table_file),
+                                         protocol))
+
+        assert report.read_text() == rendered(protocol)
+        if (protocol.T, protocol.ensemble) != (10, True):
+            assert report.read_text() != rendered(defaults)
+        summary = json.loads(report.read_text().strip().split("\n")[-1])
+        assert (summary["config"]["T"], summary["config"]["ensemble"]) == (
+            protocol.T, protocol.ensemble)
 
     @pytest.mark.parametrize("command", [
         (["gradcheck", "--trials", "1"], "seed", "-1"),

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import mct
+import oracles
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 MODULES = [
@@ -29,18 +30,24 @@ def test_every_module_is_listed():
 
 
 def test_training_loss_exported_beside_its_parts():
-    for name in ("training_loss", "instance_loss", "dimension_loss"):
+    for name in ("training_loss", "dimension_loss"):
         assert name in mct.__all__
         assert getattr(mct, name) is getattr(mct.metatrain, name)
     assert "Tensor" not in mct.numkit.__all__
 
 
+TAPE_OPS = ("sub", "sigmoid", "exp", "log", "sqrt", "mean", "logsumexp")
+
+
 def test_reference_forms_live_in_the_tests():
     for name, module in (("semi_infer", "transduce"), ("check_confidence", "transduce"),
-                         ("encode", "encoder"), ("distance", "metric")):
+                         ("confidence", "transduce"), ("encode", "encoder"),
+                         ("distance", "metric"), ("instance_loss", "metatrain"),
+                         *((op, "numkit") for op in TAPE_OPS)):
         assert name not in mct.__all__ and not hasattr(mct, name)
         assert name not in getattr(mct, module).__all__
         assert not hasattr(getattr(mct, module), name)
+        assert callable(getattr(oracles, name))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)

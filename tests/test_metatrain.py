@@ -18,15 +18,16 @@ from mct.metatrain import (
     TrainState,
     _model_from_named,
     dimension_loss,
-    instance_loss,
     lr_at,
     train,
     train_step,
     training_loss,
 )
 from mct.metric import MetricSpec
-from mct.transduce import confidence, init_from_embeddings, update_prototypes
-from oracles import collector_off, metric_of, per_row_perturb_input, record_tapes
+from mct.transduce import init_from_embeddings, update_prototypes
+from oracles import (
+    collector_off, confidence, instance_loss, metric_of, per_row_perturb_input, record_tapes,
+)
 
 EUCLID = MetricSpec.euclid()
 

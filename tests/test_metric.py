@@ -11,7 +11,7 @@ from mct.metric import (
     METRIC_KINDS, MetricSpec, ScalerParams, pairwise, prepared_distances, query_terms,
     scaler_eval,
 )
-from oracles import distance
+from oracles import distance, mean
 
 
 def zero_scaler(in_dim, hidden=32, b2=0.0, alpha=0.0, beta=0.0):
@@ -357,7 +357,7 @@ class TestMetricGradients:
         b0 = rng.normal(size=(2, 4)) + 0.1
 
         tape = nk.Tape()
-        loss = nk.mean(pairwise(spec, a0, b0, tape))
+        loss = mean(pairwise(spec, a0, b0, tape))
         grads = nk.grad(tape, loss)
         named = tape.named_params
 

@@ -14,14 +14,13 @@ from mct.evalcli import EvalProtocol, evaluate, nll
 from mct.metatrain import TrainConfig, train
 from mct.metric import METRIC_KINDS, MetricSpec, pairwise
 from mct.transduce import (
-    confidence,
     init_from_embeddings,
     predict_labels,
     refine_batch,
     update_prototypes,
 )
 from oracles import (
-    centred_confidence, check_confidence, metric_of, row_major_refine, semi_infer,
+    centred_confidence, check_confidence, confidence, metric_of, row_major_refine, semi_infer,
 )
 
 EUCLID = MetricSpec.euclid()
