@@ -33,6 +33,17 @@ distances use too; they take it ways-major, the prototypes as the outer
 axis, with every entry bitwise the transposed row-major one, and
 :func:`softmax_neg` takes the class axis as an argument to match.
 
+The class axis follows one layout rule. numpy sums an axis of fewer
+than 8 entries one entry after another in any layout, and a contiguous
+last axis pairwise from 8 on. So :func:`cross_entropy` and
+:func:`softmax_neg` lay a last class axis of fewer than 8 entries
+outermost: the maximum or minimum, the shift, exp, the class sums and
+the divide each become one vectorized pass over every row instead of a
+short loop per row, and every bit is the row-major code's. They hand
+back C-ordered row-major arrays, since a matrix product downstream
+rounds by its operands' layout. From 8 classes on, a last class axis
+keeps the row-major code.
+
 Bitwise equality also needs the adjoint order kept. :func:`grad` sums
 the contributions to a Var as ``prev + gi`` in the order it meets them,
 and float addition is not associative. So a fused node gives each input
@@ -53,6 +64,10 @@ from .errors import ContractError, DomainError
 
 # entries of one squared-difference temporary in sq_dist (256 KB of float64)
 _SQ_BLOCK = 1 << 15
+
+# numpy sums a contiguous axis of fewer entries than this one entry after
+# another, and from this many on pairwise; a property of numpy, not a knob
+_SEQUENTIAL_BELOW = 8
 
 __all__ = [
     "Tape",
@@ -482,6 +497,30 @@ def asum(x, axis=None, keepdims: bool = False):
     return _apply(out, (_as_var(x, tape),), backward, tape)
 
 
+def _classes_first(x: np.ndarray) -> np.ndarray:
+    """A C-ordered copy of ``x`` with its last (class) axis moved outermost.
+
+    Only for fewer than ``_SEQUENTIAL_BELOW`` classes, where numpy adds
+    the entries of a class axis one after another in either layout, so
+    every reduction over axis 0 of the copy is bitwise the row-major
+    one along the last axis, as one vectorized pass per class instead
+    of a short inner loop per row. :func:`_classes_last` undoes it.
+    Always a copy, even where the moved view is contiguous already (a
+    length-1 axis), so callers may overwrite it.
+    """
+    return np.moveaxis(x, -1, 0).copy()
+
+
+def _classes_last(x: np.ndarray) -> np.ndarray:
+    """The C-ordered row-major array of a :func:`_classes_first` layout.
+
+    A view in the moved layout would keep the values but not the bits
+    downstream: a matrix product's rounding depends on its operands'
+    memory layout.
+    """
+    return np.ascontiguousarray(np.moveaxis(x, 0, -1))
+
+
 def softmax_neg(distances, axis: int = -1):
     """Probabilities exp(-d_c) / sum_c' exp(-d_c') along ``axis``, the class axis.
 
@@ -490,8 +529,12 @@ def softmax_neg(distances, axis: int = -1):
     are bitwise -d - max(-d). Rows sum to one. The last axis and a
     ways-major ``axis=-2`` give bitwise transposed results for fewer
     than 8 classes; from 8 on, numpy sums the last axis pairwise, so
-    they agree to the last bits only. An empty class axis is a
-    :class:`ContractError`, non-finite input a :class:`DomainError`.
+    they agree to the last bits only. A last axis of fewer than 8
+    classes is therefore computed class-major (see
+    :func:`_classes_first`) and returned as a C-ordered row-major array
+    with the row-major bits.
+    An empty class axis is a :class:`ContractError`, non-finite input
+    a :class:`DomainError`.
     """
     tape = _tape_of(distances)
     dv = value_of(distances)
@@ -499,16 +542,22 @@ def softmax_neg(distances, axis: int = -1):
         raise ContractError("softmax_neg needs at least one entry")
     if not np.isfinite(dv).all():
         raise DomainError("softmax_neg input must be finite")
+    last = axis % dv.ndim == dv.ndim - 1
+    short = last and dv.shape[-1] < _SEQUENTIAL_BELOW
+    # below 8 classes, the ways-major path on a class-major copy ours to overwrite
+    d, along = (_classes_first(dv), 0) if short else (dv, axis)
     # the shift is the row minimum m of d: m - d is (-d) - max(-d) bit for bit
-    if axis % dv.ndim == dv.ndim - 1:
+    if last and not short:
         ways = dv.shape[-1]
         m = np.minimum.reduce(dv.reshape(-1, ways).T.copy(), axis=0)
         m = m.reshape(*dv.shape[:-1], 1)
     else:
-        m = np.minimum.reduce(dv, axis=axis, keepdims=True)
-    out = np.subtract(m, dv)
+        m = np.minimum.reduce(d, axis=along, keepdims=True)
+    out = np.subtract(m, d, out=d if short else None)
     np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
+    out /= out.sum(axis=along, keepdims=True)
+    if short:
+        out = _classes_last(out)
     if tape is None:
         return out
 
@@ -667,10 +716,14 @@ def cross_entropy(logits, targets):
     classification loss. Replaces mul, asum, logsumexp, sub and mean.
     The logits enter that group twice, so the node lists them twice:
     logsumexp's adjoint first, then the product's. An empty class axis
-    is a :class:`ContractError`, non-finite logits a :class:`DomainError`.
+    is a :class:`ContractError`, and so is an empty row axis, whose mean
+    has no value; non-finite logits are a :class:`DomainError`.
     Untaped calls also take a stack of P logit sets, (P, n, c) against
     the same (n, c) targets, and return the P losses, each bitwise its
-    own call's.
+    own call's. Fewer than 8 classes run class-major (see
+    :func:`_classes_first`): one copy of the logits and one buffer for
+    the products and then the shifted exponentials, with the row-major
+    bits, since numpy adds so few entries in order in either layout.
     """
     if isinstance(targets, Var):
         raise ContractError("cross_entropy targets must be constant")
@@ -683,17 +736,30 @@ def cross_entropy(logits, targets):
         )
     if lv.shape[-1] == 0:
         raise ContractError("cross_entropy needs at least one class")
+    if lv.shape[-2] == 0:
+        raise ContractError("cross_entropy needs at least one row")
     if not np.all(np.isfinite(lv)):
         raise DomainError("cross_entropy logits must be finite")
-    true_logit = (lv * tv).sum(axis=-1)
-    m = lv.max(axis=-1, keepdims=True)
-    shifted = np.exp(lv - m)
-    total = shifted.sum(axis=-1, keepdims=True)
-    lse = np.squeeze(m + np.log(total), axis=-1)
+    if lv.shape[-1] < _SEQUENTIAL_BELOW:
+        x, axis = _classes_first(lv), 0
+        # one buffer holds the products, then the shifted exponentials
+        shifted = np.multiply(x, tv.T if lv.ndim == 2 else tv.T[:, None, :])
+        true_logit = shifted.sum(axis=0)
+        m = x.max(axis=0, keepdims=True)
+        np.exp(np.subtract(x, m, out=shifted), out=shifted)
+    else:
+        axis = -1
+        true_logit = (lv * tv).sum(axis=-1)
+        m = lv.max(axis=-1, keepdims=True)
+        shifted = np.exp(lv - m)
+    total = shifted.sum(axis=axis, keepdims=True)
+    lse = np.squeeze(m + np.log(total), axis=axis)
     out = (lse - true_logit).mean(axis=-1)
     if tape is None:
         return out
     softmax = shifted / total
+    if axis == 0:
+        softmax = _classes_last(softmax)
 
     def backward(g):
         g_rows = np.broadcast_to(g, lse.shape) / lse.size

@@ -131,6 +131,18 @@ def logsumexp(x, axis=-1, keepdims=False):
     return nk._apply(out, (nk._as_var(x, tape),), backward, tape)
 
 
+def row_major_softmax_neg(d):
+    """``nk.softmax_neg`` along the last axis with every reduction taken row by row.
+
+    The reference for the class-major layout numkit uses below 8
+    classes: minimum, shift, exp, sum and divide as numpy runs them
+    along the rows.
+    """
+    d = np.asarray(d, dtype=np.float64)
+    out = np.exp(d.min(axis=-1, keepdims=True) - d)
+    return out / out.sum(axis=-1, keepdims=True)
+
+
 def check_confidence(conf, ways: int):
     """Assert that ``conf`` holds (n, ways) probabilities whose rows sum to one within 1e-9."""
     cv = np.asarray(conf, dtype=np.float64)

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from mct import numkit as nk
 from mct.errors import ContractError, DomainError
-from oracles import collector_off, exp, log, logsumexp, mean, sigmoid, sqrt, sub
+from oracles import (
+    collector_off, exp, log, logsumexp, mean, row_major_softmax_neg, sigmoid, sqrt, sub,
+)
 
 
 def central_diff(f, x, step=1e-5):
@@ -667,6 +669,11 @@ class TestFusedPrimitives:
             nk.cross_entropy(np.zeros((2, 3)), np.eye(3))
         with pytest.raises(ContractError):
             nk.cross_entropy(np.zeros((2, 0)), np.zeros((2, 0)))
+        # no rows, 2-D, stacked or taped, on both sides of 8 classes: no mean to take
+        for logits in (np.zeros((0, 3)), np.zeros((2, 0, 3)), np.zeros((0, 9)),
+                       tape.param(np.zeros((0, 3)))):
+            with pytest.raises(ContractError, match="at least one row"):
+                nk.cross_entropy(logits, np.zeros(nk.value_of(logits).shape[-2:]))
         with pytest.raises(DomainError):
             nk.cross_entropy(np.array([[0.0, np.inf]]), np.array([[1.0, 0.0]]))
 
@@ -674,6 +681,74 @@ class TestFusedPrimitives:
         with pytest.raises(DomainError):
             nk.unit_rows(np.array([[1.0, 0.0], [0.0, 1e-13]]), 1e-12)
         assert np.array_equal(nk.unit_rows(np.array([[3.0, 4.0]]), 1e-12), [[0.6, 0.8]])
+
+
+def same_bits(a, b):
+    """Equal shapes and equal bits, so +0.0 and -0.0 differ."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def awkward_rows(rng, shape):
+    """(..., n, c) draws, n >= 6: rows of ties, signed zeros and large magnitudes."""
+    x = 3.0 * rng.standard_normal(shape)
+    x[..., 0, :] = 0.0  # every entry ties at the maximum
+    x[..., 1, :] = np.where(np.arange(shape[-1]) % 2, -0.0, 0.0)  # signed zeros
+    x[..., 2, :2] = 5.0  # two tied maxima above the rest
+    x[..., 3, :] *= 1e6
+    x[..., 4, :] *= 1e150
+    x[..., 5, -1] = -0.0
+    return x
+
+
+class TestShortClassAxis:
+    """Fewer than 8 classes run class-major, with the row-major bits.
+
+    The class counts 1..12 cover both sides of 8, where numpy's
+    last-axis sum turns pairwise and the kernels keep the row-major code.
+    """
+
+    @pytest.mark.parametrize("c", range(1, 13))
+    def test_softmax_neg_is_the_row_major_reference(self, c):
+        rng = np.random.default_rng(c)
+        d = awkward_rows(rng, (3, 9, c))
+        kept = d.copy()
+        for x in (d, d[0], d[0, 2], d[:, :, :1]):
+            got = nk.softmax_neg(x)
+            assert got.flags.c_contiguous
+            assert same_bits(got, row_major_softmax_neg(x))
+        stacked = nk.softmax_neg(d)
+        for p in range(3):
+            assert same_bits(stacked[p], nk.softmax_neg(d[p]))
+        assert same_bits(d, kept)  # the class-major copy is overwritten, not the input
+        tape = nk.Tape()
+        x = tape.param(d[0])
+        out = nk.softmax_neg(x)
+        w = rng.standard_normal((9, c))
+        g = nk.grad(tape, nk.asum(nk.mul(out, w)))[x]
+        p = row_major_softmax_neg(d[0])
+        assert out.value.flags.c_contiguous and same_bits(out.value, p)
+        assert g.flags.c_contiguous
+        assert same_bits(g, -p * (w - (w * p).sum(axis=-1, keepdims=True)))
+
+    @pytest.mark.parametrize("c", range(1, 13))
+    def test_cross_entropy_is_the_row_major_composition(self, c):
+        rng = np.random.default_rng(100 + c)
+        logits = awkward_rows(rng, (4, 9, c))
+        targets = one_hot_rows(rng, 9, c)
+        kept = logits.copy()
+        for p in range(4):
+            got, got_grads = taped(lambda x: nk.cross_entropy(x, targets), [logits[p]])
+            want, want_grads = taped(lambda x: ref_cross_entropy(x, targets), [logits[p]])
+            assert same_bits(got, want)
+            assert got_grads[0].flags.c_contiguous
+            assert same_bits(got_grads[0], want_grads[0])
+            assert same_bits(nk.cross_entropy(logits[p], targets), want)
+        losses = nk.cross_entropy(logits, targets)
+        assert losses.shape == (4,) and losses.flags.c_contiguous
+        for p in range(4):
+            assert same_bits(losses[p], nk.cross_entropy(logits[p], targets))
+        assert same_bits(logits, kept)
 
 
 class TestExpandedSqDist:
