@@ -204,9 +204,7 @@ def _instance_loss_from_embeddings(
     conf = nk.softmax_neg(pairwise(metric, emb_q_h, protos_h, tape))
     if detach:
         conf = nk.value_of(conf)
-    protos = update_prototypes(
-        emb_s_full, episode.support_y, episode.ways, emb_q_full, conf, tape
-    )
+    protos = update_prototypes(emb_s_full, episode.support_y, episode.ways, emb_q_full, conf)
     d = pairwise(metric, emb_q_full, protos, tape)
     return nk.cross_entropy(nk.neg(d), one_hot(episode.query_y, episode.ways))
 

@@ -10,9 +10,13 @@ pair. g ends in a sigmoid that is scaled by exp(alpha) and shifted by
 exp(beta), so it is positive for every parameter setting and starts in
 (1, 2) at the fresh alpha = beta = 0 point.
 
-Two functions compute distances. :func:`pairwise` serves training and
-gradient checks, on the tape and off it, laid out (n, m) with the query
-rows outermost. Refinement prepares each query row set once
+Every kind computes its distances one way: the compared rows (the rows
+themselves, or unit rows, divided by g for ``instance``) expanded about
+the mean of the prototype side's (:func:`numkit.expanded_sq_dist`),
+times s for ``scaled`` and over g squared for ``pair``. Two functions
+lay them out. :func:`pairwise` serves training and gradient checks, on
+the tape and off it, laid out (n, m) with the query rows outermost.
+Refinement prepares each query row set once
 (:func:`query_terms`) and calls :func:`prepared_distances`, which lays
 its distances out ways-major, (m, n) with the prototypes outermost.
 """
@@ -233,15 +237,16 @@ class _QueryTerms(NamedTuple):
     raw: np.ndarray
 
 
-def _compared_rows(spec: MetricSpec, x) -> np.ndarray:
-    """The rows that ``spec`` compares in place of ``x``, untaped: the rows
+def _compared_rows(spec: MetricSpec, x, tape: nk.Tape | None = None):
+    """The rows that ``spec`` compares in place of ``x``: the rows
     themselves for ``euclid``/``scaled``, the unit rows divided by g for
-    ``instance``, the unit rows for ``pair``, whose g sees whole pairs."""
+    ``instance``, the unit rows for ``pair``, whose g sees whole pairs.
+    Untaped, a float64 array."""
     if spec.kind == "instance":
-        x = _instance_side(spec.scaler, x)
-    elif spec.kind == "pair":
-        x = nk.unit_rows(x, _NORM_FLOOR)
-    return nk.value_of(x)
+        return _instance_side(spec.scaler, x, tape)
+    if spec.kind == "pair":
+        return nk.unit_rows(x, _NORM_FLOOR)
+    return x if tape is not None else nk.value_of(x)
 
 
 def query_terms(spec: MetricSpec, a, protos, compared=None) -> _QueryTerms:
@@ -275,10 +280,9 @@ def prepared_distances(spec: MetricSpec, terms: _QueryTerms, protos, compared=No
     Entry (..., j, i) is d(a_i, b_j) for the query rows a that ``terms``
     (see :func:`query_terms`) were prepared from: (m, n) or (V, m, n)
     for (m, l) or (V, m, l) ``protos``. Every kind expands about the
-    terms' centre (see :func:`numkit.expand_centred`), and every entry
-    is bitwise the transpose of the row-major expansion: for the learned
-    kinds that is ``pairwise(spec, a, b)``'s entry, for ``euclid`` and
-    ``scaled`` the difference form to rounding. ``compared`` may carry
+    terms' centre (see :func:`numkit.expand_centred`); for terms
+    prepared about ``protos`` itself, every entry is bitwise the
+    transpose of ``pairwise(spec, a, protos)``'s. ``compared`` may carry
     ``_compared_rows(spec, protos)``. Untaped; a spec of P parameter
     sets scores the stack's row set p with set p. Terms that do not
     match ``protos`` are a :class:`ContractError`.
@@ -314,12 +318,10 @@ def pairwise(spec: MetricSpec, a, b, tape: nk.Tape | None = None):
     Row sets of different widths, or a taped stack, are a
     :class:`ContractError`.
 
-    The learned kinds expand about the mean of the compared rows of
-    ``b`` (:func:`numkit.expanded_sq_dist`), so identical rows map to a
-    tiny non-negative number, and ``pairwise(spec, a, b)`` is bitwise
-    the transpose of ``prepared_distances(spec, query_terms(spec, a, b),
-    b)``. ``euclid`` and ``scaled`` sum every squared difference, as
-    :func:`numkit.sq_dist` does, so identical rows map to exactly zero.
+    Every kind expands its compared rows about the mean of ``b``'s
+    (:func:`numkit.expanded_sq_dist`), so identical rows map to a tiny
+    non-negative number, and ``pairwise(spec, a, b)`` is bitwise the
+    transpose of ``prepared_distances(spec, query_terms(spec, a, b), b)``.
     """
     av, bv = nk.value_of(a), nk.value_of(b)
     if (av.ndim not in (2, 3) or bv.ndim != av.ndim
@@ -328,21 +330,15 @@ def pairwise(spec: MetricSpec, a, b, tape: nk.Tape | None = None):
     if tape is not None and (av.ndim != 2 or spec.stack):
         raise ContractError("only plain (n, l) row sets and one parameter set are differentiated")
 
-    if spec.kind == "euclid":
-        return nk.sq_dist(a, b)
+    rows_a, rows_b = _compared_rows(spec, a, tape), _compared_rows(spec, b, tape)
+    if spec.kind == "pair":
+        # one g per (query, prototype) combination, recorded before the distance
+        n, m = av.shape[-2], bv.shape[-2]
+        pairs = nk.concat([nk.repeat_rows(a, m), nk.tile_rows(b, n)], axis=-1)
+        g = nk.reshape(scaler_eval(spec.scaler, pairs, tape), (*av.shape[:-2], n, m))
+        return nk.div(nk.expanded_sq_dist(rows_a, rows_b), nk.mul(g, g))
+    d = nk.expanded_sq_dist(rows_a, rows_b)
     if spec.kind == "scaled":
         s = nk.leaves(spec.to_named(), tape)["metric.s"]
-        if spec.stack:
-            s = s[:, None, None]
-        return nk.mul(s, nk.sq_dist(a, b))
-    if spec.kind == "instance":
-        return nk.expanded_sq_dist(
-            _instance_side(spec.scaler, a, tape), _instance_side(spec.scaler, b, tape)
-        )
-    # pair kind: one g per (query, prototype) combination
-    n, m = av.shape[-2], bv.shape[-2]
-    a_hat = nk.unit_rows(a, _NORM_FLOOR)
-    b_hat = nk.unit_rows(b, _NORM_FLOOR)
-    pairs = nk.concat([nk.repeat_rows(a, m), nk.tile_rows(b, n)], axis=-1)
-    g = nk.reshape(scaler_eval(spec.scaler, pairs, tape), (*av.shape[:-2], n, m))
-    return nk.div(nk.expanded_sq_dist(a_hat, b_hat), nk.mul(g, g))
+        d = nk.mul(s[:, None, None] if spec.stack else s, d)
+    return d

@@ -13,21 +13,21 @@ records hold their Vars and a Var refers to its tape weakly, so a tape
 and all it recorded are freed by reference counting the moment its
 caller drops it, with no cycle for the garbage collector to find.
 
-Five fused primitives each record one node for a group the model's hot
-path would otherwise build from several: :func:`sq_dist` (all-pairs
-squared distances), :func:`cross_entropy`, :func:`affine` (x @ w + b),
-:func:`unit_rows` (row normalization) and :func:`calibrated_sigmoid`
-(exp(alpha) * sigmoid(h) + exp(beta)). Each runs the numpy operations of
-that group in the group's order, forward and backward, so its value and
-gradients are bitwise those of the composition; the tests build that
-composition from elementary tape ops and compare against it.
+Four fused primitives each record one node for a group the model's hot
+path would otherwise build from several: :func:`cross_entropy`,
+:func:`affine` (x @ w + b), :func:`unit_rows` (row normalization) and
+:func:`calibrated_sigmoid` (exp(alpha) * sigmoid(h) + exp(beta)). Each
+runs the numpy operations of that group in the group's order, forward
+and backward, so its value and gradients are bitwise those of the
+composition; the tests build that composition from elementary tape ops
+and compare against it.
 
 One more node, :func:`expanded_sq_dist`, is *not* bitwise a composition.
-It computes the same all-pairs squared distances as :func:`sq_dist` by
-expansion about the mean of the compared rows, with one matrix product
-forward and two backward, so its values and gradients match the
-difference composition only to rounding, and identical rows map to a
-tiny non-negative number rather than exactly zero. Its arithmetic,
+It is the one kernel for all-pairs squared distances, on the tape and
+off it: expansion about the mean of the compared rows, with one matrix
+product forward and two backward, so its values and gradients match the
+difference composition only to rounding, and identical rows may map to
+a tiny non-negative number rather than exactly zero. Its arithmetic,
 :func:`expand_centred`, is the one that evaluation's prepared
 distances use too; they take it ways-major, the prototypes as the outer
 axis, with every entry bitwise the transposed row-major one, and
@@ -62,9 +62,6 @@ import numpy as np
 
 from .errors import ContractError, DomainError
 
-# entries of one squared-difference temporary in sq_dist (256 KB of float64)
-_SQ_BLOCK = 1 << 15
-
 # numpy sums a contiguous axis of fewer entries than this one entry after
 # another, and from this many on pairwise; a property of numpy, not a knob
 _SEQUENTIAL_BELOW = 8
@@ -89,7 +86,6 @@ __all__ = [
     "repeat_rows",
     "tile_rows",
     "softmax_neg",
-    "sq_dist",
     "expand_centred",
     "expanded_sq_dist",
     "cross_entropy",
@@ -206,8 +202,6 @@ def grad(tape: Tape, loss) -> dict[Var, np.ndarray]:
         if g is None:
             continue
         for v, gi in zip(inputs, backward(g)):
-            if gi is None:
-                continue
             prev = adjoints.get(id(v))
             adjoints[id(v)] = gi if prev is None else prev + gi
     return {
@@ -278,9 +272,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _apply(out_value, var_inputs: tuple[Var, ...], backward, tape: Tape | None):
-    if tape is None:
-        return out_value
+def _apply(out_value, var_inputs: tuple[Var, ...], backward, tape: Tape):
     out = Var(out_value, tape)
     tape._record(out, var_inputs, backward)
     return out
@@ -573,68 +565,6 @@ def softmax_neg(distances, axis: int = -1):
 # --------------------------------------------------------------------------
 
 
-def sq_dist(a, b):
-    """All-pairs squared distances, ``out[..., i, j] = sum_k (a_ik - b_jk)**2``.
-
-    ``a`` is (..., n, l) and ``b`` (..., m, l); taped calls take plain
-    (n, l) row sets. The differences are formed for as many columns j
-    at a time as fit in ``_SQ_BLOCK`` entries, and at least one, in one
-    temporary that serves every block: a small call is one block, a
-    stack of views goes column by column. Every entry is the same sum of
-    the same squares, so the values do not depend on the blocking. A
-    fresh temporary per block would refault whatever pages the
-    allocator gave back.
-
-    Replaces reshape, reshape, sub, mul(diff, diff) and asum. The
-    backward never forms an (n, m, l) array: it builds the adjoint of
-    one column at a time, ``t + t`` with ``t = g_ij * (a_i - b_j)`` as
-    the square's two operands gave it, sums the columns in order for
-    the a side and each column over its rows for the b side. Those are
-    the orders numpy reduces the (n, m, l) adjoint in, except for
-    width-1 rows, which it sums pairwise; those take the full adjoint.
-    """
-    tape = _tape_of(a, b)
-    av, bv = value_of(a), value_of(b)
-    if tape is not None and (av.ndim, bv.ndim) != (2, 2):
-        raise ContractError("sq_dist differentiates plain (n, l) row sets only")
-    *lead, n, l = av.shape
-    m = bv.shape[-2]
-    cols = max(1, min(m, _SQ_BLOCK // max(av.size, 1)))
-    buf = np.empty((*lead, n, cols, l), dtype=np.result_type(av, bv))
-    parts = []
-    for j in range(0, max(m, 1), cols):
-        diff = buf[..., :min(cols, m - j), :]
-        np.subtract(av[..., :, None, :], bv[..., None, j:j + cols, :], out=diff)
-        diff *= diff  # squared in place
-        parts.append(diff.sum(axis=-1))
-    out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
-    if tape is None:
-        return out
-
-    def backward(g):
-        if l == 1:
-            t = g[:, :, None] * (av[:, None, :] - bv[None, :, :])
-            d = t + t
-            return (-d).sum(axis=0), d.sum(axis=1)
-        ga = np.zeros_like(av) if m == 0 else None
-        gb = np.empty_like(bv)
-        d = np.empty_like(av)
-        for j in range(m):
-            np.subtract(av, bv[j], out=d)
-            d *= g[:, j, None]
-            d += d
-            if ga is None:
-                ga = d.copy()
-            else:
-                ga += d
-            np.negative(d, out=d)
-            d.sum(axis=0, out=gb[j])
-        return gb, ga
-
-    # b's reshape came last in the group, so its adjoint lands first
-    return _apply(out, (_as_var(b, tape), _as_var(a, tape)), backward, tape)
-
-
 def expand_centred(
     a_c: np.ndarray, a_sq: np.ndarray, b_c: np.ndarray, *, b_major: bool = False
 ) -> np.ndarray:
@@ -672,13 +602,14 @@ def expand_centred(
 def expanded_sq_dist(a, b):
     """All-pairs squared distances by expansion about c, the mean of ``b``'s rows.
 
-    The values of :func:`sq_dist` by :func:`expand_centred`, one matrix
-    product in place of the differences; not bitwise any composition
-    (see the module docstring). ``a`` is (..., n, l) and ``b``
-    (..., m, l), one centre per row set; taped calls take plain (n, l)
-    row sets, and every slice of an untaped stack is bitwise its own
-    call. Taking c from ``b`` alone keeps each row of ``a`` independent
-    of the others.
+    ``out[..., i, j] = |a_i - b_j|^2`` by :func:`expand_centred`, one
+    matrix product in place of the differences; not bitwise any
+    composition (see the module docstring). ``a`` is (..., n, l) and
+    ``b`` (..., m, l), one centre per row set; taped calls take plain
+    (n, l) row sets, and every slice of an untaped stack is bitwise its
+    own call. Taking c from ``b`` alone keeps each row of ``a``
+    independent of the others. No rows in ``b`` give an (..., n, 0)
+    result, centred on the origin.
 
     The exact distance does not depend on c, so the backward holds c
     constant: ``ga = 2 (rowsum(g) (a - c) - g (b - c))`` and
@@ -689,7 +620,10 @@ def expanded_sq_dist(a, b):
     av, bv = value_of(a), value_of(b)
     if tape is not None and (av.ndim, bv.ndim) != (2, 2):
         raise ContractError("expanded_sq_dist differentiates plain (n, l) row sets only")
-    centre = bv.mean(axis=-2, keepdims=True)
+    if bv.shape[-2]:
+        centre = bv.mean(axis=-2, keepdims=True)
+    else:  # the mean of no rows would warn, and its nan would reach the gradients
+        centre = np.zeros((*bv.shape[:-2], 1, bv.shape[-1]))
     a_c = np.subtract(av, centre, order="C")
     b_c = np.subtract(bv, centre, order="C")
     out = expand_centred(a_c, np.square(a_c).sum(axis=-1), b_c.copy())  # the backward reads b_c
@@ -705,7 +639,7 @@ def expanded_sq_dist(a, b):
         ga *= 2.0
         return gb, ga
 
-    # listed as sq_dist lists them, b first
+    # b first, the order in which the difference composition's adjoints arrive
     return _apply(out, (_as_var(b, tape), _as_var(a, tape)), backward, tape)
 
 

@@ -65,14 +65,7 @@ def init_from_embeddings(support_emb, support_y, ways: int):
     return nk.div(nk.matmul(y_t, support_emb), counts[:, None])
 
 
-def update_prototypes(
-    support_emb,
-    support_y,
-    ways: int,
-    query_emb,
-    conf,
-    tape: nk.Tape | None = None,
-):
+def update_prototypes(support_emb, support_y, ways: int, query_emb, conf):
     """Confidence-weighted prototype update.
 
     Support items contribute weight exactly 1 each; item x̃ contributes

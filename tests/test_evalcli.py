@@ -860,6 +860,30 @@ class TestCli:
         assert code == 0
         assert "accuracy" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("kind", ["euclid", "scaled", "pair"])
+    def test_metric_flag_replaces_the_checkpoint_metric(self, table_file, tmp_path, kind):
+        # a fresh metric of the given kind over the checkpoint's encoder
+        checkpoint = tmp_path / "m.mctp"
+        encoder = EncoderParams.init(8, np.random.default_rng(6), hidden=32, positions=2,
+                                     channels=16)
+        save_state(checkpoint, ModelState(metric=metric_of("instance", 32), encoder=encoder))
+        reports = []
+        for name, flags in (("own", []), ("a", ["--metric", kind]), ("b", ["--metric", kind])):
+            report = tmp_path / f"{name}.jsonl"
+            assert main(["eval", "--source", str(table_file), "--checkpoint", str(checkpoint),
+                         "--episodes", "3", "--transduction-steps", "2", "--seed", "5",
+                         "--report", str(report), *flags]) == 0
+            reports.append(report.read_bytes())
+        own, swapped, rerun = reports
+        assert swapped == rerun
+        assert swapped != own
+        if kind != "pair":  # the kinds without a drawn scaler
+            protocol = EvalProtocol(n_episodes=3, T=2, master_seed=5)
+            metric = MetricSpec.euclid() if kind == "euclid" else MetricSpec.scaled(7.5)
+            state = ModelState(metric=metric, encoder=encoder)
+            assert swapped.decode() == render_jsonl(
+                evaluate(state, load_embeddings(table_file), protocol))
+
     def test_python_dash_m_runs_without_warning(self, tmp_path):
         out = tmp_path / "t.mcte"
         run = subprocess.run(

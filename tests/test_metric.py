@@ -211,13 +211,14 @@ class TestPairwise:
             assert np.all(diag >= 0.0) and np.all(diag <= 1e-14)
 
     def test_learned_kinds_unprepared_are_prepared_bitwise(self):
-        # one expansion for training and evaluation: without terms the
-        # learned kinds centre on the compared prototypes, as query_terms
-        # does, and the ways-major layout is the transpose, bit for bit
+        # one expansion for training and evaluation, for every kind:
+        # without terms pairwise centres on the compared prototypes, as
+        # query_terms does, and the ways-major layout is the transpose,
+        # bit for bit
         rng = np.random.default_rng(12)
         for lead in ((), (3,)):
             A, B = rng.normal(size=(*lead, 9, 6)), rng.normal(size=(*lead, 4, 6))
-            for spec in all_specs(6)[2:]:
+            for spec in all_specs(6):
                 got = pairwise(spec, A, B)
                 prepared = prepared_distances(spec, query_terms(spec, A, B), B)
                 assert prepared.shape == (*lead, 4, 9)
@@ -232,8 +233,8 @@ class TestPairwise:
 
     def test_stack_slices_equal_unstacked_calls_bitwise(self):
         # prepared distances expand about the prototype mean: each slice is
-        # bitwise its own prepared call, and the difference form only
-        # within a bound, never below zero
+        # bitwise its own prepared call, within a bound of pairwise's, and
+        # never below zero
         rng = np.random.default_rng(7)
         A = rng.normal(size=(3, 7, 6))
         B = rng.normal(size=(3, 5, 6))
@@ -265,41 +266,35 @@ class TestPairwise:
                 prepared_distances(spec, query_terms(spec, wide, protos), protos),
             )
 
-    @pytest.mark.parametrize("ways", [1, 5, 15])
-    def test_blocked_sq_diff_equals_one_reduction(self, ways):
-        _sq_diff = nk.sq_dist
-
-        rng = np.random.default_rng(ways)
-        for lead, width in (((6,), 3), ((6,), 8), ((6,), 64), ((16,), 64), ((), 700)):
-            A = rng.normal(size=(*lead, 11, width))
-            B = rng.normal(size=(*lead, ways, width))
-            B[..., 0, :] = A[..., 0, :]  # an exact zero
-            diff = A[..., :, None, :] - B[..., None, :, :]
-            expected = (diff * diff).sum(axis=-1)
-            got = _sq_diff(A, B)
-            assert got.shape == (*lead, 11, ways)
-            assert np.array_equal(got, expected)
-            assert np.all(got[..., 0, 0] == 0.0)
-            assert _sq_diff(A, B[..., :0, :]).shape == (*lead, 11, 0)
-            assert _sq_diff(A[..., :0, :], B).shape == (*lead, 0, ways)
-            if lead:
-                assert np.array_equal(_sq_diff(A[2], B[2]), expected[2])
-
     @pytest.mark.parametrize("dtype", [np.float32, np.int64])
     def test_sq_diff_promotes_like_numpy(self, dtype):
-        _sq_diff = nk.sq_dist
-
+        # rows of another dtype are compared as their float64 values, and
+        # every slice of a stack is its own call
         rng = np.random.default_rng(3)
         A = (rng.normal(size=(4, 11, 64)) * 8).astype(dtype)
         B = rng.normal(size=(4, 5, 64))
-        got = _sq_diff(A, B)
+        for spec in all_specs(64)[:2]:  # euclid and scaled, which compare the rows as they are
+            got = pairwise(spec, A, B)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, pairwise(spec, A.astype(np.float64), B))
+            for i in range(4):
+                assert np.array_equal(got[i], pairwise(spec, A[i], B[i]))
         diff = A[..., :, None, :] - B[..., None, :, :]
-        assert got.dtype == np.float64
-        assert np.array_equal(got, (diff * diff).sum(axis=-1))
-        for i in range(4):
-            assert np.array_equal(got[i], _sq_diff(A[i], B[i]))
-        stacked = pairwise(MetricSpec.euclid(), A, B)
-        assert np.array_equal(stacked[1], pairwise(MetricSpec.euclid(), A[1], B[1]))
+        exact = (diff * diff).sum(axis=-1)
+        got = pairwise(MetricSpec.euclid(), A, B)
+        assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(exact)
+
+    def test_empty_row_sets_give_empty_distances(self):
+        rng = np.random.default_rng(4)
+        A, B = rng.normal(size=(3, 6, 5)), rng.normal(size=(3, 4, 5))
+        for spec in all_specs(5):
+            assert pairwise(spec, A, B[:, :0]).shape == (3, 6, 0)
+            assert pairwise(spec, A[:, :0], B).shape == (3, 0, 4)
+            tape = nk.Tape()
+            a = tape.param(A[0])
+            d = pairwise(spec, a, B[0, :0], tape)
+            assert d.shape == (6, 0)
+            assert np.all(nk.grad(tape, nk.asum(d))[a] == 0.0)
 
     def test_stacks_and_prepared_terms_stay_off_the_tape(self):
         spec = MetricSpec.instance(3, np.random.default_rng(8))
