@@ -443,6 +443,14 @@ def _tolerance(text: str) -> float:
     return value
 
 
+# the synthetic source's flags and their defaults; a table source takes none of them
+_SYNTH_DEFAULTS = {"dim": 16, "spread": 4.0, "std": 1.0, "pool_classes": 20}
+
+
+class _UsageError(Exception):
+    """A flag the command cannot honour: exit 2 with one ``error:`` line."""
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mct",
@@ -457,20 +465,20 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key=value file; explicit flags override it")
         p.add_argument("--seed", type=_count, default=0)
 
-    def add_synth(p):
-        p.add_argument("--dim", type=at_least(1), default=16)
-        p.add_argument("--spread", type=float, default=4.0)
-        p.add_argument("--std", type=float, default=1.0)
+    def add_synth(p, defaults=_SYNTH_DEFAULTS):
+        p.add_argument("--dim", type=at_least(1), default=defaults.get("dim"))
+        p.add_argument("--spread", type=float, default=defaults.get("spread"))
+        p.add_argument("--std", type=float, default=defaults.get("std"))
 
     def add_source(p):
         p.add_argument("--source", default="synth",
                        help="'synth' or a path to an .mcte embedding table")
-        add_synth(p)
+        add_synth(p, {})  # None until given, so a table source can refuse them
 
     p_train = sub.add_parser("train", help="meta-train encoder, metric, classifier")
     add_common(p_train)
     add_source(p_train)
-    p_train.add_argument("--pool-classes", type=at_least(1), default=20)
+    p_train.add_argument("--pool-classes", type=at_least(1), default=None)
     p_train.add_argument("--steps", type=at_least(1), default=500)
     p_train.add_argument("--ways", type=at_least(2), default=15)
     p_train.add_argument("--shots", type=at_least(1), default=1)
@@ -538,12 +546,17 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argp
 
 
 def _make_source(args):
-    if args.source == "synth":
-        return SyntheticSpec(
-            input_dim=args.dim, class_spread=args.spread, within_std=args.std,
-            pool_classes=getattr(args, "pool_classes", None), pool_seed=args.seed,
-        )
-    return load_embeddings(args.source)
+    synth = {key: getattr(args, key) for key in _SYNTH_DEFAULTS if hasattr(args, key)}
+    if args.source != "synth":
+        given = [f"--{key.replace('_', '-')}" for key, value in synth.items() if value is not None]
+        if given:
+            raise _UsageError(f"a table source takes no {' or '.join(given)}")
+        return load_embeddings(args.source)
+    synth = {key: _SYNTH_DEFAULTS[key] if value is None else value for key, value in synth.items()}
+    return SyntheticSpec(
+        input_dim=synth["dim"], class_spread=synth["spread"], within_std=synth["std"],
+        pool_classes=synth.get("pool_classes"), pool_seed=args.seed,
+    )
 
 
 def _fresh_metric(kind: str, dim: int, seed: int) -> MetricSpec:
@@ -582,9 +595,8 @@ def _cmd_eval(args) -> int:
     given = [flag for flag, value in (("--unlabeled", args.unlabeled),
                                       ("--distractors", args.distractors)) if value is not None]
     if given and args.mode != "semi":
-        print(f"error: {args.mode} mode draws no unlabeled pool and takes no"
-              f" {' or '.join(given)}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"{args.mode} mode draws no unlabeled pool and takes no"
+                          f" {' or '.join(given)}")
     source = _make_source(args)
     if args.checkpoint:
         state = load_state(args.checkpoint)
@@ -669,6 +681,9 @@ def main(argv: list[str] | None = None) -> int:
         return handler(args)
     except SystemExit as exc:  # argparse usage errors already exit with 2
         return int(exc.code or 0)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return 2

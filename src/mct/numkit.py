@@ -3,8 +3,11 @@
 Everything here operates on plain numpy arrays. Differentiation is
 define-by-run: a :class:`Tape` records one entry per primitive applied to
 a tracked :class:`Var`, and :func:`grad` replays the records in reverse
-exactly once. When no tape is involved the same primitives fall through
-to raw numpy, so forward code is written once and runs in both modes.
+exactly once. Every primitive returns through one recorder,
+:func:`_apply`: untaped it hands back the plain result, and on a tape
+it appends the primitive's one record, so forward code is written once
+and runs in both modes. One shape rule holds for the matrix primitives:
+2-D operands on a tape, and untaped also stacks of them.
 
 Graphs stay small because the primitives are batched (whole support or
 query sets per call), so the tape is rebuilt for every loss evaluation
@@ -182,9 +185,6 @@ class Tape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def _record(self, out: Var, inputs: tuple[Var, ...], backward) -> None:
-        self._records.append((out, inputs, backward))
-
 
 def grad(tape: Tape, loss) -> dict[Var, np.ndarray]:
     """Gradients of a scalar ``loss`` for every parameter leaf of ``tape``.
@@ -272,30 +272,38 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _apply(out_value, var_inputs: tuple[Var, ...], backward, tape: Tape):
+def _apply(out_value, inputs, backward, tape: Tape | None):
+    """The one exit of every primitive: ``out_value`` untaped, else its recorded Var.
+
+    On a tape, ``inputs`` become Vars (plain ones constant leaves) in the
+    order ``backward`` returns their adjoints. An empty tape is falsy.
+    """
+    if tape is None:
+        return out_value
     out = Var(out_value, tape)
-    tape._record(out, var_inputs, backward)
+    tape._records.append((out, tuple(_as_var(x, tape) for x in inputs), backward))
     return out
+
+
+def _matrices(name: str, tape: Tape | None, *values: np.ndarray) -> None:
+    """The shape rule: 2-D operands on a tape; untaped, stacks of them too."""
+    for v in values:
+        if v.ndim < 2 or (tape is not None and v.ndim != 2):
+            raise ContractError(f"{name} expects a 2-D operand (or, untaped, a stack of them)")
 
 
 def _unary(x, fwd, make_backward):
     tape = _tape_of(x)
     xv = value_of(x)
     out = fwd(xv)
-    if tape is None:
-        return out
-    v = _as_var(x, tape)
-    return _apply(out, (v,), make_backward(xv, out), tape)
+    return _apply(out, (x,), make_backward(xv, out), tape)
 
 
 def _binary(a, b, fwd, make_backward):
     tape = _tape_of(a, b)
     av, bv = value_of(a), value_of(b)
     out = fwd(av, bv)
-    if tape is None:
-        return out
-    va, vb = _as_var(a, tape), _as_var(b, tape)
-    return _apply(out, (va, vb), make_backward(av, bv, out), tape)
+    return _apply(out, (a, b), make_backward(av, bv, out), tape)
 
 
 # --------------------------------------------------------------------------
@@ -331,56 +339,38 @@ def neg(x):
 def matmul(a, b):
     tape = _tape_of(a, b)
     av, bv = value_of(a), value_of(b)
-    if av.ndim < 2 or bv.ndim < 2 or (tape is not None and (av.ndim, bv.ndim) != (2, 2)):
-        raise ContractError("matmul expects 2-D operands (or, untaped, stacks of them)")
-    out = av @ bv
-    if tape is None:
-        return out
-    va, vb = _as_var(a, tape), _as_var(b, tape)
+    _matrices("matmul", tape, av, bv)
 
     def backward(g):
         return g @ bv.T, av.T @ g
 
-    return _apply(out, (va, vb), backward, tape)
+    return _apply(av @ bv, (a, b), backward, tape)
 
 
 def transpose(x):
     """Swap the last two axes; untaped calls also take stacks of matrices."""
     tape = _tape_of(x)
     xv = value_of(x)
-    if xv.ndim < 2 or (tape is not None and xv.ndim != 2):
-        raise ContractError("transpose expects a 2-D operand (or, untaped, a stack of them)")
-    out = np.ascontiguousarray(np.swapaxes(xv, -1, -2))
-    if tape is None:
-        return out
-    return _apply(out, (_as_var(x, tape),), lambda g: (g.T,), tape)
+    _matrices("transpose", tape, xv)
+    return _apply(np.ascontiguousarray(np.swapaxes(xv, -1, -2)), (x,), lambda g: (g.T,), tape)
 
 
 def reshape(x, shape):
     tape = _tape_of(x)
     xv = value_of(x)
-    out = xv.reshape(shape)
-    if tape is None:
-        return out
-    orig = xv.shape
-    return _apply(out, (_as_var(x, tape),), lambda g: (g.reshape(orig),), tape)
+    return _apply(xv.reshape(shape), (x,), lambda g: (g.reshape(xv.shape),), tape)
 
 
 def concat(parts: Iterable, axis: int = -1):
     parts = list(parts)
     tape = _tape_of(*parts)
     values = [value_of(p) for p in parts]
-    out = np.concatenate(values, axis=axis)
-    if tape is None:
-        return out
-    sizes = [v.shape[axis] for v in values]
-    splits = np.cumsum(sizes)[:-1]
-    vars_ = tuple(_as_var(p, tape) for p in parts)
 
     def backward(g):
+        splits = np.cumsum([v.shape[axis] for v in values])[:-1]
         return tuple(np.split(g, splits, axis=axis))
 
-    return _apply(out, vars_, backward, tape)
+    return _apply(np.concatenate(values, axis=axis), parts, backward, tape)
 
 
 def flip_last(x):
@@ -399,17 +389,13 @@ def repeat_rows(x, k: int):
     """
     tape = _tape_of(x)
     xv = value_of(x)
-    if xv.ndim < 2 or (tape is not None and xv.ndim != 2):
-        raise ContractError("repeat_rows expects a 2-D operand (or, untaped, a stack of them)")
-    out = np.repeat(xv, k, axis=-2)
-    if tape is None:
-        return out
-    n, d = xv.shape
+    _matrices("repeat_rows", tape, xv)
 
     def backward(g):
+        n, d = xv.shape
         return (g.reshape(n, k, d).sum(axis=1),)
 
-    return _apply(out, (_as_var(x, tape),), backward, tape)
+    return _apply(np.repeat(xv, k, axis=-2), (x,), backward, tape)
 
 
 def tile_rows(x, k: int):
@@ -419,17 +405,13 @@ def tile_rows(x, k: int):
     """
     tape = _tape_of(x)
     xv = value_of(x)
-    if xv.ndim < 2 or (tape is not None and xv.ndim != 2):
-        raise ContractError("tile_rows expects a 2-D operand (or, untaped, a stack of them)")
-    out = np.tile(xv, (k, 1))
-    if tape is None:
-        return out
-    n, d = xv.shape
+    _matrices("tile_rows", tape, xv)
 
     def backward(g):
+        n, d = xv.shape
         return (g.reshape(k, n, d).sum(axis=0),)
 
-    return _apply(out, (_as_var(x, tape),), backward, tape)
+    return _apply(np.tile(xv, (k, 1)), (x,), backward, tape)
 
 
 # --------------------------------------------------------------------------
@@ -478,15 +460,11 @@ def asum(x, axis=None, keepdims: bool = False):
     """Sum over ``axis`` (all axes when None)."""
     tape = _tape_of(x)
     xv = value_of(x)
-    out = xv.sum(axis=axis, keepdims=keepdims)
-    if tape is None:
-        return out
-    shape = xv.shape
 
     def backward(g):
-        return (_expand_reduced(g, shape, axis, keepdims).copy(),)
+        return (_expand_reduced(g, xv.shape, axis, keepdims).copy(),)
 
-    return _apply(out, (_as_var(x, tape),), backward, tape)
+    return _apply(xv.sum(axis=axis, keepdims=keepdims), (x,), backward, tape)
 
 
 def _classes_first(x: np.ndarray) -> np.ndarray:
@@ -550,14 +528,12 @@ def softmax_neg(distances, axis: int = -1):
     out /= out.sum(axis=along, keepdims=True)
     if short:
         out = _classes_last(out)
-    if tape is None:
-        return out
 
     def backward(g):
         inner = (g * out).sum(axis=axis, keepdims=True)
         return (-out * (g - inner),)
 
-    return _apply(out, (_as_var(distances, tape),), backward, tape)
+    return _apply(out, (distances,), backward, tape)
 
 
 # --------------------------------------------------------------------------
@@ -618,8 +594,9 @@ def expanded_sq_dist(a, b):
     """
     tape = _tape_of(a, b)
     av, bv = value_of(a), value_of(b)
-    if tape is not None and (av.ndim, bv.ndim) != (2, 2):
-        raise ContractError("expanded_sq_dist differentiates plain (n, l) row sets only")
+    _matrices("expanded_sq_dist", tape, av, bv)
+    if av.shape[-1] != bv.shape[-1]:
+        raise ContractError(f"expanded_sq_dist needs rows of one width, got {av.shape} and {bv.shape}")
     if bv.shape[-2]:
         centre = bv.mean(axis=-2, keepdims=True)
     else:  # the mean of no rows would warn, and its nan would reach the gradients
@@ -627,8 +604,6 @@ def expanded_sq_dist(a, b):
     a_c = np.subtract(av, centre, order="C")
     b_c = np.subtract(bv, centre, order="C")
     out = expand_centred(a_c, np.square(a_c).sum(axis=-1), b_c.copy())  # the backward reads b_c
-    if tape is None:
-        return out
 
     def backward(g):
         gb = g.sum(axis=0)[:, None] * b_c
@@ -640,7 +615,7 @@ def expanded_sq_dist(a, b):
         return gb, ga
 
     # b first, the order in which the difference composition's adjoints arrive
-    return _apply(out, (_as_var(b, tape), _as_var(a, tape)), backward, tape)
+    return _apply(out, (b, a), backward, tape)
 
 
 def cross_entropy(logits, targets):
@@ -689,7 +664,7 @@ def cross_entropy(logits, targets):
     total = shifted.sum(axis=axis, keepdims=True)
     lse = np.squeeze(m + np.log(total), axis=axis)
     out = (lse - true_logit).mean(axis=-1)
-    if tape is None:
+    if tape is None:  # the saved softmax is taped-only work
         return out
     softmax = shifted / total
     if axis == 0:
@@ -699,8 +674,7 @@ def cross_entropy(logits, targets):
         g_rows = np.broadcast_to(g, lse.shape) / lse.size
         return g_rows[:, None] * softmax, -g_rows[:, None] * tv
 
-    v = _as_var(logits, tape)
-    return _apply(out, (v, v), backward, tape)
+    return _apply(out, (logits, logits), backward, tape)
 
 
 def affine(x, w, b):
@@ -713,19 +687,15 @@ def affine(x, w, b):
     """
     tape = _tape_of(x, w, b)
     xv, wv, bv = value_of(x), value_of(w), value_of(b)
-    if xv.ndim < 2 or wv.ndim not in (2, 3) or (tape is not None and (xv.ndim, wv.ndim) != (2, 2)):
-        raise ContractError("affine expects 2-D weights and rows (or, untaped, stacks of them)")
+    _matrices("affine", tape, xv, wv)
     out = xv @ wv
     out += bv if wv.ndim == 2 else bv[..., None, :]
-    if tape is None:
-        return out
 
     def backward(g):
         return _unbroadcast(g, bv.shape), g @ wv.T, xv.T @ g
 
     # the add's adjoint reached b before the matmul's reached x and w
-    vars_ = (_as_var(b, tape), _as_var(x, tape), _as_var(w, tape))
-    return _apply(out, vars_, backward, tape)
+    return _apply(out, (b, x, w), backward, tape)
 
 
 def unit_rows(x, floor: float):
@@ -743,16 +713,13 @@ def unit_rows(x, floor: float):
     if np.any(norms < floor):
         raise DomainError(f"cannot normalize rows with norm below {floor}")
     out = xv / norms
-    if tape is None:
-        return out
 
     def backward(g):
         g_norms = _unbroadcast(-g * xv / (norms * norms), norms.shape)
         square = _expand_reduced(g_norms * 0.5 / norms, xv.shape, -1, True) * xv
         return g / norms, square, square
 
-    v = _as_var(x, tape)
-    return _apply(out, (v, v, v), backward, tape)
+    return _apply(out, (x, x, x), backward, tape)
 
 
 def calibrated_sigmoid(h, alpha, beta):
@@ -765,8 +732,6 @@ def calibrated_sigmoid(h, alpha, beta):
     hv, av, bv = value_of(h), value_of(alpha), value_of(beta)
     ea, sig, eb = np.exp(av), _sigmoid_value(hv), np.exp(bv)
     out = ea * sig + eb
-    if tape is None:
-        return out
 
     def backward(g):
         return (
@@ -776,5 +741,4 @@ def calibrated_sigmoid(h, alpha, beta):
         )
 
     # the group's backward reached beta's exp, then the sigmoid, then alpha's exp
-    vars_ = (_as_var(beta, tape), _as_var(h, tape), _as_var(alpha, tape))
-    return _apply(out, vars_, backward, tape)
+    return _apply(out, (beta, h, alpha), backward, tape)

@@ -1024,6 +1024,46 @@ class TestCli:
         assert all(f in err for f in named)
         assert not (tmp_path / "r.jsonl").exists()
 
+    @pytest.mark.parametrize("command,flags,config", [
+        (["eval", "--episodes", "2", "--report", "{out}"], ["--spread", "nan"], ""),
+        (["eval", "--episodes", "2", "--report", "{out}"], ["--dim", "8", "--std", "2"], ""),
+        (["eval", "--episodes", "2", "--report", "{out}"], [], "std=0.5\n"),
+        (["train", "--steps", "1", "--out", "{out}"], ["--pool-classes", "5"], ""),
+        (["train", "--steps", "1", "--out", "{out}"], ["--dim", "8", "--spread", "1"], ""),
+        (["train", "--steps", "1", "--out", "{out}"], [], "pool_classes=5\n"),
+    ])
+    def test_synthetic_flags_with_a_table_source_are_usage_errors(
+        self, table_file, tmp_path, capsys, command, flags, config
+    ):
+        out = tmp_path / "out.bin"
+        args = [a.format(out=out) for a in command] + ["--source", str(table_file), *flags]
+        if config:
+            cfg = tmp_path / "mct.cfg"
+            cfg.write_text(config)
+            args += ["--config", str(cfg)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a table source takes no") and err.count("\n") == 1
+        named = [f for f in flags if f.startswith("--")] or [
+            "--" + config.split("=")[0].replace("_", "-")]
+        assert all(f in err for f in named)
+        assert not out.exists()
+
+    def test_synthetic_flags_at_their_defaults_leave_synthetic_runs_unchanged(self, tmp_path):
+        explicit = {"eval": ["--dim", "16", "--spread", "4", "--std", "1"],
+                    "train": ["--dim", "16", "--spread", "4", "--std", "1",
+                              "--pool-classes", "20"]}
+        for command, out_flag, extra in (
+            ("eval", "--report", ["--episodes", "2", "--ways", "3", "--queries", "2"]),
+            ("train", "--out", ["--steps", "2", "--ways", "3", "--encoder", "none"]),
+        ):
+            outputs = []
+            for name, flags in (("a", []), ("b", explicit[command])):
+                path = tmp_path / f"{command}-{name}.bin"
+                assert main([command, *extra, out_flag, str(path), *flags]) == 0
+                outputs.append(path.read_bytes())
+            assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("from_config", [False, True])
     def test_negative_distractors_is_a_usage_error(self, table_file, tmp_path, capsys,
                                                    from_config):

@@ -452,6 +452,76 @@ class TestShapeBackward:
             with pytest.raises(ContractError, match="expects a 2-D operand"):
                 op(tape.param(x), 3)
 
+    @pytest.mark.parametrize("op,shapes", [
+        (nk.matmul, [(3, 4), (4, 2)]),
+        (nk.transpose, [(3, 4)]),
+        (nk.affine, [(3, 4), (4, 2), (2,)]),
+        (nk.expanded_sq_dist, [(3, 4), (5, 4)]),
+    ])
+    def test_one_shape_rule(self, op, shapes):
+        # each matrix operand in turn: a stack is refused on the tape, a
+        # vector everywhere; affine's bias broadcasts and is not a matrix
+        rng = np.random.default_rng(4)
+        for i, shape in enumerate(shapes[:2]):
+            values = [rng.normal(size=s) for s in shapes]
+            stack = rng.normal(size=(2, *shape))
+            tape = nk.Tape()
+            with pytest.raises(ContractError, match="expects a 2-D operand"):
+                op(*values[:i], tape.param(stack), *values[i + 1:])
+            with pytest.raises(ContractError, match="expects a 2-D operand"):
+                op(*values[:i], rng.normal(size=shape[-1]), *values[i + 1:])
+
+
+# one call of every primitive in nk.__all__: (function of the operands, operand shapes)
+PRIMITIVE_CALLS = {
+    "add": (nk.add, [(3, 2), (2,)]),
+    "mul": (nk.mul, [(3, 2), (3, 2)]),
+    "div": (nk.div, [(3, 2), (3, 2)]),
+    "neg": (nk.neg, [(3, 2)]),
+    "matmul": (nk.matmul, [(3, 2), (2, 4)]),
+    "transpose": (nk.transpose, [(3, 2)]),
+    "reshape": (lambda x: nk.reshape(x, (2, 3)), [(3, 2)]),
+    "concat": (lambda a, b: nk.concat([a, b], axis=0), [(3, 2), (1, 2)]),
+    "relu": (nk.relu, [(3, 2)]),
+    "asum": (lambda x: nk.asum(x, axis=0), [(3, 2)]),
+    "flip_last": (nk.flip_last, [(3, 2)]),
+    "repeat_rows": (lambda x: nk.repeat_rows(x, 2), [(3, 2)]),
+    "tile_rows": (lambda x: nk.tile_rows(x, 2), [(3, 2)]),
+    "softmax_neg": (nk.softmax_neg, [(3, 4)]),
+    "expanded_sq_dist": (nk.expanded_sq_dist, [(3, 2), (4, 2)]),
+    "cross_entropy": (lambda x: nk.cross_entropy(x, np.eye(3)), [(3, 3)]),
+    "affine": (nk.affine, [(5, 3), (3, 2), (2,)]),
+    "unit_rows": (lambda x: nk.unit_rows(x, 1e-12), [(5, 3)]),
+    "calibrated_sigmoid": (nk.calibrated_sigmoid, [(5, 1), (), ()]),
+}
+
+
+class TestRecorder:
+    """Every primitive returns through the one recorder, ``_apply``."""
+
+    def test_every_primitive_has_a_call(self):
+        not_primitives = {"Tape", "Var", "grad", "leaves", "value_of", "expand_centred"}
+        assert set(PRIMITIVE_CALLS) == set(nk.__all__) - not_primitives
+
+    @pytest.mark.parametrize("name", list(PRIMITIVE_CALLS))
+    def test_plain_untaped_and_one_record_taped(self, name):
+        op, shapes = PRIMITIVE_CALLS[name]
+        rng = np.random.default_rng(5)
+        values = [rng.normal(size=s) + 2.0 for s in shapes]
+        plain = op(*values)
+        # cross_entropy's mean over rows is numpy's float64 scalar
+        assert type(plain) in (np.ndarray, np.float64)
+        # each operand tracked alone, then all of them; the first call on
+        # every tape is its first record, and an empty tape is falsy
+        tracked = [[i] for i in range(len(values))] + [list(range(len(values)))]
+        for which in tracked:
+            tape = nk.Tape()
+            out = op(*(tape.param(v) if i in which else v for i, v in enumerate(values)))
+            assert isinstance(out, nk.Var) and len(tape) == 1
+            assert np.array_equal(out.value, plain)
+            op(*(tape.param(v) if i in which else v for i, v in enumerate(values)))
+            assert len(tape) == 2
+
 
 # --------------------------------------------------------------------------
 # Fused primitives against the compositions they replace
@@ -807,6 +877,18 @@ class TestExpandedSqDist:
             assert got.shape == shape
             for g, v in zip(grads, (x, y)):
                 assert g.shape == v.shape and np.all(g == 0.0)
+
+    def test_untaped_shape_errors_are_contract_errors(self):
+        # a vector was taken as one row, a vector b raised IndexError and
+        # rows of two widths numpy's broadcast ValueError
+        rows = np.ones((2, 3))
+        with pytest.raises(ContractError, match="expects a 2-D operand"):
+            nk.expanded_sq_dist(np.ones(3), rows)
+        with pytest.raises(ContractError, match="expects a 2-D operand"):
+            nk.expanded_sq_dist(rows, np.ones(3))
+        for a, b in ((rows, np.ones((4, 5))), (np.ones((2, 2, 3)), np.ones((2, 4, 5)))):
+            with pytest.raises(ContractError, match="rows of one width"):
+                nk.expanded_sq_dist(a, b)
 
 
 class TestParamReuse:
