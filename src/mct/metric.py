@@ -19,6 +19,12 @@ the tape and off it, laid out (n, m) with the query rows outermost.
 Refinement prepares each query row set once
 (:func:`query_terms`) and calls :func:`prepared_distances`, which lays
 its distances out ways-major, (m, n) with the prototypes outermost.
+
+Untaped, every path runs on plain arrays through numkit's value
+kernels, the arithmetic the taped nodes call too: the compared rows,
+g (:func:`scaler_eval`), the prepared terms and distances. Refinement
+reads a metric's parameters once per batch (``_plain``) and calls the
+plain forms directly.
 """
 
 from __future__ import annotations
@@ -78,10 +84,6 @@ class ScalerParams:
         """Leading shape of the parameter sets: () for one set, (P,) for P."""
         return self.w1.shape[:-2]
 
-    @property
-    def in_dim(self) -> int:
-        return self.w1.shape[-2]
-
     @staticmethod
     def init(in_dim: int, rng: np.random.Generator, *, hidden: int = 32) -> "ScalerParams":
         return ScalerParams(
@@ -117,6 +119,41 @@ class ScalerParams:
         )
 
 
+class _Scaler(NamedTuple):
+    """A scaler's tensors as plain float64 arrays, with ``ea = exp(alpha)``
+    and ``eb = exp(beta)`` shaped to broadcast over its stack, read once."""
+
+    w1: np.ndarray
+    b1: np.ndarray
+    w2: np.ndarray
+    b2: np.ndarray
+    ea: np.ndarray
+    eb: np.ndarray
+
+
+def _read_scaler(scaler: ScalerParams) -> _Scaler:
+    ea, eb = np.exp(nk.value_of(scaler.alpha)), np.exp(nk.value_of(scaler.beta))
+    if scaler.stack:
+        ea, eb = ea[:, None, None], eb[:, None, None]
+    w1, b1, w2, b2 = (nk.value_of(w) for w in (scaler.w1, scaler.b1, scaler.w2, scaler.b2))
+    return _Scaler(w1, b1, w2, b2, ea, eb)
+
+
+def _check_features(w1, fv: np.ndarray) -> None:
+    stack, in_dim = w1.shape[:-2], w1.shape[-2]
+    if fv.ndim not in (2, 3) or fv.shape[-1] != in_dim or (stack and fv.shape[:-2] != stack):
+        raise ContractError(f"scaler expects rows of width {in_dim}, got {fv.shape}")
+
+
+def _g(sc: _Scaler, fv: np.ndarray) -> np.ndarray:
+    """g of plain rows (n, l) or (V, n, l), as (..., n, 1), on numkit's value kernels."""
+    _check_features(sc.w1, fv)
+    h = nk._affine_value(fv, sc.w1, sc.b1)
+    np.maximum(h, 0.0, out=h)  # relu
+    h = nk._affine_value(h, sc.w2, sc.b2)
+    return nk._calibrated_sigmoid_value(h, sc.ea, sc.eb, out=h)[0]
+
+
 def scaler_eval(scaler: ScalerParams, features, tape: nk.Tape | None = None):
     """g(features): strictly positive, in (exp(beta), exp(alpha)+exp(beta)).
 
@@ -127,25 +164,22 @@ def scaler_eval(scaler: ScalerParams, features, tape: nk.Tape | None = None):
     (V*n, l) batch is not, since BLAS sums a row's products in an order
     that depends on the number of rows. A stacked scaler of P parameter
     sets takes a (P, n, l) stack and scores row set p with set p.
+    Untaped calls run numkit's value kernels on plain arrays; taped
+    ones record the nodes that call those kernels.
     """
     fv = nk.value_of(features)
     single = fv.ndim == 1
     if single:
         features = nk.reshape(features, (1, fv.shape[0]))
         fv = nk.value_of(features)
-    stack = scaler.stack
-    if (fv.ndim not in (2, 3) or fv.shape[-1] != scaler.in_dim
-            or (stack and fv.shape[:-2] != stack)):
-        raise ContractError(
-            f"scaler expects rows of width {scaler.in_dim}, got {fv.shape}"
-        )
-    p = nk.leaves(scaler.to_named(), tape)
-    h = nk.relu(nk.affine(features, p["metric.scaler.w1"], p["metric.scaler.b1"]))
-    h = nk.affine(h, p["metric.scaler.w2"], p["metric.scaler.b2"])
-    alpha, beta = p["metric.scaler.alpha"], p["metric.scaler.beta"]
-    if stack:
-        alpha, beta = alpha[:, None, None], beta[:, None, None]
-    g = nk.calibrated_sigmoid(h, alpha, beta)
+    if tape is None:
+        g = _g(_read_scaler(scaler), fv)
+    else:
+        _check_features(scaler.w1, fv)
+        p = nk.leaves(scaler.to_named(), tape)
+        h = nk.relu(nk.affine(features, p["metric.scaler.w1"], p["metric.scaler.b1"]))
+        h = nk.affine(h, p["metric.scaler.w2"], p["metric.scaler.b2"])
+        g = nk.calibrated_sigmoid(h, p["metric.scaler.alpha"], p["metric.scaler.beta"])
     return nk.reshape(g, ()) if single else g
 
 
@@ -217,9 +251,23 @@ class MetricSpec:
         return MetricSpec(kind=kind, scaler=ScalerParams.from_named(named))
 
 
-def _instance_side(scaler: ScalerParams, x, tape: nk.Tape | None = None):
-    """Unit rows of ``x`` divided by g(x), one g per row: a side of the instance kind."""
-    return nk.div(nk.unit_rows(x, _NORM_FLOOR), scaler_eval(scaler, x, tape))
+class _Plain(NamedTuple):
+    """A metric's parameters as plain arrays, read once: ``s`` for ``scaled``
+    (shaped to broadcast over its stack) and the scaler for the learned kinds."""
+
+    kind: str
+    s: np.ndarray | None
+    scaler: _Scaler | None
+
+
+def _plain(spec: MetricSpec) -> _Plain:
+    s = sc = None
+    if spec.kind == "scaled":
+        s = np.asarray(spec.s, dtype=np.float64)
+        s = s[:, None, None] if spec.stack else s
+    elif spec.scaler is not None:
+        sc = _read_scaler(spec.scaler)
+    return _Plain(spec.kind, s, sc)
 
 
 class _QueryTerms(NamedTuple):
@@ -237,16 +285,36 @@ class _QueryTerms(NamedTuple):
     raw: np.ndarray
 
 
+def _compared(m: _Plain, x: np.ndarray) -> np.ndarray:
+    """:func:`_compared_rows` of plain float64 rows, on numkit's value kernels."""
+    if m.kind == "instance":
+        return nk._unit_rows_value(x, _NORM_FLOOR)[0] / _g(m.scaler, x)
+    if m.kind == "pair":
+        return nk._unit_rows_value(x, _NORM_FLOOR)[0]
+    return x
+
+
 def _compared_rows(spec: MetricSpec, x, tape: nk.Tape | None = None):
     """The rows that ``spec`` compares in place of ``x``: the rows
     themselves for ``euclid``/``scaled``, the unit rows divided by g for
     ``instance``, the unit rows for ``pair``, whose g sees whole pairs.
-    Untaped, a float64 array."""
+    Untaped, a float64 array made by :func:`_compared`."""
+    if tape is None:
+        return _compared(_plain(spec), nk.value_of(x))
     if spec.kind == "instance":
-        return _instance_side(spec.scaler, x, tape)
+        return nk.div(nk.unit_rows(x, _NORM_FLOOR), scaler_eval(spec.scaler, x, tape))
     if spec.kind == "pair":
         return nk.unit_rows(x, _NORM_FLOOR)
-    return x if tape is not None else nk.value_of(x)
+    return x
+
+
+def _terms(m: _Plain, a: np.ndarray, compared: np.ndarray) -> _QueryTerms:
+    """:func:`query_terms` of plain rows about the mean of ``compared`` prototype rows."""
+    centre = compared.mean(axis=-2, keepdims=True)
+    # the compared rows are freed before the squares are made; holding
+    # them through the squaring raised evaluation's page faults by a third
+    rows = np.subtract(_compared(m, a), centre, order="C")
+    return _QueryTerms(rows, np.square(rows).sum(axis=-1), centre, a)
 
 
 def query_terms(spec: MetricSpec, a, protos, compared=None) -> _QueryTerms:
@@ -265,13 +333,30 @@ def query_terms(spec: MetricSpec, a, protos, compared=None) -> _QueryTerms:
     caller has them, so that they are not made twice. Untaped; ``a`` is
     (n, l) or (V, n, l), ``protos`` (m, l) or (V, m, l).
     """
+    m = _plain(spec)
     if compared is None:
-        compared = _compared_rows(spec, protos)
-    centre = compared.mean(axis=-2, keepdims=True)
-    # the compared rows are freed before the squares are made; holding
-    # them through the squaring raised evaluation's page faults by a third
-    rows = np.subtract(_compared_rows(spec, a), centre, order="C")
-    return _QueryTerms(rows, np.square(rows).sum(axis=-1), centre, nk.value_of(a))
+        compared = _compared(m, nk.value_of(protos))
+    return _terms(m, nk.value_of(a), compared)
+
+
+def _distances(m: _Plain, terms: _QueryTerms, pv: np.ndarray, compared: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """:func:`prepared_distances` of plain prototype rows ``pv`` whose compared
+    rows are ``compared``; ``out`` (C-ordered, (..., m, n)) receives them."""
+    b_c = np.subtract(compared, terms.centre, order="C")
+    d = nk.expand_centred(terms.rows, terms.sq_norms, b_c, b_major=True, out=out)
+    if m.kind == "scaled":
+        d *= m.s
+    elif m.kind == "pair":
+        # g in the row-major layout pairwise evaluates it in, read transposed
+        # query i's row meets prototype j at row i*k + j, as repeat_rows and tile_rows pair them
+        n, k, l = terms.rows.shape[-2], pv.shape[-2], pv.shape[-1]
+        pairs = np.empty((*pv.shape[:-2], n, k, 2 * l))
+        pairs[..., :l] = terms.raw[..., :, None, :]
+        pairs[..., l:] = pv[..., None, :, :]
+        g = _g(m.scaler, pairs.reshape(*pv.shape[:-2], n * k, 2 * l)).reshape(*pv.shape[:-2], n, k)
+        d /= np.swapaxes(np.multiply(g, g, out=g), -1, -2)
+    return d
 
 
 def prepared_distances(spec: MetricSpec, terms: _QueryTerms, protos, compared=None) -> np.ndarray:
@@ -291,20 +376,8 @@ def prepared_distances(spec: MetricSpec, terms: _QueryTerms, protos, compared=No
     if (not isinstance(terms, _QueryTerms) or pv.ndim != terms.rows.ndim
             or pv.shape[:-2] != terms.rows.shape[:-2] or pv.shape[-1] != terms.rows.shape[-1]):
         raise ContractError("query terms must match the prototypes")
-    if compared is None:
-        compared = _compared_rows(spec, pv)
-    b_c = np.subtract(compared, terms.centre, order="C")
-    d = nk.expand_centred(terms.rows, terms.sq_norms, b_c, b_major=True)
-    if spec.kind == "scaled":
-        s = np.asarray(spec.s, dtype=np.float64)
-        return (s[:, None, None] if spec.stack else s) * d
-    if spec.kind == "pair":
-        # g in the row-major layout pairwise evaluates it in, read transposed
-        n, m = terms.rows.shape[-2], pv.shape[-2]
-        pairs = nk.concat([nk.repeat_rows(terms.raw, m), nk.tile_rows(pv, n)], axis=-1)
-        g = np.swapaxes(scaler_eval(spec.scaler, pairs).reshape(*pv.shape[:-2], n, m), -1, -2)
-        return d / (g * g)
-    return d
+    m = _plain(spec)
+    return _distances(m, terms, pv, _compared(m, pv) if compared is None else compared)
 
 
 def pairwise(spec: MetricSpec, a, b, tape: nk.Tape | None = None):

@@ -25,6 +25,16 @@ and backward, so its value and gradients are bitwise those of the
 composition; the tests build that composition from elementary tape ops
 and compare against it.
 
+Evaluation runs on plain arrays, off the tape and past the recorder.
+The forward arithmetic it shares with the tape is written once, as value
+kernels on plain arrays that the taped nodes call in turn:
+:func:`_affine_value`, :func:`_unit_rows_value` with its norm-floor
+check, :func:`_calibrated_sigmoid_value` over :func:`_sigmoid_value`,
+:func:`_softmax_neg_value` with its checks, and :func:`expand_centred`.
+Each raises its node's errors with its node's text, and the ones a hot
+loop calls take ``out=``, so that a caller can compute into temporaries
+it made once, or in place.
+
 One more node, :func:`expanded_sq_dist`, is *not* bitwise a composition.
 It is the one kernel for all-pairs squared distances, on the tape and
 off it: expansion about the mean of the compared rows, with one matrix
@@ -431,13 +441,17 @@ def _sigmoid_value(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so no exp overflows.
 
     Both branches read e = exp(min(x, -x)), which is exp(-x) or exp(x)
-    on its side, and ``where`` picks per entry: no boolean mask, no
-    gather and no scatter, and the bits of a masked evaluation of the
-    two forms, for ±0, ±inf and nan of either sign too (``minimum``
-    passes its first nan on, where -|x| would flip a nan's sign).
+    on its side, and share the denominator 1 + e; ``where`` picks the
+    numerator, 1 or e, per entry: no boolean mask, no gather and no
+    scatter, and the bits of a masked evaluation of the two forms, for
+    ±0, ±inf and nan of either sign too (``minimum`` passes its first
+    nan on, where -|x| would flip a nan's sign).
     """
-    e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    e = np.negative(x, out=np.empty_like(x))
+    np.exp(np.minimum(x, e, out=e), out=e)
+    top = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    return np.divide(top, e, out=top)
 
 
 # --------------------------------------------------------------------------
@@ -491,6 +505,36 @@ def _classes_last(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(x, 0, -1))
 
 
+def _softmax_neg_value(d: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """:func:`softmax_neg`'s checks and arithmetic on a plain array.
+
+    ``out`` receives the probabilities along any axis but a short last
+    one, whose class-major copy (see :func:`_classes_first`) holds them
+    instead; it may be ``d`` itself, which is then spent.
+    """
+    if d.ndim == 0 or d.shape[axis] == 0:
+        raise ContractError("softmax_neg needs at least one entry")
+    if not np.isfinite(d).all():
+        raise DomainError("softmax_neg input must be finite")
+    last = axis % d.ndim == d.ndim - 1
+    short = last and d.shape[-1] < _SEQUENTIAL_BELOW
+    if short:
+        # below 8 classes, the ways-major path on a class-major copy ours to overwrite
+        d = out = _classes_first(d)
+        axis = 0
+    # the shift is the row minimum m of d: m - d is (-d) - max(-d) bit for bit
+    if last and not short:
+        ways = d.shape[-1]
+        m = np.minimum.reduce(d.reshape(-1, ways).T.copy(), axis=0)
+        m = m.reshape(*d.shape[:-1], 1)
+    else:
+        m = np.minimum.reduce(d, axis=axis, keepdims=True)
+    out = np.subtract(m, d, out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return _classes_last(out) if short else out
+
+
 def softmax_neg(distances, axis: int = -1):
     """Probabilities exp(-d_c) / sum_c' exp(-d_c') along ``axis``, the class axis.
 
@@ -504,30 +548,11 @@ def softmax_neg(distances, axis: int = -1):
     :func:`_classes_first`) and returned as a C-ordered row-major array
     with the row-major bits.
     An empty class axis is a :class:`ContractError`, non-finite input
-    a :class:`DomainError`.
+    a :class:`DomainError`. The arithmetic is :func:`_softmax_neg_value`,
+    which evaluation calls on its own distances in place.
     """
     tape = _tape_of(distances)
-    dv = value_of(distances)
-    if dv.ndim == 0 or dv.shape[axis] == 0:
-        raise ContractError("softmax_neg needs at least one entry")
-    if not np.isfinite(dv).all():
-        raise DomainError("softmax_neg input must be finite")
-    last = axis % dv.ndim == dv.ndim - 1
-    short = last and dv.shape[-1] < _SEQUENTIAL_BELOW
-    # below 8 classes, the ways-major path on a class-major copy ours to overwrite
-    d, along = (_classes_first(dv), 0) if short else (dv, axis)
-    # the shift is the row minimum m of d: m - d is (-d) - max(-d) bit for bit
-    if last and not short:
-        ways = dv.shape[-1]
-        m = np.minimum.reduce(dv.reshape(-1, ways).T.copy(), axis=0)
-        m = m.reshape(*dv.shape[:-1], 1)
-    else:
-        m = np.minimum.reduce(d, axis=along, keepdims=True)
-    out = np.subtract(m, d, out=d if short else None)
-    np.exp(out, out=out)
-    out /= out.sum(axis=along, keepdims=True)
-    if short:
-        out = _classes_last(out)
+    out = _softmax_neg_value(value_of(distances), axis)
 
     def backward(g):
         inner = (g * out).sum(axis=axis, keepdims=True)
@@ -542,7 +567,8 @@ def softmax_neg(distances, axis: int = -1):
 
 
 def expand_centred(
-    a_c: np.ndarray, a_sq: np.ndarray, b_c: np.ndarray, *, b_major: bool = False
+    a_c: np.ndarray, a_sq: np.ndarray, b_c: np.ndarray, *, b_major: bool = False,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """All-pairs squared distances from rows centred about one c.
 
@@ -561,17 +587,19 @@ def expand_centred(
     outermost: the product is then ``b_c`` against a transposed view of
     ``a_c`` (a contiguous transposed copy takes another BLAS kernel and
     other bits), and every entry adds a's square before b's, so it is
-    bitwise the (..., n, m) one's.
+    bitwise the (..., n, m) one's. ``out``, C-ordered and of the
+    result's shape, receives the distances in place of a new array.
     """
     if b_major:
-        d = np.matmul(b_c, np.swapaxes(a_c, -1, -2))
-        a_sq, b_axis = a_sq[..., None, :], -1
+        d = np.matmul(b_c, np.swapaxes(a_c, -1, -2), out=out)
+        a_sq = a_sq[..., None, :]
     else:
-        d = np.matmul(a_c, np.swapaxes(b_c, -1, -2))
-        a_sq, b_axis = a_sq[..., :, None], -2
+        d = np.matmul(a_c, np.swapaxes(b_c, -1, -2), out=out)
+        a_sq = a_sq[..., :, None]
     d *= -2.0
     d += a_sq
-    d += np.expand_dims(np.square(b_c, out=b_c).sum(axis=-1), b_axis)
+    b_sq = np.square(b_c, out=b_c).sum(axis=-1)
+    d += b_sq[..., :, None] if b_major else b_sq[..., None, :]
     return np.maximum(d, 0.0, out=d)
 
 
@@ -603,7 +631,8 @@ def expanded_sq_dist(a, b):
         centre = np.zeros((*bv.shape[:-2], 1, bv.shape[-1]))
     a_c = np.subtract(av, centre, order="C")
     b_c = np.subtract(bv, centre, order="C")
-    out = expand_centred(a_c, np.square(a_c).sum(axis=-1), b_c.copy())  # the backward reads b_c
+    # expand_centred spends b_c, which only a tape's backward reads again
+    out = expand_centred(a_c, np.square(a_c).sum(axis=-1), b_c if tape is None else b_c.copy())
 
     def backward(g):
         gb = g.sum(axis=0)[:, None] * b_c
@@ -677,6 +706,13 @@ def cross_entropy(logits, targets):
     return _apply(out, (logits, logits), backward, tape)
 
 
+def _affine_value(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`affine`'s arithmetic on plain arrays: ``x @ w``, then ``b`` added in place."""
+    out = x @ w
+    out += b if w.ndim == 2 else b[..., None, :]
+    return out
+
+
 def affine(x, w, b):
     """``x @ w + b``: one node for a matmul and its bias add.
 
@@ -688,14 +724,26 @@ def affine(x, w, b):
     tape = _tape_of(x, w, b)
     xv, wv, bv = value_of(x), value_of(w), value_of(b)
     _matrices("affine", tape, xv, wv)
-    out = xv @ wv
-    out += bv if wv.ndim == 2 else bv[..., None, :]
+    out = _affine_value(xv, wv, bv)
 
     def backward(g):
         return _unbroadcast(g, bv.shape), g @ wv.T, xv.T @ g
 
     # the add's adjoint reached b before the matmul's reached x and w
     return _apply(out, (b, x, w), backward, tape)
+
+
+def _unit_rows_value(x: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`unit_rows`' arithmetic on a plain array: the unit rows and the norms.
+
+    The norms are computed once, for the floor check and the division;
+    a norm below ``floor`` is a :class:`DomainError`.
+    """
+    norms = np.multiply(x, x).sum(axis=-1, keepdims=True)
+    np.sqrt(norms, out=norms)
+    if (norms < floor).any():
+        raise DomainError(f"cannot normalize rows with norm below {floor}")
+    return x / norms, norms
 
 
 def unit_rows(x, floor: float):
@@ -709,10 +757,7 @@ def unit_rows(x, floor: float):
     """
     tape = _tape_of(x)
     xv = value_of(x)
-    norms = np.sqrt((xv * xv).sum(axis=-1, keepdims=True))
-    if np.any(norms < floor):
-        raise DomainError(f"cannot normalize rows with norm below {floor}")
-    out = xv / norms
+    out, norms = _unit_rows_value(xv, floor)
 
     def backward(g):
         g_norms = _unbroadcast(-g * xv / (norms * norms), norms.shape)
@@ -720,6 +765,20 @@ def unit_rows(x, floor: float):
         return g / norms, square, square
 
     return _apply(out, (x, x, x), backward, tape)
+
+
+def _calibrated_sigmoid_value(
+    h: np.ndarray, ea: np.ndarray, eb: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`calibrated_sigmoid`'s arithmetic from ``ea = exp(alpha)`` and ``eb = exp(beta)``.
+
+    Returns the value and sigmoid(h). ``out`` receives the value and may
+    be ``h`` itself, since the sigmoid is a new array.
+    """
+    sig = _sigmoid_value(h)
+    out = np.multiply(ea, sig, out=out)
+    out += eb
+    return out, sig
 
 
 def calibrated_sigmoid(h, alpha, beta):
@@ -730,8 +789,8 @@ def calibrated_sigmoid(h, alpha, beta):
     """
     tape = _tape_of(h, alpha, beta)
     hv, av, bv = value_of(h), value_of(alpha), value_of(beta)
-    ea, sig, eb = np.exp(av), _sigmoid_value(hv), np.exp(bv)
-    out = ea * sig + eb
+    ea, eb = np.exp(av), np.exp(bv)
+    out, sig = _calibrated_sigmoid_value(hv, ea, eb)
 
     def backward(g):
         return (

@@ -12,8 +12,8 @@ episode's unlabeled pool, if it has one, drives the update in place of
 the queries: semi-supervised evaluation is this same refinement with a
 pool. :func:`refine_batch` runs it for a batch of same-shape episodes
 and returns the query ensemble at every step (one episode is a batch of
-one, one view is plain soft k-means), and its update is the one
-:func:`update_prototypes` makes.
+one, one view is plain soft k-means), and its update is the arithmetic
+of :func:`update_prototypes`, made in place.
 
 Confidence matrices are plain (n, ways) float64 arrays whose rows sum
 to one; prototype matrices are (ways, embed_dim), row c-1 for class c.
@@ -24,9 +24,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import numkit as nk
-from .encoder import ViewSpec, _encode_views
+from .encoder import ViewSpec, _encode_views, embedding_dim
 from .errors import ContractError
-from .metric import MetricSpec, _compared_rows, prepared_distances, query_terms
+from .metric import MetricSpec, _compared, _distances, _plain, _terms
 
 __all__ = [
     "one_hot",
@@ -80,20 +80,12 @@ def update_prototypes(support_emb, support_y, ways: int, query_emb, conf):
             f"confidence shape {cv.shape} does not match {qv.shape[-2]} items x {ways} classes"
         )
     class_sums = nk.matmul(one_hot(support_y, ways).T, support_emb)
+    # the weights ways-major, (..., ways, n), and their mass summed item by
+    # item over the row-major (..., n, ways) confidences
     weights = nk.transpose(conf)
     mass = nk.reshape(nk.asum(conf, axis=-2), (*cv.shape[:-2], ways, 1))
-    return _weighted_mean(class_sums, _class_counts(support_y, ways)[:, None], query_emb,
-                          weights, mass)
-
-
-def _weighted_mean(class_sums, counts, emb, weights, mass):
-    """(class_sums + weights emb) / (counts + mass); leading axes broadcast.
-
-    ``weights`` are the confidences ways-major, (..., ways, n), and
-    ``mass`` their sums over the n items, (..., ways, 1), summed from
-    the row-major (..., n, ways) confidences item by item.
-    """
-    return nk.div(nk.add(class_sums, nk.matmul(weights, emb)), nk.add(counts, mass))
+    counts = _class_counts(support_y, ways)[:, None]
+    return nk.div(nk.add(class_sums, nk.matmul(weights, query_emb)), nk.add(counts, mass))
 
 
 def refine_batch(
@@ -122,6 +114,14 @@ def refine_batch(
     :func:`query_terms`). Every value is bitwise equal to running the
     episodes and views one by one with the same centres and, for fewer
     than 8 ways, to the same steps laid out row-major.
+
+    Plain arrays from start to finish, on numkit's value kernels with no
+    tape and no recorder in between: the metric's tensors, exp(alpha)
+    and exp(beta) included, are read once per call; the encoder writes
+    each view straight into the (E, V, n, l) embedding stack; and every
+    step writes its distances, softmax, view mean and update into
+    buffers made once per call. No input is written to, and nothing
+    outlives the call.
     """
     if T < 0:
         raise ContractError("T must be non-negative")
@@ -140,52 +140,66 @@ def refine_batch(
     if pooled and first.unlabeled_x.shape[0] == 0:
         raise ContractError("an unlabeled pool must not be empty")
     ways, n_e, n_v = first.ways, len(episodes), len(views)
+    n_q = first.query_x.shape[0]
+    plain = _plain(metric)  # the metric's tensors, read once per batch
 
     def embed(rows):
         # (E, V, n, l): episode-major, so each episode's views are adjacent
-        return np.stack(_encode_views(encoder, np.stack(rows), views), axis=1)
+        x = np.stack(rows)
+        out = np.empty((n_e, n_v, x.shape[1], embedding_dim(encoder, x.shape[2])))
+        _encode_views(encoder, x, views, out=out)
+        return out
 
     def flat(x):
         return x.reshape(n_e * n_v, x.shape[2], -1)
 
-    def ensemble(terms, protos, compared):
-        """(E, ways, n): the mean over views of one row set's ways-major confidences."""
-        local = nk.softmax_neg(
-            prepared_distances(metric, terms, flat(protos), compared), axis=-2
-        ).reshape(n_e, n_v, ways, -1)
-        out = local[:, 0]
-        for v in range(1, n_v):
-            out = out + local[:, v]
-        return out / n_v
+    def ensemble(terms, d, out):
+        """One row set's ways-major confidences averaged over views, into ``out`` (E, ways, n).
+
+        ``d`` (E*V, ways, n) takes the distances, then the local confidences.
+        """
+        _distances(plain, terms, flat(protos), compared, out=d)
+        nk._softmax_neg_value(d, -2, out=d).reshape(n_e, n_v, ways, -1).sum(axis=1, out=out)
+        out /= n_v
+        return out
 
     emb_s = embed([ep.support_x for ep in episodes])
     counts = np.stack([_class_counts(ep.support_y, ways) for ep in episodes])[:, None, :, None]
     indicator = np.stack([one_hot(ep.support_y, ways).T for ep in episodes])[:, None]
     class_sums = np.matmul(indicator, emb_s)
     protos = class_sums / counts
-    compared = _compared_rows(metric, flat(protos))
+    compared = _compared(plain, flat(protos))
     emb_q = embed([ep.query_x for ep in episodes])
-    q_terms = query_terms(metric, flat(emb_q), flat(protos), compared)
+    q_terms = _terms(plain, flat(emb_q), compared)
     # the rows whose confidences weight each update: the pool, else the queries
     emb_d, d_terms = emb_q, q_terms
     if pooled:
         # never stacked with the queries: the row count changes BLAS rounding
         emb_d = embed([ep.unlabeled_x for ep in episodes])
-        d_terms = query_terms(metric, flat(emb_d), flat(protos), compared)
-    trace = np.empty((n_e, T + 1, first.query_x.shape[0], ways))
+        d_terms = _terms(plain, flat(emb_d), compared)
+    # every step's temporaries, made once: distances and ensembles of each
+    # scored row set, and the pool's ensemble row-major
+    dist_q, conf_q = np.empty((n_e * n_v, ways, n_q)), np.empty((n_e, ways, n_q))
+    dist_d, conf_d, rows_d = dist_q, conf_q, None
+    if pooled:
+        n_d = emb_d.shape[2]
+        dist_d, conf_d = np.empty((n_e * n_v, ways, n_d)), np.empty((n_e, ways, n_d))
+        rows_d = np.empty((n_e, n_d, ways))
+    trace = np.empty((n_e, T + 1, n_q, ways))
     for t in range(T + 1):
         if t:
-            compared = _compared_rows(metric, flat(protos))
-        conf = ensemble(q_terms, protos, compared)
-        trace[:, t] = np.swapaxes(conf, -1, -2)
+            compared = _compared(plain, flat(protos))
+        trace[:, t] = np.swapaxes(ensemble(q_terms, dist_q, conf_q), -1, -2)
         if t < T:
-            row_major = trace[:, t]
             if pooled:
-                conf = ensemble(d_terms, protos, compared)
-                row_major = nk.transpose(conf)
+                np.copyto(rows_d, np.swapaxes(ensemble(d_terms, dist_d, conf_d), -1, -2))
             # summed item by item over row-major confidences, as update_prototypes sums it
-            mass = row_major.sum(axis=-2).reshape(n_e, 1, ways, 1)
-            protos = _weighted_mean(class_sums, counts, emb_d, conf[:, None], mass)
+            mass = (rows_d if pooled else trace[:, t]).sum(axis=-2).reshape(n_e, 1, ways, 1)
+            mass += counts
+            # update_prototypes' arithmetic, written over the last prototypes
+            np.matmul(conf_d[:, None], emb_d, out=protos)
+            protos += class_sums
+            protos /= mass
     return trace
 
 

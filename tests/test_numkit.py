@@ -929,3 +929,86 @@ class TestLeaves:
         assert len(grads) == 2
         np.testing.assert_array_equal(grads[first["g.w"]], 2 * x.T @ np.ones((2, 2)))
         np.testing.assert_array_equal(grads[first["g.b"]], [4.0, 4.0])
+
+
+def taped_value(build, values):
+    """The forward value ``build`` records on a fresh tape, every value tracked."""
+    tape = nk.Tape()
+    return build(*[tape.param(v) for v in values]).value
+
+
+class TestValueKernels:
+    """The plain-array kernels evaluation calls, bitwise their taped nodes' forward values.
+
+    Each kernel runs on a stack at once; the taped node runs on one 2-D
+    slice at a time, the only operand it takes for a matrix product.
+    """
+
+    @pytest.mark.parametrize("shape", [(7, 5), (3, 6, 8), (2, 4, 3, 64)])
+    def test_unit_rows(self, shape):
+        rng = np.random.default_rng(len(shape))
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 6, size=(*shape[:-1], 1))
+        kept = x.copy()
+        got, norms = nk._unit_rows_value(x, 1e-12)
+        assert same_bits(got, taped_value(lambda v: nk.unit_rows(v, 1e-12), [x]))
+        assert same_bits(norms, np.sqrt((x * x).sum(axis=-1, keepdims=True)))
+        for i in np.ndindex(shape[:-2]):
+            assert same_bits(got[i], taped_value(lambda v: nk.unit_rows(v, 1e-12), [x[i]]))
+        assert same_bits(x, kept)
+        x[(0,) * (len(shape) - 1)] = 0.0
+        with pytest.raises(DomainError) as node:
+            nk.unit_rows(x, 1e-12)
+        with pytest.raises(DomainError) as kernel:
+            nk._unit_rows_value(x, 1e-12)
+        assert str(kernel.value) == str(node.value)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_calibrated_sigmoid(self, stacked):
+        # a stacked scaler holds one (alpha, beta) per parameter set
+        rng = np.random.default_rng(7)
+        h = 20.0 * rng.standard_normal((4, 9, 1))
+        h[0, :3, 0] = (0.0, -0.0, 750.0)
+        alpha, beta = rng.standard_normal(4), rng.standard_normal(4)
+        if not stacked:
+            alpha, beta = np.full(4, alpha[0]), np.full(4, beta[0])
+        ea, eb = np.exp(alpha[:, None, None]), np.exp(beta[:, None, None])
+        if not stacked:
+            ea, eb = np.exp(alpha[0]), np.exp(beta[0])
+        kept = h.copy()
+        value, sig = nk._calibrated_sigmoid_value(h, ea, eb)
+        assert same_bits(h, kept) and same_bits(sig, nk._sigmoid_value(h))
+        for p in range(4):
+            assert same_bits(value[p], taped_value(nk.calibrated_sigmoid, [h[p], alpha[p], beta[p]]))
+        if not stacked:
+            assert same_bits(value, taped_value(nk.calibrated_sigmoid, [h, alpha[0], beta[0]]))
+        assert nk._calibrated_sigmoid_value(h, ea, eb, out=h)[0] is h and same_bits(h, value)
+
+    @pytest.mark.parametrize("weights", ["shared", "stacked"])
+    def test_affine(self, weights):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((5, 6, 16))
+        w = rng.standard_normal((5, 16, 32) if weights == "stacked" else (16, 32))
+        b = rng.standard_normal((5, 32) if weights == "stacked" else (32,))
+        got = nk._affine_value(x, w, b)
+        for p in range(5):
+            wp, bp = (w[p], b[p]) if weights == "stacked" else (w, b)
+            assert same_bits(got[p], taped_value(nk.affine, [x[p], wp, bp]))
+
+    @pytest.mark.parametrize("ways", [2, 5, 7, 8, 9, 15])
+    @pytest.mark.parametrize("axis", [-1, -2])
+    def test_softmax_neg(self, ways, axis):
+        # below and from 8 classes, on the last axis and ways-major, in place too
+        rng = np.random.default_rng(ways)
+        d = np.abs(awkward_rows(rng, (3, 9, ways)))
+        d[..., 4, :] = 3.0 * rng.standard_normal((3, ways))  # no overflow to inf
+        d = np.ascontiguousarray(np.swapaxes(d, -1, -2)) if axis == -2 else d
+        kept = d.copy()
+        got = nk._softmax_neg_value(d, axis)
+        assert same_bits(d, kept) and got.flags.c_contiguous
+        assert same_bits(got, taped_value(lambda v: nk.softmax_neg(v, axis=axis), [d]))
+        for p in range(3):
+            assert same_bits(got[p], taped_value(lambda v: nk.softmax_neg(v, axis=axis), [d[p]]))
+        if axis == -2 or ways >= 8:
+            assert nk._softmax_neg_value(d, axis, out=d) is d and same_bits(d, got)
+        with pytest.raises(DomainError, match="softmax_neg input must be finite"):
+            nk._softmax_neg_value(np.full((2, ways), np.inf), axis)

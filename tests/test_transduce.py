@@ -1,5 +1,7 @@
 """Transduction math: closed forms, view-collapse identities, mass monotonicity."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from mct.episodes import Episode, SyntheticSpec, derive_seed, gen_synthetic, sam
 from mct.errors import ContractError, DomainError
 from mct.evalcli import EvalProtocol, evaluate, nll
 from mct.metatrain import TrainConfig, train
-from mct.metric import METRIC_KINDS, MetricSpec, pairwise
+from mct.metric import _NORM_FLOOR, METRIC_KINDS, MetricSpec, pairwise
 from mct.transduce import (
     init_from_embeddings,
     predict_labels,
@@ -569,19 +571,56 @@ class TestRefineBatch:
         assert np.array_equal(a[0], no_pool[0])
         assert not np.array_equal(a[-1], no_pool[-1])
 
-    def test_non_finite_distances_raise_domain_error(self):
-        # query rows whose squares overflow: the ways-major softmax still checks
-        ep = batch_of(1, seed=61)[0]
-        far = Episode(
+    @pytest.mark.parametrize("n_views", [1, 4])
+    @pytest.mark.parametrize("kind,fault", [
+        ("euclid", "far"), ("scaled", "far"), ("instance", "zero"), ("pair", "zero"),
+    ])
+    def test_non_finite_distances_raise_domain_error(self, kind, fault, n_views):
+        # query rows whose squares overflow: the ways-major softmax still checks;
+        # a zero row under a learned kind: the batch's unit rows raise nk.unit_rows' error
+        ep, other = batch_of(2, seed=61)
+        query_x = ep.query_x * 1e200
+        message = "softmax_neg input must be finite"
+        if fault == "zero":
+            query_x = ep.query_x.copy()
+            query_x[3] = 0.0
+            with pytest.raises(DomainError) as caught:
+                nk.unit_rows(query_x[3:4], _NORM_FLOOR)
+            message = str(caught.value)
+        bad = Episode(
             ways=ep.ways, shots=ep.shots, support_x=ep.support_x, support_y=ep.support_y,
-            query_x=ep.query_x * 1e200, query_y=ep.query_y,
+            query_x=query_x, query_y=ep.query_y,
         )
+        metric = metric_of(kind, 16)
         with np.errstate(all="ignore"):
-            for kind in ("euclid", "scaled"):
-                with pytest.raises(DomainError, match="softmax_neg input must be finite"):
-                    refine_batch([far], None, VIEWS, metric_of(kind, 16), 3)
-                with pytest.raises(DomainError, match="softmax_neg input must be finite"):
-                    confidence(far.query_x, ep.support_x, metric_of(kind, 16))
+            with pytest.raises(DomainError, match=re.escape(message)):
+                refine_batch([other, bad], None, VIEWS[:n_views], metric, 3)
+            with pytest.raises(DomainError, match=re.escape(message)):
+                confidence(bad.query_x, ep.support_x, metric)
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    @pytest.mark.parametrize("kind", METRIC_KINDS)
+    def test_inputs_are_left_untouched(self, kind, pooled):
+        # the engine computes into temporaries of its own and in place:
+        # no model tensor and no episode array may change
+        for encoder_name in sorted(ENCODERS):
+            encoder, width = ENCODERS[encoder_name]
+            metric = metric_of(kind, width)
+            episodes = batch_of(3, seed=80, unlabeled=4 if pooled else 0)
+            named = {**metric.to_named(), **({} if encoder is None else encoder.to_named())}
+
+            def arrays():
+                yield from named.items()
+                for i, ep in enumerate(episodes):
+                    yield from ((f"episode {i} {k}", v) for k, v in vars(ep).items()
+                                if isinstance(v, np.ndarray))
+
+            before = {k: (v.dtype, v.shape, v.tobytes()) for k, v in arrays()}
+            assert len(before) >= 3 * 4 + len(named)
+            for n_views in (1, 4):
+                refine_batch(episodes, encoder, VIEWS[:n_views], metric, 3)
+                for k, v in arrays():
+                    assert (v.dtype, v.shape, v.tobytes()) == before[k], (encoder_name, n_views, k)
 
     def test_mixed_ragged_and_empty_pools_rejected(self):
         with_pool = batch_of(1, seed=70, unlabeled=2)[0]
