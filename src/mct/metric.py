@@ -12,19 +12,15 @@ exp(beta), so it is positive for every parameter setting and starts in
 
 Every kind computes its distances one way: the compared rows (the rows
 themselves, or unit rows, divided by g for ``instance``) expanded about
-the mean of the prototype side's (:func:`numkit.expanded_sq_dist`),
-times s for ``scaled`` and over g squared for ``pair``. Two functions
-lay them out. :func:`pairwise` serves training and gradient checks, on
-the tape and off it, laid out (n, m) with the query rows outermost.
-Refinement prepares each query row set once
-(:func:`query_terms`) and calls :func:`prepared_distances`, which lays
-its distances out ways-major, (m, n) with the prototypes outermost.
-
-Untaped, every path runs on plain arrays through numkit's value
-kernels, the arithmetic the taped nodes call too: the compared rows,
-g (:func:`scaler_eval`), the prepared terms and distances. Refinement
-reads a metric's parameters once per batch (``_plain``) and calls the
-plain forms directly.
+the mean of the prototype side's, times s for ``scaled`` and over g
+squared for ``pair``. Off the tape that is one path on plain arrays and
+numkit's value kernels: :func:`query_terms` prepares the query rows once
+and :func:`prepared_distances` lays their distances out ways-major,
+(m, n) with the prototypes outermost; refinement calls their plain
+forms with the metric read once per batch (``_plain``). :func:`pairwise`
+lays distances out (n, m): on a tape it records the nodes, and off it
+it is the transposed prepared path. A spec of P parameter sets scores
+a (P, n, l) stack of row sets and nothing else.
 """
 
 from __future__ import annotations
@@ -139,9 +135,16 @@ def _read_scaler(scaler: ScalerParams) -> _Scaler:
     return _Scaler(w1, b1, w2, b2, ea, eb)
 
 
+def _check_stack(stack: tuple[int, ...] | None, *rows: np.ndarray) -> None:
+    bad = [r.shape for r in rows if stack and r.shape[:-2] != stack]
+    if bad:
+        raise ContractError(f"{stack[0]} parameter sets score a ({stack[0]}, n, l) stack, got {bad[0]}")
+
+
 def _check_features(w1, fv: np.ndarray) -> None:
-    stack, in_dim = w1.shape[:-2], w1.shape[-2]
-    if fv.ndim not in (2, 3) or fv.shape[-1] != in_dim or (stack and fv.shape[:-2] != stack):
+    _check_stack(w1.shape[:-2], fv)
+    in_dim = w1.shape[-2]
+    if fv.ndim not in (2, 3) or fv.shape[-1] != in_dim:
         raise ContractError(f"scaler expects rows of width {in_dim}, got {fv.shape}")
 
 
@@ -252,15 +255,16 @@ class MetricSpec:
 
 
 class _Plain(NamedTuple):
-    """A metric's parameters as plain arrays, read once: ``s`` for ``scaled``
-    (shaped to broadcast over its stack) and the scaler for the learned kinds."""
+    """A metric's parameters as plain arrays, read once for rows that fit its stack:
+    ``s`` for ``scaled`` (shaped to broadcast) and the scaler for the learned kinds."""
 
     kind: str
     s: np.ndarray | None
     scaler: _Scaler | None
 
 
-def _plain(spec: MetricSpec) -> _Plain:
+def _plain(spec: MetricSpec, *rows: np.ndarray) -> _Plain:
+    _check_stack(spec.stack, *rows)
     s = sc = None
     if spec.kind == "scaled":
         s = np.asarray(spec.s, dtype=np.float64)
@@ -286,7 +290,9 @@ class _QueryTerms(NamedTuple):
 
 
 def _compared(m: _Plain, x: np.ndarray) -> np.ndarray:
-    """:func:`_compared_rows` of plain float64 rows, on numkit's value kernels."""
+    """The rows that ``m`` compares in place of plain rows ``x``: the rows
+    themselves for ``euclid``/``scaled``, the unit rows divided by g for
+    ``instance``, the unit rows for ``pair``, whose g sees whole pairs."""
     if m.kind == "instance":
         return nk._unit_rows_value(x, _NORM_FLOOR)[0] / _g(m.scaler, x)
     if m.kind == "pair":
@@ -294,13 +300,8 @@ def _compared(m: _Plain, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _compared_rows(spec: MetricSpec, x, tape: nk.Tape | None = None):
-    """The rows that ``spec`` compares in place of ``x``: the rows
-    themselves for ``euclid``/``scaled``, the unit rows divided by g for
-    ``instance``, the unit rows for ``pair``, whose g sees whole pairs.
-    Untaped, a float64 array made by :func:`_compared`."""
-    if tape is None:
-        return _compared(_plain(spec), nk.value_of(x))
+def _compared_rows(spec: MetricSpec, x, tape: nk.Tape):
+    """:func:`_compared`'s rows of ``x`` recorded on ``tape``."""
     if spec.kind == "instance":
         return nk.div(nk.unit_rows(x, _NORM_FLOOR), scaler_eval(spec.scaler, x, tape))
     if spec.kind == "pair":
@@ -310,33 +311,26 @@ def _compared_rows(spec: MetricSpec, x, tape: nk.Tape | None = None):
 
 def _terms(m: _Plain, a: np.ndarray, compared: np.ndarray) -> _QueryTerms:
     """:func:`query_terms` of plain rows about the mean of ``compared`` prototype rows."""
-    centre = compared.mean(axis=-2, keepdims=True)
-    # the compared rows are freed before the squares are made; holding
-    # them through the squaring raised evaluation's page faults by a third
-    rows = np.subtract(_compared(m, a), centre, order="C")
-    return _QueryTerms(rows, np.square(rows).sum(axis=-1), centre, a)
+    centre = nk._centre(compared)
+    return _QueryTerms(*nk._centred(_compared(m, a), centre), centre, a)
 
 
-def query_terms(spec: MetricSpec, a, protos, compared=None) -> _QueryTerms:
+def query_terms(spec: MetricSpec, a, protos) -> _QueryTerms:
     """The query side of ``spec``'s distances, prepared about ``protos``.
 
-    The centre c is the mean of the compared rows of ``protos``, and the
-    terms hold the compared rows of ``a`` (see :func:`_compared_rows`)
-    minus c with their squared norms. A refinement loop prepares them
-    once per row set about its step-0 prototypes, which the support set
-    alone determines, and passes them to every step's
-    :func:`prepared_distances`, which then expands about that fixed c
-    (see :func:`numkit.expand_centred`). Later prototypes, weighted
-    means of the same rows, stay near c, and no query row enters it, so
-    each query row's distances are independent of the other query rows.
-    ``compared`` may carry ``_compared_rows(spec, protos)`` when the
-    caller has them, so that they are not made twice. Untaped; ``a`` is
-    (n, l) or (V, n, l), ``protos`` (m, l) or (V, m, l).
+    The terms hold the compared rows of ``a`` (see :func:`_compared`)
+    centred on c, the mean of the compared rows of ``protos``, with
+    their squared norms. A refinement loop prepares them once per row
+    set about its step-0 prototypes, which the support set alone
+    determines, and every step's :func:`prepared_distances` expands
+    about that fixed c. Later prototypes, weighted means of the same
+    rows, stay near c, and no query row enters it, so each query row's
+    distances are independent of the others. Untaped; ``a`` is (n, l)
+    or (V, n, l), ``protos`` (m, l) or (V, m, l).
     """
-    m = _plain(spec)
-    if compared is None:
-        compared = _compared(m, nk.value_of(protos))
-    return _terms(m, nk.value_of(a), compared)
+    av, pv = nk.value_of(a), nk.value_of(protos)
+    m = _plain(spec, av, pv)
+    return _terms(m, av, _compared(m, pv))
 
 
 def _distances(m: _Plain, terms: _QueryTerms, pv: np.ndarray, compared: np.ndarray,
@@ -348,8 +342,7 @@ def _distances(m: _Plain, terms: _QueryTerms, pv: np.ndarray, compared: np.ndarr
     if m.kind == "scaled":
         d *= m.s
     elif m.kind == "pair":
-        # g in the row-major layout pairwise evaluates it in, read transposed
-        # query i's row meets prototype j at row i*k + j, as repeat_rows and tile_rows pair them
+        # g row-major as taped pairwise records it, transposed: query i meets prototype j at row i*k + j
         n, k, l = terms.rows.shape[-2], pv.shape[-2], pv.shape[-1]
         pairs = np.empty((*pv.shape[:-2], n, k, 2 * l))
         pairs[..., :l] = terms.raw[..., :, None, :]
@@ -359,59 +352,56 @@ def _distances(m: _Plain, terms: _QueryTerms, pv: np.ndarray, compared: np.ndarr
     return d
 
 
-def prepared_distances(spec: MetricSpec, terms: _QueryTerms, protos, compared=None) -> np.ndarray:
+def prepared_distances(spec: MetricSpec, terms: _QueryTerms, protos) -> np.ndarray:
     """Distances from prepared query rows to ``protos``, ways-major.
 
     Entry (..., j, i) is d(a_i, b_j) for the query rows a that ``terms``
     (see :func:`query_terms`) were prepared from: (m, n) or (V, m, n)
-    for (m, l) or (V, m, l) ``protos``. Every kind expands about the
-    terms' centre (see :func:`numkit.expand_centred`); for terms
-    prepared about ``protos`` itself, every entry is bitwise the
-    transpose of ``pairwise(spec, a, protos)``'s. ``compared`` may carry
-    ``_compared_rows(spec, protos)``. Untaped; a spec of P parameter
-    sets scores the stack's row set p with set p. Terms that do not
-    match ``protos`` are a :class:`ContractError`.
+    for (m, l) or (V, m, l) ``protos``, expanded about the terms'
+    centre (see :func:`numkit.expand_centred`). Untaped; a spec of P
+    parameter sets scores the stack's row set p with set p. Terms that
+    do not match ``protos`` are a :class:`ContractError`.
     """
     pv = nk.value_of(protos)
     if (not isinstance(terms, _QueryTerms) or pv.ndim != terms.rows.ndim
             or pv.shape[:-2] != terms.rows.shape[:-2] or pv.shape[-1] != terms.rows.shape[-1]):
         raise ContractError("query terms must match the prototypes")
-    m = _plain(spec)
-    return _distances(m, terms, pv, _compared(m, pv) if compared is None else compared)
+    m = _plain(spec, pv)
+    return _distances(m, terms, pv, _compared(m, pv))
 
 
 def pairwise(spec: MetricSpec, a, b, tape: nk.Tape | None = None):
     """Distance matrix between row sets: entry (i, j) = d(a_i, b_j).
 
     ``a`` is the query side and ``b`` the prototype side; the pair kind
-    consumes concatenations in exactly that order. Untaped calls also
-    take stacks of V row sets, (V, n, l) against (V, m, l), and return
-    (V, n, m) with every slice bitwise equal to the unstacked call. A
-    spec of P parameter sets scores the stack's row set p with set p.
-    Row sets of different widths, or a taped stack, are a
-    :class:`ContractError`.
-
-    Every kind expands its compared rows about the mean of ``b``'s
-    (:func:`numkit.expanded_sq_dist`), so identical rows map to a tiny
-    non-negative number, and ``pairwise(spec, a, b)`` is bitwise the
-    transpose of ``prepared_distances(spec, query_terms(spec, a, b), b)``.
+    consumes concatenations in exactly that order. Untaped, this is the
+    C-ordered transpose of ``prepared_distances(spec, query_terms(spec,
+    a, b), b)`` with the metric read once. It takes stacks, (V, n, l)
+    against (V, m, l), every slice bitwise its own call, and a spec of P
+    sets scores row set p with set p. On a tape it records the same
+    values for (n, l) row sets and one parameter set. Identical rows map
+    to a tiny non-negative number. Other shapes are a :class:`ContractError`.
     """
     av, bv = nk.value_of(a), nk.value_of(b)
     if (av.ndim not in (2, 3) or bv.ndim != av.ndim
             or av.shape[:-2] != bv.shape[:-2] or av.shape[-1] != bv.shape[-1]):
         raise ContractError("pairwise expects row sets of one embedding width")
-    if tape is not None and (av.ndim != 2 or spec.stack):
+    if tape is None:
+        m = _plain(spec, av, bv)
+        compared = _compared(m, bv)
+        d = _distances(m, _terms(m, av, compared), bv, compared)
+        return np.ascontiguousarray(np.swapaxes(d, -1, -2))
+    if av.ndim != 2 or spec.stack:
         raise ContractError("only plain (n, l) row sets and one parameter set are differentiated")
 
     rows_a, rows_b = _compared_rows(spec, a, tape), _compared_rows(spec, b, tape)
     if spec.kind == "pair":
         # one g per (query, prototype) combination, recorded before the distance
-        n, m = av.shape[-2], bv.shape[-2]
+        n, m = av.shape[0], bv.shape[0]
         pairs = nk.concat([nk.repeat_rows(a, m), nk.tile_rows(b, n)], axis=-1)
-        g = nk.reshape(scaler_eval(spec.scaler, pairs, tape), (*av.shape[:-2], n, m))
+        g = nk.reshape(scaler_eval(spec.scaler, pairs, tape), (n, m))
         return nk.div(nk.expanded_sq_dist(rows_a, rows_b), nk.mul(g, g))
     d = nk.expanded_sq_dist(rows_a, rows_b)
     if spec.kind == "scaled":
-        s = nk.leaves(spec.to_named(), tape)["metric.s"]
-        d = nk.mul(s[:, None, None] if spec.stack else s, d)
+        d = nk.mul(nk.leaves(spec.to_named(), tape)["metric.s"], d)
     return d

@@ -30,21 +30,19 @@ The forward arithmetic it shares with the tape is written once, as value
 kernels on plain arrays that the taped nodes call in turn:
 :func:`_affine_value`, :func:`_unit_rows_value` with its norm-floor
 check, :func:`_calibrated_sigmoid_value` over :func:`_sigmoid_value`,
-:func:`_softmax_neg_value` with its checks, and :func:`expand_centred`.
-Each raises its node's errors with its node's text, and the ones a hot
-loop calls take ``out=``, so that a caller can compute into temporaries
-it made once, or in place.
+:func:`_softmax_neg_value` with its checks, and the expansion's
+:func:`_centre`, :func:`_centred` and :func:`expand_centred`. Each
+raises its node's errors with its node's text, and the ones a hot loop
+calls take ``out=``, so that a caller can compute into temporaries it
+made once, or in place.
 
 One more node, :func:`expanded_sq_dist`, is *not* bitwise a composition.
-It is the one kernel for all-pairs squared distances, on the tape and
-off it: expansion about the mean of the compared rows, with one matrix
-product forward and two backward, so its values and gradients match the
-difference composition only to rounding, and identical rows may map to
-a tiny non-negative number rather than exactly zero. Its arithmetic,
-:func:`expand_centred`, is the one that evaluation's prepared
-distances use too; they take it ways-major, the prototypes as the outer
-axis, with every entry bitwise the transposed row-major one, and
-:func:`softmax_neg` takes the class axis as an argument to match.
+It is the tape's all-pairs squared distance: expansion about the mean of
+the compared rows, one matrix product forward and two backward, so its
+values and gradients match the difference composition only to rounding,
+and identical rows may map to a tiny non-negative number. Off the tape,
+prepared distances run its kernels ways-major, every entry bitwise the
+transposed row-major one, and :func:`softmax_neg` takes a class axis.
 
 The class axis follows one layout rule. numpy sums an axis of fewer
 than 8 entries one entry after another in any layout, and a contiguous
@@ -566,6 +564,21 @@ def softmax_neg(distances, axis: int = -1):
 # --------------------------------------------------------------------------
 
 
+def _centre(b: np.ndarray) -> np.ndarray:
+    """Every expansion's centre c, (..., 1, l): the mean of ``b``'s rows. No rows
+    centre on the origin, since their mean would warn and its nan reach the gradients."""
+    return b.mean(axis=-2, keepdims=True) if b.shape[-2] else np.zeros((*b.shape[:-2], 1, b.shape[-1]))
+
+
+def _centred(a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a - c`` as a fresh C-ordered array and its squared row norms, the first
+    two arguments of :func:`expand_centred`. ``a`` is let go before the squares are
+    made: a caller's temporary held through them multiplied evaluation's page faults."""
+    a_c = np.subtract(a, c, order="C")
+    del a
+    return a_c, np.square(a_c).sum(axis=-1)
+
+
 def expand_centred(
     a_c: np.ndarray, a_sq: np.ndarray, b_c: np.ndarray, *, b_major: bool = False,
     out: np.ndarray | None = None,
@@ -606,14 +619,14 @@ def expand_centred(
 def expanded_sq_dist(a, b):
     """All-pairs squared distances by expansion about c, the mean of ``b``'s rows.
 
-    ``out[..., i, j] = |a_i - b_j|^2`` by :func:`expand_centred`, one
-    matrix product in place of the differences; not bitwise any
-    composition (see the module docstring). ``a`` is (..., n, l) and
-    ``b`` (..., m, l), one centre per row set; taped calls take plain
-    (n, l) row sets, and every slice of an untaped stack is bitwise its
-    own call. Taking c from ``b`` alone keeps each row of ``a``
-    independent of the others. No rows in ``b`` give an (..., n, 0)
-    result, centred on the origin.
+    ``out[..., i, j] = |a_i - b_j|^2`` by :func:`_centre`, :func:`_centred`
+    and :func:`expand_centred`, the kernels prepared distances run off the
+    tape; not bitwise any composition (see the module docstring). ``a``
+    is (..., n, l) and ``b`` (..., m, l), one centre per row set; taped
+    calls take plain (n, l) row sets, and every slice of an untaped
+    stack is bitwise its own call. Taking c from ``b`` alone keeps each
+    row of ``a`` independent of the others. No rows in ``b`` give an
+    (..., n, 0) result.
 
     The exact distance does not depend on c, so the backward holds c
     constant: ``ga = 2 (rowsum(g) (a - c) - g (b - c))`` and
@@ -625,14 +638,10 @@ def expanded_sq_dist(a, b):
     _matrices("expanded_sq_dist", tape, av, bv)
     if av.shape[-1] != bv.shape[-1]:
         raise ContractError(f"expanded_sq_dist needs rows of one width, got {av.shape} and {bv.shape}")
-    if bv.shape[-2]:
-        centre = bv.mean(axis=-2, keepdims=True)
-    else:  # the mean of no rows would warn, and its nan would reach the gradients
-        centre = np.zeros((*bv.shape[:-2], 1, bv.shape[-1]))
-    a_c = np.subtract(av, centre, order="C")
+    centre = _centre(bv)
+    a_c, a_sq = _centred(av, centre)
     b_c = np.subtract(bv, centre, order="C")
-    # expand_centred spends b_c, which only a tape's backward reads again
-    out = expand_centred(a_c, np.square(a_c).sum(axis=-1), b_c if tape is None else b_c.copy())
+    out = expand_centred(a_c, a_sq, b_c.copy())  # it spends its b_c; the backward reads b_c
 
     def backward(g):
         gb = g.sum(axis=0)[:, None] * b_c

@@ -11,7 +11,7 @@ from mct.encoder import VIEWS, PerturbPolicy, _encode_views, encode_batch
 from mct.errors import ContractError, DomainError
 from mct.metatrain import _embed, _instance_loss_from_embeddings
 from mct.metric import (
-    MetricSpec, _compared_rows, pairwise, prepared_distances, query_terms, scaler_eval,
+    MetricSpec, _compared, _plain, pairwise, prepared_distances, query_terms, scaler_eval,
 )
 from mct.transduce import _class_counts, init_from_embeddings, one_hot, update_prototypes
 
@@ -43,9 +43,8 @@ def confidence(query_emb, protos, metric):
     ``protos`` and are laid out ways-major, as the engine lays them out;
     the confidences come back row-major.
     """
-    compared = _compared_rows(metric, protos)
-    terms = query_terms(metric, query_emb, protos, compared)
-    conf = nk.softmax_neg(prepared_distances(metric, terms, protos, compared), axis=-2)
+    terms = query_terms(metric, query_emb, protos)
+    conf = nk.softmax_neg(prepared_distances(metric, terms, protos), axis=-2)
     return nk.transpose(conf)
 
 
@@ -159,7 +158,7 @@ def row_major_distances(metric, terms, protos):
     transposed prototypes, and the pair kind's g read as evaluated.
     """
     pv = np.asarray(protos, dtype=np.float64)
-    b_c = np.subtract(_compared_rows(metric, pv), terms.centre, order="C")
+    b_c = np.subtract(_compared(_plain(metric), pv), terms.centre, order="C")
     d = nk.expand_centred(terms.rows, terms.sq_norms, b_c)
     if metric.kind == "scaled":
         s = np.asarray(metric.s, dtype=np.float64)

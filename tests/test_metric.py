@@ -40,6 +40,16 @@ def all_specs(dim, seed=0):
     ]
 
 
+def stacked_spec(kind, dim, sets):
+    """One ``kind`` spec of ``sets`` parameter sets, and the single-set specs it stacks."""
+    if kind == "scaled":
+        singles = [MetricSpec.scaled(7.5 / (p + 1)) for p in range(sets)]
+    else:
+        singles = [all_specs(dim, seed=p)[METRIC_KINDS.index(kind)] for p in range(sets)]
+    named = {k: np.stack([s.to_named()[k] for s in singles]) for k in singles[0].to_named()}
+    return MetricSpec.from_named(kind, named), singles
+
+
 class TestScalerEval:
     def test_zero_network_gives_three_halves(self):
         g = scaler_eval(zero_scaler(4), np.ones(4))
@@ -86,6 +96,11 @@ class TestScalerEval:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ContractError):
             scaler_eval(zero_scaler(4), np.ones(5))
+        # rows of the right width but not a stack of 3 name the stack, not the width
+        scaler = stacked_spec("instance", 4, 3)[0].scaler
+        for rows in (np.ones((5, 4)), np.ones((2, 5, 4))):
+            with pytest.raises(ContractError, match=r"3 parameter sets score a \(3, n, l\)"):
+                scaler_eval(scaler, rows)
 
 
 class TestMetricSpecValidation:
@@ -230,6 +245,18 @@ class TestPairwise:
     def test_width_mismatch_rejected(self):
         with pytest.raises(ContractError):
             pairwise(MetricSpec.euclid(), np.ones((2, 3)), np.ones((2, 4)))
+        # a spec of 3 parameter sets takes a (3, n, l) stack and no other rows,
+        # on every distance path, with one error that names the stack
+        rng = np.random.default_rng(10)
+        for kind in ("scaled", "instance", "pair"):
+            spec = stacked_spec(kind, 3, 3)[0]
+            for lead in ((), (2,)):
+                a, b = rng.normal(size=(*lead, 4, 3)), rng.normal(size=(*lead, 5, 3))
+                terms = query_terms(MetricSpec.euclid(), a, b)
+                for call in (lambda: pairwise(spec, a, b), lambda: query_terms(spec, a, b),
+                             lambda: prepared_distances(spec, terms, b)):
+                    with pytest.raises(ContractError, match=r"3 parameter sets score a \(3, n, l\)"):
+                        call()
 
     def test_stack_slices_equal_unstacked_calls_bitwise(self):
         # prepared distances expand about the prototype mean: each slice is
@@ -256,6 +283,12 @@ class TestPairwise:
                 prepared_distances(spec, query_terms(spec, flipped, B), B),
                 prepared_distances(spec, query_terms(spec, copy, B), B),
             )
+        # a spec of 3 parameter sets scores row set p with set p, as set p alone does
+        for kind in METRIC_KINDS:
+            spec, singles = stacked_spec(kind, 6, 3)
+            assert np.array_equal(pairwise(spec, A, B), np.stack([
+                pairwise(single, a, b) for single, a, b in zip(singles, A, B)
+            ]))
         # rows in column-major order: the expansion itself takes the C-ordered bits
         wide = rng.normal(size=(15, 64))
         protos = rng.normal(size=(5, 64))
@@ -290,6 +323,8 @@ class TestPairwise:
         for spec in all_specs(5):
             assert pairwise(spec, A, B[:, :0]).shape == (3, 6, 0)
             assert pairwise(spec, A[:, :0], B).shape == (3, 0, 4)
+            empty = B[:, :0]
+            assert prepared_distances(spec, query_terms(spec, A, empty), empty).shape == (3, 0, 6)
             tape = nk.Tape()
             a = tape.param(A[0])
             d = pairwise(spec, a, B[0, :0], tape)
