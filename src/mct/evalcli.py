@@ -84,12 +84,14 @@ def nll(conf, labels) -> float | np.ndarray:
     ways) confidences with (..., n) labels, give the (...) array of
     per-set means, each bitwise its own set's call. A row with zero
     confidence on its true class yields +inf; callers flag it rather
-    than clamp it away.
+    than clamp it away. A label outside 1..ways is a :class:`ContractError`.
     """
     cv = np.asarray(conf, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if cv.ndim < 2 or cv.shape[:-1] != y.shape:
         raise ContractError("confidence rows must align with labels")
+    if y.size and (y.min() < 1 or y.max() > cv.shape[-1]):
+        raise ContractError(f"labels must lie in 1..{cv.shape[-1]}")
     q_true = np.take_along_axis(cv, y[..., None] - 1, axis=-1)[..., 0]
     with np.errstate(divide="ignore"):
         means = np.mean(-np.log(q_true), axis=-1)

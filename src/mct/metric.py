@@ -13,14 +13,15 @@ exp(beta), so it is positive for every parameter setting and starts in
 Every kind computes its distances one way: the compared rows (the rows
 themselves, or unit rows, divided by g for ``instance``) expanded about
 the mean of the prototype side's, times s for ``scaled`` and over g
-squared for ``pair``. Off the tape that is one path on plain arrays and
-numkit's value kernels: :func:`query_terms` prepares the query rows once
-and :func:`prepared_distances` lays their distances out ways-major,
-(m, n) with the prototypes outermost; refinement calls their plain
-forms with the metric read once per batch (``_plain``). :func:`pairwise`
-lays distances out (n, m): on a tape it records the nodes, and off it
-it is the transposed prepared path. A spec of P parameter sets scores
-a (P, n, l) stack of row sets and nothing else.
+squared for ``pair``, whose g reads every (query, prototype) row of
+``nk.pair_rows``. Off the tape that is one path on plain arrays and
+numkit's value kernels, with the metric read once (``_plain``): ``_terms``
+prepares the query rows and ``_distances`` lays their distances out
+ways-major, (m, n) with the prototypes outermost. Refinement calls them
+directly, once per batch and step. :func:`pairwise`, the one public
+distance entry, lays distances out (n, m): on a tape it records the
+nodes, and off it it is the transposed private path. A spec of P
+parameter sets scores a (P, n, l) stack of row sets and nothing else.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ __all__ = [
     "ScalerParams",
     "MetricSpec",
     "scaler_eval",
-    "query_terms",
-    "prepared_distances",
     "pairwise",
     "METRIC_KINDS",
 ]
@@ -310,64 +309,44 @@ def _compared_rows(spec: MetricSpec, x, tape: nk.Tape):
 
 
 def _terms(m: _Plain, a: np.ndarray, compared: np.ndarray) -> _QueryTerms:
-    """:func:`query_terms` of plain rows about the mean of ``compared`` prototype rows."""
-    centre = nk._centre(compared)
-    return _QueryTerms(*nk._centred(_compared(m, a), centre), centre, a)
-
-
-def query_terms(spec: MetricSpec, a, protos) -> _QueryTerms:
-    """The query side of ``spec``'s distances, prepared about ``protos``.
+    """The query side of ``m``'s distances: plain rows ``a`` prepared about
+    c, the mean of the ``compared`` prototype rows.
 
     The terms hold the compared rows of ``a`` (see :func:`_compared`)
-    centred on c, the mean of the compared rows of ``protos``, with
-    their squared norms. A refinement loop prepares them once per row
-    set about its step-0 prototypes, which the support set alone
-    determines, and every step's :func:`prepared_distances` expands
+    centred on c, with their squared norms. A refinement loop prepares
+    them once per row set about its step-0 prototypes, which the support
+    set alone determines, and every step's :func:`_distances` expands
     about that fixed c. Later prototypes, weighted means of the same
     rows, stay near c, and no query row enters it, so each query row's
-    distances are independent of the others. Untaped; ``a`` is (n, l)
-    or (V, n, l), ``protos`` (m, l) or (V, m, l).
+    distances are independent of the others. The compared rows are an
+    argument of the subtraction alone, so numpy frees them before the
+    squares are made.
     """
-    av, pv = nk.value_of(a), nk.value_of(protos)
-    m = _plain(spec, av, pv)
-    return _terms(m, av, _compared(m, pv))
+    centre = nk._centre(compared)
+    rows = np.subtract(_compared(m, a), centre, order="C")
+    return _QueryTerms(rows, np.square(rows).sum(axis=-1), centre, a)
 
 
 def _distances(m: _Plain, terms: _QueryTerms, pv: np.ndarray, compared: np.ndarray,
                out: np.ndarray | None = None) -> np.ndarray:
-    """:func:`prepared_distances` of plain prototype rows ``pv`` whose compared
-    rows are ``compared``; ``out`` (C-ordered, (..., m, n)) receives them."""
+    """Distances from prepared query rows to plain prototype rows ``pv``, ways-major.
+
+    Entry (..., j, i) is d(a_i, b_j) for the query rows a that ``terms``
+    were prepared from: (..., m, n) for (..., m, l) ``pv``, whose compared
+    rows are ``compared``, expanded about the terms' centre (see
+    :func:`numkit.expand_centred`). ``out`` (C-ordered, (..., m, n))
+    receives them.
+    """
     b_c = np.subtract(compared, terms.centre, order="C")
     d = nk.expand_centred(terms.rows, terms.sq_norms, b_c, b_major=True, out=out)
     if m.kind == "scaled":
         d *= m.s
     elif m.kind == "pair":
-        # g row-major as taped pairwise records it, transposed: query i meets prototype j at row i*k + j
-        n, k, l = terms.rows.shape[-2], pv.shape[-2], pv.shape[-1]
-        pairs = np.empty((*pv.shape[:-2], n, k, 2 * l))
-        pairs[..., :l] = terms.raw[..., :, None, :]
-        pairs[..., l:] = pv[..., None, :, :]
-        g = _g(m.scaler, pairs.reshape(*pv.shape[:-2], n * k, 2 * l)).reshape(*pv.shape[:-2], n, k)
+        # g row-major, as taped pairwise records it, then transposed
+        n, k = terms.rows.shape[-2], pv.shape[-2]
+        g = _g(m.scaler, nk._pair_rows_value(terms.raw, pv)).reshape(*pv.shape[:-2], n, k)
         d /= np.swapaxes(np.multiply(g, g, out=g), -1, -2)
     return d
-
-
-def prepared_distances(spec: MetricSpec, terms: _QueryTerms, protos) -> np.ndarray:
-    """Distances from prepared query rows to ``protos``, ways-major.
-
-    Entry (..., j, i) is d(a_i, b_j) for the query rows a that ``terms``
-    (see :func:`query_terms`) were prepared from: (m, n) or (V, m, n)
-    for (m, l) or (V, m, l) ``protos``, expanded about the terms'
-    centre (see :func:`numkit.expand_centred`). Untaped; a spec of P
-    parameter sets scores the stack's row set p with set p. Terms that
-    do not match ``protos`` are a :class:`ContractError`.
-    """
-    pv = nk.value_of(protos)
-    if (not isinstance(terms, _QueryTerms) or pv.ndim != terms.rows.ndim
-            or pv.shape[:-2] != terms.rows.shape[:-2] or pv.shape[-1] != terms.rows.shape[-1]):
-        raise ContractError("query terms must match the prototypes")
-    m = _plain(spec, pv)
-    return _distances(m, terms, pv, _compared(m, pv))
 
 
 def pairwise(spec: MetricSpec, a, b, tape: nk.Tape | None = None):
@@ -375,10 +354,10 @@ def pairwise(spec: MetricSpec, a, b, tape: nk.Tape | None = None):
 
     ``a`` is the query side and ``b`` the prototype side; the pair kind
     consumes concatenations in exactly that order. Untaped, this is the
-    C-ordered transpose of ``prepared_distances(spec, query_terms(spec,
-    a, b), b)`` with the metric read once. It takes stacks, (V, n, l)
-    against (V, m, l), every slice bitwise its own call, and a spec of P
-    sets scores row set p with set p. On a tape it records the same
+    C-ordered transpose of ``_distances``, the ways-major distances
+    refinement computes, with the metric read once. It takes stacks,
+    (V, n, l) against (V, m, l), every slice bitwise its own call, and a
+    spec of P sets scores row set p with set p. On a tape it records the same
     values for (n, l) row sets and one parameter set. Identical rows map
     to a tiny non-negative number. Other shapes are a :class:`ContractError`.
     """
@@ -397,9 +376,7 @@ def pairwise(spec: MetricSpec, a, b, tape: nk.Tape | None = None):
     rows_a, rows_b = _compared_rows(spec, a, tape), _compared_rows(spec, b, tape)
     if spec.kind == "pair":
         # one g per (query, prototype) combination, recorded before the distance
-        n, m = av.shape[0], bv.shape[0]
-        pairs = nk.concat([nk.repeat_rows(a, m), nk.tile_rows(b, n)], axis=-1)
-        g = nk.reshape(scaler_eval(spec.scaler, pairs, tape), (n, m))
+        g = nk.reshape(scaler_eval(spec.scaler, nk.pair_rows(a, b), tape), (av.shape[0], bv.shape[0]))
         return nk.div(nk.expanded_sq_dist(rows_a, rows_b), nk.mul(g, g))
     d = nk.expanded_sq_dist(rows_a, rows_b)
     if spec.kind == "scaled":

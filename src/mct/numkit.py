@@ -16,10 +16,11 @@ records hold their Vars and a Var refers to its tape weakly, so a tape
 and all it recorded are freed by reference counting the moment its
 caller drops it, with no cycle for the garbage collector to find.
 
-Four fused primitives each record one node for a group the model's hot
+Five fused primitives each record one node for a group the model's hot
 path would otherwise build from several: :func:`cross_entropy`,
-:func:`affine` (x @ w + b), :func:`unit_rows` (row normalization) and
-:func:`calibrated_sigmoid` (exp(alpha) * sigmoid(h) + exp(beta)). Each
+:func:`affine` (x @ w + b), :func:`unit_rows` (row normalization),
+:func:`calibrated_sigmoid` (exp(alpha) * sigmoid(h) + exp(beta)) and
+:func:`pair_rows` (every pair of rows of two sets, concatenated). Each
 runs the numpy operations of that group in the group's order, forward
 and backward, so its value and gradients are bitwise those of the
 composition; the tests build that composition from elementary tape ops
@@ -30,8 +31,8 @@ The forward arithmetic it shares with the tape is written once, as value
 kernels on plain arrays that the taped nodes call in turn:
 :func:`_affine_value`, :func:`_unit_rows_value` with its norm-floor
 check, :func:`_calibrated_sigmoid_value` over :func:`_sigmoid_value`,
-:func:`_softmax_neg_value` with its checks, and the expansion's
-:func:`_centre`, :func:`_centred` and :func:`expand_centred`. Each
+:func:`_softmax_neg_value` with its checks, :func:`_pair_rows_value`,
+and the expansion's :func:`_centre` and :func:`expand_centred`. Each
 raises its node's errors with its node's text, and the ones a hot loop
 calls take ``out=``, so that a caller can compute into temporaries it
 made once, or in place.
@@ -41,8 +42,8 @@ It is the tape's all-pairs squared distance: expansion about the mean of
 the compared rows, one matrix product forward and two backward, so its
 values and gradients match the difference composition only to rounding,
 and identical rows may map to a tiny non-negative number. Off the tape,
-prepared distances run its kernels ways-major, every entry bitwise the
-transposed row-major one, and :func:`softmax_neg` takes a class axis.
+evaluation runs its kernels ways-major, every entry bitwise the
+transposed row-major one, and :func:`_softmax_neg_value` on that layout.
 
 The class axis follows one layout rule. numpy sums an axis of fewer
 than 8 entries one entry after another in any layout, and a contiguous
@@ -94,11 +95,10 @@ __all__ = [
     "relu",
     "asum",
     "flip_last",
-    "repeat_rows",
-    "tile_rows",
     "softmax_neg",
     "expand_centred",
     "expanded_sq_dist",
+    "pair_rows",
     "cross_entropy",
     "affine",
     "unit_rows",
@@ -390,38 +390,6 @@ def flip_last(x):
     )
 
 
-def repeat_rows(x, k: int):
-    """Repeat each row of a 2-D array ``k`` times (row i -> rows i*k..i*k+k-1).
-
-    Untaped calls also take a stack of matrices and repeat the rows of each.
-    """
-    tape = _tape_of(x)
-    xv = value_of(x)
-    _matrices("repeat_rows", tape, xv)
-
-    def backward(g):
-        n, d = xv.shape
-        return (g.reshape(n, k, d).sum(axis=1),)
-
-    return _apply(np.repeat(xv, k, axis=-2), (x,), backward, tape)
-
-
-def tile_rows(x, k: int):
-    """Stack ``k`` copies of a 2-D array vertically.
-
-    Untaped calls also take a stack of matrices and tile each.
-    """
-    tape = _tape_of(x)
-    xv = value_of(x)
-    _matrices("tile_rows", tape, xv)
-
-    def backward(g):
-        n, d = xv.shape
-        return (g.reshape(k, n, d).sum(axis=0),)
-
-    return _apply(np.tile(xv, (k, 1)), (x,), backward, tape)
-
-
 # --------------------------------------------------------------------------
 # Elementwise nonlinearities
 # --------------------------------------------------------------------------
@@ -504,8 +472,11 @@ def _classes_last(x: np.ndarray) -> np.ndarray:
 
 
 def _softmax_neg_value(d: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
-    """:func:`softmax_neg`'s checks and arithmetic on a plain array.
+    """:func:`softmax_neg`'s checks and arithmetic on a plain array, along ``axis``.
 
+    Evaluation runs it ways-major, ``axis=-2``: for fewer than 8 classes
+    that is bitwise the transposed last-axis result, and from 8 on, where
+    numpy sums a last axis pairwise, equal to the last bits only.
     ``out`` receives the probabilities along any axis but a short last
     one, whose class-major copy (see :func:`_classes_first`) holds them
     instead; it may be ``d`` itself, which is then spent.
@@ -533,27 +504,23 @@ def _softmax_neg_value(d: np.ndarray, axis: int = -1, out: np.ndarray | None = N
     return _classes_last(out) if short else out
 
 
-def softmax_neg(distances, axis: int = -1):
-    """Probabilities exp(-d_c) / sum_c' exp(-d_c') along ``axis``, the class axis.
+def softmax_neg(distances):
+    """Probabilities exp(-d_c) / sum_c' exp(-d_c') along the last axis, the class axis.
 
-    Shifted by the minimum along ``axis``, so adding a constant to every
-    entry of a row leaves the output bit-identical, and the exponents
-    are bitwise -d - max(-d). Rows sum to one. The last axis and a
-    ways-major ``axis=-2`` give bitwise transposed results for fewer
-    than 8 classes; from 8 on, numpy sums the last axis pairwise, so
-    they agree to the last bits only. A last axis of fewer than 8
-    classes is therefore computed class-major (see
-    :func:`_classes_first`) and returned as a C-ordered row-major array
-    with the row-major bits.
+    Shifted by the row minimum, so adding a constant to every entry of a
+    row leaves the output bit-identical, and the exponents are bitwise
+    -d - max(-d). Rows sum to one. Fewer than 8 classes are computed
+    class-major (see :func:`_classes_first`) and returned as a C-ordered
+    row-major array with the row-major bits.
     An empty class axis is a :class:`ContractError`, non-finite input
     a :class:`DomainError`. The arithmetic is :func:`_softmax_neg_value`,
-    which evaluation calls on its own distances in place.
+    which evaluation calls on its own ways-major distances in place.
     """
     tape = _tape_of(distances)
-    out = _softmax_neg_value(value_of(distances), axis)
+    out = _softmax_neg_value(value_of(distances))
 
     def backward(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
+        inner = (g * out).sum(axis=-1, keepdims=True)
         return (-out * (g - inner),)
 
     return _apply(out, (distances,), backward, tape)
@@ -568,15 +535,6 @@ def _centre(b: np.ndarray) -> np.ndarray:
     """Every expansion's centre c, (..., 1, l): the mean of ``b``'s rows. No rows
     centre on the origin, since their mean would warn and its nan reach the gradients."""
     return b.mean(axis=-2, keepdims=True) if b.shape[-2] else np.zeros((*b.shape[:-2], 1, b.shape[-1]))
-
-
-def _centred(a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``a - c`` as a fresh C-ordered array and its squared row norms, the first
-    two arguments of :func:`expand_centred`. ``a`` is let go before the squares are
-    made: a caller's temporary held through them multiplied evaluation's page faults."""
-    a_c = np.subtract(a, c, order="C")
-    del a
-    return a_c, np.square(a_c).sum(axis=-1)
 
 
 def expand_centred(
@@ -619,10 +577,10 @@ def expand_centred(
 def expanded_sq_dist(a, b):
     """All-pairs squared distances by expansion about c, the mean of ``b``'s rows.
 
-    ``out[..., i, j] = |a_i - b_j|^2`` by :func:`_centre`, :func:`_centred`
-    and :func:`expand_centred`, the kernels prepared distances run off the
-    tape; not bitwise any composition (see the module docstring). ``a``
-    is (..., n, l) and ``b`` (..., m, l), one centre per row set; taped
+    ``out[..., i, j] = |a_i - b_j|^2`` by :func:`_centre` and
+    :func:`expand_centred`, the kernels untaped distances run; not
+    bitwise any composition (see the module docstring). ``a`` is
+    (..., n, l) and ``b`` (..., m, l), one centre per row set; taped
     calls take plain (n, l) row sets, and every slice of an untaped
     stack is bitwise its own call. Taking c from ``b`` alone keeps each
     row of ``a`` independent of the others. No rows in ``b`` give an
@@ -639,9 +597,9 @@ def expanded_sq_dist(a, b):
     if av.shape[-1] != bv.shape[-1]:
         raise ContractError(f"expanded_sq_dist needs rows of one width, got {av.shape} and {bv.shape}")
     centre = _centre(bv)
-    a_c, a_sq = _centred(av, centre)
-    b_c = np.subtract(bv, centre, order="C")
-    out = expand_centred(a_c, a_sq, b_c.copy())  # it spends its b_c; the backward reads b_c
+    a_c, b_c = np.subtract(av, centre, order="C"), np.subtract(bv, centre, order="C")
+    # expand_centred spends its b_c, and the backward reads b_c
+    out = expand_centred(a_c, np.square(a_c).sum(axis=-1), b_c.copy())
 
     def backward(g):
         gb = g.sum(axis=0)[:, None] * b_c
@@ -654,6 +612,35 @@ def expanded_sq_dist(a, b):
 
     # b first, the order in which the difference composition's adjoints arrive
     return _apply(out, (b, a), backward, tape)
+
+
+def _pair_rows_value(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`pair_rows` on plain arrays: one broadcast fill of every (a_i, b_j) row."""
+    lead, (n, la), (m, lb) = a.shape[:-2], a.shape[-2:], b.shape[-2:]
+    out = np.empty((*lead, n, m, la + lb))
+    out[..., :la] = a[..., :, None, :]
+    out[..., la:] = b[..., None, :, :]
+    return out.reshape(*lead, n * m, la + lb)
+
+
+def pair_rows(a, b):
+    """Every pair of rows, concatenated: row i*m + j is a's row i followed by b's row j.
+
+    ``a`` is (n, la) and ``b`` (m, lb); untaped calls also take stacks of
+    them, every slice bitwise its own call. One node for the concat of
+    ``a``'s rows each repeated m times and n stacked copies of ``b``, with
+    that composition's value and gradients: b's adjoint, the copies
+    summed, comes back before a's, the repeats summed.
+    """
+    tape = _tape_of(a, b)
+    av, bv = value_of(a), value_of(b)
+    _matrices("pair_rows", tape, av, bv)
+
+    def backward(g):
+        (n, la), (m, lb) = av.shape, bv.shape
+        return g[:, la:].reshape(n, m, lb).sum(axis=0), g[:, :la].reshape(n, m, la).sum(axis=1)
+
+    return _apply(_pair_rows_value(av, bv), (b, a), backward, tape)
 
 
 def cross_entropy(logits, targets):

@@ -111,7 +111,7 @@ def refine_batch(
     that, a negative T or no view or episode is a
     :class:`ContractError`. Each scored set's distances expand about one
     fixed centre, the mean of its step-0 prototypes (see
-    :func:`query_terms`). Every value is bitwise equal to running the
+    ``metric._terms``). Every value is bitwise equal to running the
     episodes and views one by one with the same centres and, for fewer
     than 8 ways, to the same steps laid out row-major.
 

@@ -10,9 +10,7 @@ from mct import numkit as nk
 from mct.encoder import VIEWS, PerturbPolicy, _encode_views, encode_batch
 from mct.errors import ContractError, DomainError
 from mct.metatrain import _embed, _instance_loss_from_embeddings
-from mct.metric import (
-    MetricSpec, _compared, _plain, pairwise, prepared_distances, query_terms, scaler_eval,
-)
+from mct.metric import MetricSpec, _compared, _distances, _plain, _terms, pairwise, scaler_eval
 from mct.transduce import _class_counts, init_from_embeddings, one_hot, update_prototypes
 
 
@@ -36,6 +34,20 @@ def distance(spec, a1, a2):
     return pairwise(spec, np.reshape(a1, (1, -1)), np.reshape(a2, (1, -1)))[0, 0]
 
 
+def query_terms(metric, a, protos):
+    """The engine's query terms of rows ``a``, prepared about the compared rows of ``protos``."""
+    av, pv = nk.value_of(a), nk.value_of(protos)
+    m = _plain(metric, av, pv)
+    return _terms(m, av, _compared(m, pv))
+
+
+def prepared_distances(metric, terms, protos):
+    """The engine's ways-major distances, (..., m, n), from prepared ``terms`` to ``protos``."""
+    pv = nk.value_of(protos)
+    m = _plain(metric, pv)
+    return _distances(m, terms, pv, _compared(m, pv))
+
+
 def confidence(query_emb, protos, metric):
     """One view's (n, ways) query confidences: ``refine_batch``'s step 0 for one episode.
 
@@ -44,7 +56,7 @@ def confidence(query_emb, protos, metric):
     the confidences come back row-major.
     """
     terms = query_terms(metric, query_emb, protos)
-    conf = nk.softmax_neg(prepared_distances(metric, terms, protos), axis=-2)
+    conf = nk._softmax_neg_value(prepared_distances(metric, terms, protos), -2)
     return nk.transpose(conf)
 
 
@@ -62,8 +74,40 @@ def instance_loss(episode, encoder, view, metric, tape=None, *,
 
 
 # Elementary tape ops that no package module composes. They are the
-# references the fused nodes (cross_entropy, unit_rows, calibrated_sigmoid)
-# must equal bit for bit, built on numkit's own private helpers.
+# references the fused nodes (cross_entropy, unit_rows, calibrated_sigmoid,
+# pair_rows) must equal bit for bit, built on numkit's own private helpers.
+
+
+def repeat_rows(x, k: int):
+    """Repeat each row of a 2-D array ``k`` times (row i -> rows i*k..i*k+k-1).
+
+    Untaped calls also take a stack of matrices and repeat the rows of each.
+    """
+    tape = nk._tape_of(x)
+    xv = nk.value_of(x)
+    nk._matrices("repeat_rows", tape, xv)
+
+    def backward(g):
+        n, d = xv.shape
+        return (g.reshape(n, k, d).sum(axis=1),)
+
+    return nk._apply(np.repeat(xv, k, axis=-2), (x,), backward, tape)
+
+
+def tile_rows(x, k: int):
+    """Stack ``k`` copies of a 2-D array vertically.
+
+    Untaped calls also take a stack of matrices and tile each.
+    """
+    tape = nk._tape_of(x)
+    xv = nk.value_of(x)
+    nk._matrices("tile_rows", tape, xv)
+
+    def backward(g):
+        n, d = xv.shape
+        return (g.reshape(k, n, d).sum(axis=0),)
+
+    return nk._apply(np.tile(xv, (k, 1)), (x,), backward, tape)
 
 
 def sub(a, b):
@@ -155,7 +199,8 @@ def row_major_distances(metric, terms, protos):
 
     The same expansion about the terms' centre, with the query rows as
     the outer axis: the product of the query rows against the
-    transposed prototypes, and the pair kind's g read as evaluated.
+    transposed prototypes, and the pair kind's g read off the pair rows
+    of the concat/repeat/tile composition.
     """
     pv = np.asarray(protos, dtype=np.float64)
     b_c = np.subtract(_compared(_plain(metric), pv), terms.centre, order="C")
@@ -165,7 +210,7 @@ def row_major_distances(metric, terms, protos):
         return (s[:, None, None] if metric.stack else s) * d
     if metric.kind == "pair":
         n, m = terms.rows.shape[-2], pv.shape[-2]
-        pairs = nk.concat([nk.repeat_rows(terms.raw, m), nk.tile_rows(pv, n)], axis=-1)
+        pairs = nk.concat([repeat_rows(terms.raw, m), tile_rows(pv, n)], axis=-1)
         g = scaler_eval(metric.scaler, pairs).reshape(*pv.shape[:-2], n, m)
         return d / (g * g)
     return d

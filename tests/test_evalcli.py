@@ -59,6 +59,11 @@ class TestNll:
             nll(np.eye(3), [1, 2])
         with pytest.raises(ContractError):
             nll(np.full((2, 3, 4), 0.25), np.ones((3, 2), dtype=np.int64))
+        # label 0 would read the last class through a negative index, and
+        # ways + 1 raise a bare IndexError
+        for labels in ([0], [4]):
+            with pytest.raises(ContractError, match=r"labels must lie in 1\.\.3"):
+                nll([[0.7, 0.2, 0.1]], labels)
 
     def test_stacks_are_each_sets_own_call_bitwise(self):
         # evaluation scores a batch's t=0 and t=T slices of its trace in one call each

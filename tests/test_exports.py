@@ -36,13 +36,14 @@ def test_training_loss_exported_beside_its_parts():
     assert "Tensor" not in mct.numkit.__all__
 
 
-TAPE_OPS = ("sub", "sigmoid", "exp", "log", "sqrt", "mean", "logsumexp")
+TAPE_OPS = ("sub", "sigmoid", "exp", "log", "sqrt", "mean", "logsumexp", "repeat_rows", "tile_rows")
 
 
 def test_reference_forms_live_in_the_tests():
     for name, module in (("semi_infer", "transduce"), ("check_confidence", "transduce"),
                          ("confidence", "transduce"), ("encode", "encoder"),
                          ("distance", "metric"), ("instance_loss", "metatrain"),
+                         ("query_terms", "metric"), ("prepared_distances", "metric"),
                          *((op, "numkit") for op in TAPE_OPS)):
         assert name not in mct.__all__ and not hasattr(mct, name)
         assert name not in getattr(mct, module).__all__

@@ -7,11 +7,8 @@ from hypothesis import strategies as st
 
 from mct import numkit as nk
 from mct.errors import ContractError, DomainError
-from mct.metric import (
-    METRIC_KINDS, MetricSpec, ScalerParams, pairwise, prepared_distances, query_terms,
-    scaler_eval,
-)
-from oracles import distance, mean
+from mct.metric import METRIC_KINDS, MetricSpec, ScalerParams, pairwise, scaler_eval
+from oracles import distance, mean, query_terms, row_major_distances
 
 
 def zero_scaler(in_dim, hidden=32, b2=0.0, alpha=0.0, beta=0.0):
@@ -225,19 +222,19 @@ class TestPairwise:
             diag = np.diag(pairwise(spec, A, A))
             assert np.all(diag >= 0.0) and np.all(diag <= 1e-14)
 
-    def test_learned_kinds_unprepared_are_prepared_bitwise(self):
-        # one expansion for training and evaluation, for every kind:
-        # without terms pairwise centres on the compared prototypes, as
-        # query_terms does, and the ways-major layout is the transpose,
-        # bit for bit
+    def test_untaped_is_the_row_major_reference_bitwise(self):
+        # untaped pairwise transposes ways-major distances and builds the
+        # pair kind's rows by one fill; the reference takes the row-major
+        # product and the concat/repeat/tile pair rows, with the same
+        # centre, for 2-D rows, a stack and a spec of 3 parameter sets
         rng = np.random.default_rng(12)
         for lead in ((), (3,)):
             A, B = rng.normal(size=(*lead, 9, 6)), rng.normal(size=(*lead, 4, 6))
-            for spec in all_specs(6):
+            specs = all_specs(6) + ([stacked_spec(k, 6, 3)[0] for k in METRIC_KINDS[1:]] if lead else [])
+            for spec in specs:
                 got = pairwise(spec, A, B)
-                prepared = prepared_distances(spec, query_terms(spec, A, B), B)
-                assert prepared.shape == (*lead, 4, 9)
-                assert np.array_equal(got, np.swapaxes(prepared, -1, -2))
+                assert got.shape == (*lead, 9, 4) and got.flags.c_contiguous
+                assert np.array_equal(got, row_major_distances(spec, query_terms(spec, A, B), B))
                 if not lead:
                     tape = nk.Tape()
                     assert np.array_equal(nk.value_of(pairwise(spec, A, B, tape)), got)
@@ -246,22 +243,19 @@ class TestPairwise:
         with pytest.raises(ContractError):
             pairwise(MetricSpec.euclid(), np.ones((2, 3)), np.ones((2, 4)))
         # a spec of 3 parameter sets takes a (3, n, l) stack and no other rows,
-        # on every distance path, with one error that names the stack
+        # with one error that names the stack
         rng = np.random.default_rng(10)
         for kind in ("scaled", "instance", "pair"):
             spec = stacked_spec(kind, 3, 3)[0]
             for lead in ((), (2,)):
                 a, b = rng.normal(size=(*lead, 4, 3)), rng.normal(size=(*lead, 5, 3))
-                terms = query_terms(MetricSpec.euclid(), a, b)
-                for call in (lambda: pairwise(spec, a, b), lambda: query_terms(spec, a, b),
-                             lambda: prepared_distances(spec, terms, b)):
-                    with pytest.raises(ContractError, match=r"3 parameter sets score a \(3, n, l\)"):
-                        call()
+                with pytest.raises(ContractError, match=r"3 parameter sets score a \(3, n, l\)"):
+                    pairwise(spec, a, b)
 
     def test_stack_slices_equal_unstacked_calls_bitwise(self):
-        # prepared distances expand about the prototype mean: each slice is
-        # bitwise its own prepared call, within a bound of pairwise's, and
-        # never below zero
+        # distances expand about the prototype mean: each slice is bitwise
+        # its own call, never below zero, and rows with negative strides
+        # give the bits of their contiguous copy
         rng = np.random.default_rng(7)
         A = rng.normal(size=(3, 7, 6))
         B = rng.normal(size=(3, 5, 6))
@@ -271,18 +265,9 @@ class TestPairwise:
         for spec in all_specs(6):
             per_slice = np.stack([pairwise(spec, a, b) for a, b in zip(A, B)])
             assert np.array_equal(pairwise(spec, A, B), per_slice)
-            prepared = prepared_distances(spec, query_terms(spec, A, B), B)
-            assert np.array_equal(prepared, np.stack([
-                prepared_distances(spec, query_terms(spec, a, b), b) for a, b in zip(A, B)
-            ]))
-            assert np.all(prepared >= 0.0)
-            gap = np.swapaxes(prepared, -1, -2) - per_slice
-            assert np.max(np.abs(gap)) <= 1e-12 * np.max(per_slice)
+            assert np.all(per_slice >= 0.0)
             copy = np.ascontiguousarray(flipped)
-            assert np.array_equal(
-                prepared_distances(spec, query_terms(spec, flipped, B), B),
-                prepared_distances(spec, query_terms(spec, copy, B), B),
-            )
+            assert np.array_equal(pairwise(spec, flipped, B), pairwise(spec, copy, B))
         # a spec of 3 parameter sets scores row set p with set p, as set p alone does
         for kind in METRIC_KINDS:
             spec, singles = stacked_spec(kind, 6, 3)
@@ -294,10 +279,7 @@ class TestPairwise:
         protos = rng.normal(size=(5, 64))
         for spec in all_specs(64)[:2]:  # euclid and scaled, which compare the rows as they are
             fortran = np.asfortranarray(wide)
-            assert np.array_equal(
-                prepared_distances(spec, query_terms(spec, fortran, protos), protos),
-                prepared_distances(spec, query_terms(spec, wide, protos), protos),
-            )
+            assert np.array_equal(pairwise(spec, fortran, protos), pairwise(spec, wide, protos))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.int64])
     def test_sq_diff_promotes_like_numpy(self, dtype):
@@ -323,25 +305,21 @@ class TestPairwise:
         for spec in all_specs(5):
             assert pairwise(spec, A, B[:, :0]).shape == (3, 6, 0)
             assert pairwise(spec, A[:, :0], B).shape == (3, 0, 4)
-            empty = B[:, :0]
-            assert prepared_distances(spec, query_terms(spec, A, empty), empty).shape == (3, 0, 6)
+            assert pairwise(spec, A[0], B[0, :0]).shape == (6, 0)
             tape = nk.Tape()
             a = tape.param(A[0])
             d = pairwise(spec, a, B[0, :0], tape)
             assert d.shape == (6, 0)
             assert np.all(nk.grad(tape, nk.asum(d))[a] == 0.0)
 
-    def test_stacks_and_prepared_terms_stay_off_the_tape(self):
+    def test_stacks_stay_off_the_tape(self):
         spec = MetricSpec.instance(3, np.random.default_rng(8))
         a, b = np.ones((2, 3)), np.full((4, 3), 2.0)
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="differentiated"):
             pairwise(spec, a[None], b[None], nk.Tape())
-        # prepared distances take no tape, and only terms that fit the prototypes
-        terms = query_terms(spec, a, b)
-        assert isinstance(prepared_distances(spec, terms, b), np.ndarray)
-        for bad_terms, protos in ((np.ones((3, 3)), b), (terms, b[None]), (terms, b[:, :2])):
-            with pytest.raises(ContractError):
-                prepared_distances(spec, bad_terms, protos)
+        # nor do specs of several parameter sets, on the rows they score
+        with pytest.raises(ContractError, match="differentiated"):
+            pairwise(stacked_spec("pair", 3, 3)[0], a, b, nk.Tape())
 
 
 class TestMetricGradients:

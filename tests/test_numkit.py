@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from mct import numkit as nk
 from mct.errors import ContractError, DomainError
 from oracles import (
-    collector_off, exp, log, logsumexp, mean, row_major_softmax_neg, sigmoid, sqrt, sub,
+    collector_off, exp, log, logsumexp, mean, repeat_rows, row_major_softmax_neg, sigmoid, sqrt,
+    sub, tile_rows,
 )
 
 
@@ -84,32 +85,24 @@ class TestSoftmaxNeg:
         d = rng.uniform(0.0, 30.0, size=(4, 9, ways))
         d[0, 0] = 0.0  # ties at the row maximum
         rows = nk.softmax_neg(d)
-        got = nk.softmax_neg(np.ascontiguousarray(np.swapaxes(d, -1, -2)), axis=-2)
+        got = nk._softmax_neg_value(np.ascontiguousarray(np.swapaxes(d, -1, -2)), -2)
         assert got.shape == (4, ways, 9)
         if ways < 8:
             assert np.array_equal(np.swapaxes(got, -1, -2), rows)
         else:
             assert np.max(np.abs(np.swapaxes(got, -1, -2) - rows)) <= 1e-15
-        tape = nk.Tape()
-        x = tape.param(np.swapaxes(d[0], -1, -2))
-        w = rng.normal(size=(ways, 9))
-        g_major = nk.grad(tape, nk.asum(nk.mul(nk.softmax_neg(x, axis=-2), w)))[x]
-        tape = nk.Tape()
-        x = tape.param(d[0])
-        g_rows = nk.grad(tape, nk.asum(nk.mul(nk.softmax_neg(x), w.T)))[x]
-        np.testing.assert_allclose(g_major, g_rows.T, rtol=0, atol=1e-15)
 
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
             nk.softmax_neg(np.array([1.0, np.nan]))
         with pytest.raises(DomainError):
-            nk.softmax_neg(np.array([[1.0, 2.0], [np.inf, 0.0]]), axis=-2)
+            nk._softmax_neg_value(np.array([[1.0, 2.0], [np.inf, 0.0]]), -2)
 
     def test_rejects_empty_axis(self):
         with pytest.raises(ContractError):
             nk.softmax_neg(np.zeros((3, 0)))
         with pytest.raises(ContractError):
-            nk.softmax_neg(np.zeros((3, 0, 4)), axis=-2)
+            nk._softmax_neg_value(np.zeros((3, 0, 4)), -2)
 
     @given(
         st.lists(
@@ -369,10 +362,19 @@ class TestGradAgainstFiniteDifferences:
     def test_concat_repeat_tile_chain(self):
         def build(tape, x):
             m = nk.reshape(x, (2, 3))
-            both = nk.concat([nk.repeat_rows(m, 2), nk.tile_rows(m, 2)], axis=0)
+            both = nk.concat([repeat_rows(m, 2), tile_rows(m, 2)], axis=0)
             return mean(nk.mul(both, nk.flip_last(both)))
 
         self.check(build, np.linspace(-1.0, 1.0, 6))
+
+    def test_pair_rows_chain(self):
+        w0 = np.random.default_rng(6).normal(size=(7, 2))
+
+        def build(tape, x):
+            a, b = nk.reshape(x, (4, 3)), nk.reshape(x, (3, 4))
+            return mean(sigmoid(nk.matmul(nk.pair_rows(a, b), w0)))
+
+        self.check(build, np.linspace(-1.0, 1.5, 12))
 
     def test_broadcast_sub_mean_chain(self):
         b0 = np.array([0.5, -0.5, 1.0])
@@ -443,8 +445,9 @@ class TestShapeBackward:
             nk.matmul(np.ones(3), np.ones((3, 2)))
 
     def test_repeat_and_tile_rows_take_untaped_stacks(self):
+        # the reference forms the pair rows of stacked distances are checked against
         x = np.random.default_rng(2).normal(size=(3, 4, 5))
-        for op in (nk.repeat_rows, nk.tile_rows):
+        for op in (repeat_rows, tile_rows):
             out = op(x, 3)
             assert out.shape == (3, 12, 5)
             assert np.array_equal(out, np.stack([op(s, 3) for s in x]))
@@ -452,11 +455,22 @@ class TestShapeBackward:
             with pytest.raises(ContractError, match="expects a 2-D operand"):
                 op(tape.param(x), 3)
 
+    def test_pair_rows_take_untaped_stacks(self):
+        rng = np.random.default_rng(2)
+        a, b = rng.normal(size=(3, 4, 5)), rng.normal(size=(3, 2, 6))
+        out = nk.pair_rows(a, b)
+        assert out.shape == (3, 8, 11) and out.flags.c_contiguous
+        for p in range(3):
+            assert np.array_equal(out[p], nk.pair_rows(a[p], b[p]))
+            assert np.array_equal(out[p], nk.concat([repeat_rows(a[p], 2), tile_rows(b[p], 4)]))
+        assert nk.pair_rows(a[:, :0], b).shape == (3, 0, 11)
+
     @pytest.mark.parametrize("op,shapes", [
         (nk.matmul, [(3, 4), (4, 2)]),
         (nk.transpose, [(3, 4)]),
         (nk.affine, [(3, 4), (4, 2), (2,)]),
         (nk.expanded_sq_dist, [(3, 4), (5, 4)]),
+        (nk.pair_rows, [(3, 4), (5, 2)]),
     ])
     def test_one_shape_rule(self, op, shapes):
         # each matrix operand in turn: a stack is refused on the tape, a
@@ -485,10 +499,9 @@ PRIMITIVE_CALLS = {
     "relu": (nk.relu, [(3, 2)]),
     "asum": (lambda x: nk.asum(x, axis=0), [(3, 2)]),
     "flip_last": (nk.flip_last, [(3, 2)]),
-    "repeat_rows": (lambda x: nk.repeat_rows(x, 2), [(3, 2)]),
-    "tile_rows": (lambda x: nk.tile_rows(x, 2), [(3, 2)]),
     "softmax_neg": (nk.softmax_neg, [(3, 4)]),
     "expanded_sq_dist": (nk.expanded_sq_dist, [(3, 2), (4, 2)]),
+    "pair_rows": (nk.pair_rows, [(3, 2), (4, 3)]),
     "cross_entropy": (lambda x: nk.cross_entropy(x, np.eye(3)), [(3, 3)]),
     "affine": (nk.affine, [(5, 3), (3, 2), (2,)]),
     "unit_rows": (lambda x: nk.unit_rows(x, 1e-12), [(5, 3)]),
@@ -551,6 +564,11 @@ def ref_calibrated_sigmoid(h, alpha, beta):
     return nk.add(nk.mul(exp(alpha), sigmoid(h)), exp(beta))
 
 
+def ref_pair_rows(a, b):
+    n, m = nk.value_of(a).shape[0], nk.value_of(b).shape[0]
+    return nk.concat([repeat_rows(a, m), tile_rows(b, n)], axis=-1)
+
+
 def taped(build, values):
     """Value of ``build`` on tracked ``values`` and every value's gradient.
 
@@ -611,6 +629,22 @@ class TestFusedPrimitives:
         h = 10.0 * rng.normal(size=(n, 1))  # both branches of the stable sigmoid
         values = [h, np.asarray(rng.normal()), np.asarray(rng.normal())]
         assert_same_as_reference(nk.calibrated_sigmoid, ref_calibrated_sigmoid, values)
+
+    @pytest.mark.parametrize("n,m,la,lb", [(4, 3, 5, 5), (15, 5, 64, 64), (1, 7, 2, 3)])
+    def test_pair_rows(self, n, m, la, lb):
+        rng = np.random.default_rng(n + m)
+        assert_same_as_reference(nk.pair_rows, ref_pair_rows,
+                                 [rng.normal(size=(n, la)), rng.normal(size=(m, lb))])
+        # one input on both sides, recorded before a node that adds two
+        # contributions of its own: four adjoints sum into it, in an order
+        # that shows in the bits
+        w = rng.normal(size=(n * n, 2 * la))
+
+        def shared(pair_rows):
+            return lambda x: nk.add(nk.asum(nk.mul(pair_rows(x, x), w)), nk.asum(nk.mul(x, x)))
+
+        assert_same_as_reference(shared(nk.pair_rows), shared(ref_pair_rows),
+                                 [10.0 * rng.normal(size=(n, la))])
 
     def test_stacked_untaped_calls_equal_composition(self):
         rng = np.random.default_rng(4)
@@ -931,6 +965,18 @@ class TestLeaves:
         np.testing.assert_array_equal(grads[first["g.b"]], [4.0, 4.0])
 
 
+def ways_major_softmax_neg(d):
+    """Softmax of -d along axis -2, the classes, each reduction taken one class after another."""
+    low = d[..., 0, :]
+    for c in range(1, d.shape[-2]):
+        low = np.minimum(low, d[..., c, :])
+    e = np.exp(low[..., None, :] - d)
+    total = e[..., 0, :]
+    for c in range(1, d.shape[-2]):
+        total = total + e[..., c, :]
+    return e / total[..., None, :]
+
+
 def taped_value(build, values):
     """The forward value ``build`` records on a fresh tape, every value tracked."""
     tape = nk.Tape()
@@ -1001,13 +1047,21 @@ class TestValueKernels:
         rng = np.random.default_rng(ways)
         d = np.abs(awkward_rows(rng, (3, 9, ways)))
         d[..., 4, :] = 3.0 * rng.standard_normal((3, ways))  # no overflow to inf
+        rows = d
         d = np.ascontiguousarray(np.swapaxes(d, -1, -2)) if axis == -2 else d
         kept = d.copy()
         got = nk._softmax_neg_value(d, axis)
         assert same_bits(d, kept) and got.flags.c_contiguous
-        assert same_bits(got, taped_value(lambda v: nk.softmax_neg(v, axis=axis), [d]))
-        for p in range(3):
-            assert same_bits(got[p], taped_value(lambda v: nk.softmax_neg(v, axis=axis), [d[p]]))
+        if axis == -1:
+            assert same_bits(got, taped_value(nk.softmax_neg, [d]))
+            for p in range(3):
+                assert same_bits(got[p], taped_value(nk.softmax_neg, [d[p]]))
+        else:
+            assert same_bits(got, ways_major_softmax_neg(d))
+            for p in range(3):
+                assert same_bits(got[p], nk._softmax_neg_value(d[p], -2))
+            if ways < 8:  # one class after another in both layouts
+                assert same_bits(got, np.swapaxes(taped_value(nk.softmax_neg, [rows]), -1, -2))
         if axis == -2 or ways >= 8:
             assert nk._softmax_neg_value(d, axis, out=d) is d and same_bits(d, got)
         with pytest.raises(DomainError, match="softmax_neg input must be finite"):
