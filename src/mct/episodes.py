@@ -7,6 +7,11 @@ optionally a bag of unlabeled items. Episodes come from two sources: an
 :class:`SyntheticSpec` describing a Gaussian-mixture generator whose
 exact class means are known, which makes the Bayes-optimal accuracy
 computable as a ceiling for everything downstream.
+
+This is the one module that knows what a source is: both kinds name their
+input width ``dim`` and their global class ids ``classes``, all that
+training and the CLI read of them, and :func:`sample_episode` refuses
+anything else. Both samplers share one size check and one episode layout.
 """
 
 from __future__ import annotations
@@ -185,6 +190,17 @@ class SyntheticSpec:
         if self.pool_classes is not None and int(self.pool_classes) < 1:
             raise DomainError("pool_classes must be at least 1 when given")
 
+    @property
+    def dim(self) -> int:
+        return int(self.input_dim)
+
+    @property
+    def classes(self) -> list[int]:
+        """The pool indices, which are the global class ids (pool mode only)."""
+        if self.pool_classes is None:
+            raise ContractError("training on synthetic data needs a class pool for global labels")
+        return list(range(int(self.pool_classes)))
+
     def pool_means(self) -> np.ndarray:
         """The fixed latent-class means (pool mode only)."""
         if self.pool_classes is None:
@@ -325,8 +341,26 @@ class BayesOracle:
         return float(np.mean(self.predict(x) == labels))
 
 
-def _labels_for(ways: int, per: int) -> np.ndarray:
-    return np.repeat(np.arange(1, ways + 1), per)
+def _check_sizes(ways, shots, queries, unlabeled, distractors) -> None:
+    if ways < 1 or shots < 1 or queries < 0 or unlabeled < 0 or distractors < 0:
+        raise ContractError("episode sizes must be non-negative (ways, shots ≥ 1)")
+
+
+def _assemble(ways: int, shots: int, queries: int, rows: np.ndarray, ids) -> Episode:
+    """An episode of ``rows`` laid out support, queries, then any pool, each class-major.
+
+    ``ids`` holds the global ids of the episode's classes, or is None.
+    """
+    n_sup, n_lab = ways * shots, ways * (shots + queries)
+    labels = np.arange(1, ways + 1)
+    return Episode(
+        ways=ways, shots=shots,
+        support_x=rows[:n_sup], support_y=labels.repeat(shots),
+        query_x=rows[n_sup:n_lab], query_y=labels.repeat(queries),
+        unlabeled_x=rows[n_lab:] if rows.shape[0] > n_lab else None,
+        support_g=None if ids is None else ids.repeat(shots),
+        query_g=None if ids is None else ids.repeat(queries),
+    )
 
 
 def sample_episode(
@@ -348,32 +382,18 @@ def sample_episode(
     contributing ``unlabeled`` items to the unlabeled pool as well.
     The draw is fully determined by ``rng_seed``.
     """
+    pool = dict(unlabeled=unlabeled, distractors=distractors)
     if isinstance(source, SyntheticSpec):
-        episode, _ = gen_synthetic(
-            source, ways, shots, queries, rng_seed,
-            unlabeled=unlabeled, distractors=distractors,
-        )
-        return episode
+        return gen_synthetic(source, ways, shots, queries, rng_seed, **pool)[0]
     if isinstance(source, EmbeddingTable):
-        return _sample_from_table(
-            source, ways, shots, queries, rng_seed,
-            unlabeled=unlabeled, distractors=distractors,
-        )
+        return _sample_from_table(source, ways, shots, queries, rng_seed, **pool)
     raise ContractError(f"unsupported episode source {type(source).__name__}")
 
 
 def _sample_from_table(
-    table: EmbeddingTable,
-    ways: int,
-    shots: int,
-    queries: int,
-    rng_seed: int,
-    *,
-    unlabeled: int,
-    distractors: int,
+    table: EmbeddingTable, ways, shots, queries, rng_seed, *, unlabeled, distractors
 ) -> Episode:
-    if ways < 1 or shots < 1 or queries < 0 or unlabeled < 0 or distractors < 0:
-        raise ContractError("episode sizes must be non-negative (ways, shots ≥ 1)")
+    _check_sizes(ways, shots, queries, unlabeled, distractors)
     need = shots + queries + unlabeled
     ids, sizes, index = table._class_ids, table._class_sizes, table._class_index
     eligible = ids[sizes >= need]
@@ -400,19 +420,7 @@ def _sample_from_table(
         extra = rng.choice(ids[pool_ok], size=distractors, replace=False)
         take += [rng.permutation(index[c])[:unlabeled] for c in extra.tolist()]
     # one float32 gather; Episode's float64 copy of it is exact
-    rows = table.rows[np.concatenate(take, axis=None)]
-    n_sup, n_qry = ways * shots, ways * queries
-    return Episode(
-        ways=ways,
-        shots=shots,
-        support_x=rows[:n_sup],
-        support_y=_labels_for(ways, shots),
-        query_x=rows[n_sup : n_sup + n_qry],
-        query_y=_labels_for(ways, queries),
-        unlabeled_x=rows[n_sup + n_qry :] if unlabeled else None,
-        support_g=np.repeat(chosen, shots),
-        query_g=np.repeat(chosen, queries),
-    )
+    return _assemble(ways, shots, queries, table.rows[np.concatenate(take, axis=None)], chosen)
 
 
 def gen_synthetic(
@@ -431,10 +439,8 @@ def gen_synthetic(
     global class ids; otherwise each episode draws fresh means, which
     plays the role of an unbounded, never-repeating class universe.
     """
-    if ways < 1 or shots < 1 or queries < 0 or unlabeled < 0 or distractors < 0:
-        raise ContractError("episode sizes must be non-negative (ways, shots ≥ 1)")
+    _check_sizes(ways, shots, queries, unlabeled, distractors)
     rng = np.random.default_rng(rng_seed)
-    dim = int(spec.input_dim)
     total_classes = ways + distractors
     if spec.pool_classes is not None:
         if int(spec.pool_classes) < total_classes:
@@ -446,28 +452,16 @@ def gen_synthetic(
         means = pool[picks]
         global_ids = picks[:ways]
     else:
-        means = _means_in_ball(rng, total_classes, dim, spec.class_spread)
+        means = _means_in_ball(rng, total_classes, spec.dim, spec.class_spread)
         global_ids = None
     std = float(spec.within_std)
-    sup = means[:ways].repeat(shots, axis=0) + std * rng.standard_normal((ways * shots, dim))
-    qry = means[:ways].repeat(queries, axis=0) + std * rng.standard_normal((ways * queries, dim))
-    unl = None
-    if unlabeled:
-        unl = means.repeat(unlabeled, axis=0) + std * rng.standard_normal(
-            (total_classes * unlabeled, dim)
-        )
-    episode = Episode(
-        ways=ways,
-        shots=shots,
-        support_x=sup,
-        support_y=_labels_for(ways, shots),
-        query_x=qry,
-        query_y=_labels_for(ways, queries),
-        unlabeled_x=unl,
-        support_g=None if global_ids is None else np.repeat(global_ids, shots),
-        query_g=None if global_ids is None else np.repeat(global_ids, queries),
-    )
-    return episode, BayesOracle(means=means[:ways], within_std=std)
+    labeled = means[:ways]
+    centres = np.concatenate([labeled.repeat(shots, axis=0), labeled.repeat(queries, axis=0),
+                              means.repeat(unlabeled, axis=0)])
+    # one draw for every row gives the values, and the generator state, of one draw per part
+    noise = std * rng.standard_normal(centres.shape)
+    episode = _assemble(ways, shots, queries, centres + noise, global_ids)
+    return episode, BayesOracle(means=labeled, within_std=std)
 
 
 # --------------------------------------------------------------------------

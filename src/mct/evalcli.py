@@ -43,7 +43,6 @@ from .episodes import (
     EmbeddingTable,
     SyntheticSpec,
     derive_seed,
-    gen_synthetic,
     load_embeddings,
     sample_episode,
     save_embeddings,
@@ -54,7 +53,6 @@ from .metatrain import (
     LrSchedule,
     TrainConfig,
     _model_from_named,
-    _source_dim,
     train,
     training_loss,
 )
@@ -84,12 +82,15 @@ def nll(conf, labels) -> float | np.ndarray:
     ways) confidences with (..., n) labels, give the (...) array of
     per-set means, each bitwise its own set's call. A row with zero
     confidence on its true class yields +inf; callers flag it rather
-    than clamp it away. A label outside 1..ways is a :class:`ContractError`.
+    than clamp it away. A label outside 1..ways is a :class:`ContractError`,
+    and so are zero rows, whose mean has no value.
     """
     cv = np.asarray(conf, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if cv.ndim < 2 or cv.shape[:-1] != y.shape:
         raise ContractError("confidence rows must align with labels")
+    if cv.shape[-2] == 0:
+        raise ContractError("nll needs at least one row")
     if y.size and (y.min() < 1 or y.max() > cv.shape[-1]):
         raise ContractError(f"labels must lie in 1..{cv.shape[-1]}")
     q_true = np.take_along_axis(cv, y[..., None] - 1, axis=-1)[..., 0]
@@ -289,7 +290,7 @@ def _gradcheck_fixture(trial: int, seed: int):
         input_dim=dim, class_spread=3.0, within_std=0.8,
         pool_classes=6, pool_seed=trial,
     )
-    episode, _ = gen_synthetic(spec, 3, 1, 2, rng_seed=derive_seed(seed, 1000 + trial))
+    episode = sample_episode(spec, 3, 1, 2, rng_seed=derive_seed(seed, 1000 + trial))
     encoder = EncoderParams.init(
         dim, rng, hidden=hidden, n_blocks=2,
         positions=positions, channels=channels, dropout=0.0,
@@ -581,7 +582,7 @@ def _cmd_train(args) -> int:
         schedule=LrSchedule(initial=args.lr).scaled(50),
     )
     encoder = "auto" if args.encoder == "auto" else None
-    emb_dim = 64 if encoder == "auto" else _source_dim(source)
+    emb_dim = 64 if encoder == "auto" else source.dim
     metric = _fresh_metric(args.metric, emb_dim, args.seed)
     state, reports = train(source, config, metric=metric, encoder=encoder)
     save_state(args.out, state.to_model_state())
@@ -603,11 +604,11 @@ def _cmd_eval(args) -> int:
     if args.checkpoint:
         state = load_state(args.checkpoint)
         if args.metric is not None and args.metric != state.metric.kind:
-            emb_dim = embedding_dim(state.encoder, _source_dim(source))
+            emb_dim = embedding_dim(state.encoder, source.dim)
             state = replace(state, metric=_fresh_metric(args.metric, emb_dim, args.seed))
     else:
         kind = args.metric if args.metric is not None else "euclid"
-        state = ModelState(metric=_fresh_metric(kind, _source_dim(source), args.seed))
+        state = ModelState(metric=_fresh_metric(kind, source.dim, args.seed))
     protocol = EvalProtocol(
         ways=args.ways, shots=args.shots, queries=args.queries,
         n_episodes=args.episodes,

@@ -13,7 +13,8 @@ encoder, metric, and classifier jointly by SGD with Nesterov momentum
 and weight decay, on a piecewise-constant learning-rate schedule.
 
 Everything is deterministic given the config seed: episode draws, view
-selection, input perturbation, and dropout all derive from it.
+selection, input perturbation, and dropout all derive from it. A source
+is what ``episodes`` draws from; only its ``dim`` and ``classes`` are read here.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .encoder import (
     perturb_input,
     view_by_name,
 )
-from .episodes import EmbeddingTable, Episode, SyntheticSpec, derive_seed, sample_episode
+from .episodes import Episode, derive_seed, sample_episode
 from .errors import ContractError, DomainError
 from .metric import MetricSpec, pairwise
 from .transduce import init_from_embeddings, one_hot, update_prototypes
@@ -73,6 +74,8 @@ class LrSchedule:
 
     def scaled(self, divisor: int) -> "LrSchedule":
         """Same rates with breakpoints divided by ``divisor`` (short runs)."""
+        if divisor < 1:
+            raise ContractError(f"schedule divisor must be at least 1, got {divisor}")
         return LrSchedule(
             initial=self.initial,
             cuts=tuple((s // divisor, lr) for s, lr in self.cuts),
@@ -383,22 +386,6 @@ def train_step(
     )
 
 
-def _source_dim(source) -> int:
-    return source.dim if isinstance(source, EmbeddingTable) else int(source.input_dim)
-
-
-def _global_classes(source) -> list[int]:
-    if isinstance(source, EmbeddingTable):
-        return source.classes
-    if isinstance(source, SyntheticSpec):
-        if source.pool_classes is None:
-            raise ContractError(
-                "training on synthetic data needs a class pool for global labels"
-            )
-        return list(range(int(source.pool_classes)))
-    raise ContractError(f"unsupported training source {type(source).__name__}")
-
-
 def train(
     source,
     config: TrainConfig,
@@ -408,11 +395,20 @@ def train(
 ) -> tuple[TrainState, list[StepReport]]:
     """Run the full loop; returns the final state and per-step reports.
 
-    ``encoder="auto"`` builds the default residual encoder for the
-    source's input width; ``encoder=None`` trains metric and classifier
-    over raw inputs. The default metric is the instance-scaled kind.
+    ``source`` is anything :func:`~mct.episodes.sample_episode` draws
+    from, and nothing else of it is read but its width ``dim`` and its
+    global class ids ``classes``. ``encoder="auto"`` builds the default
+    residual encoder for that width; ``encoder=None`` trains metric and
+    classifier over raw inputs. The default metric is the instance-scaled kind.
     """
-    input_dim = _source_dim(source)
+
+    def draw(step: int) -> Episode:
+        return sample_episode(
+            source, config.ways, config.shots, config.queries, derive_seed(config.seed, step)
+        )
+
+    episode = draw(0)  # refuses an unsupported source before its width is read
+    input_dim = source.dim
     init_rng = np.random.default_rng(config.seed)
     if encoder == "auto":
         encoder = EncoderParams.init(input_dim, init_rng)
@@ -422,14 +418,11 @@ def train(
     if metric is None:
         metric = MetricSpec.instance(emb_dim, init_rng)
     channels = input_dim if encoder is None else encoder.channels
-    classifier = GlobalClassifier.init(channels, _global_classes(source), init_rng)
+    classifier = GlobalClassifier.init(channels, source.classes, init_rng)
     state = TrainState(metric=metric, encoder=encoder, classifier=classifier)
     reports = []
     for step in range(config.steps):
-        episode = sample_episode(
-            source, config.ways, config.shots, config.queries,
-            derive_seed(config.seed, step),
-        )
+        episode = draw(step) if step else episode
         try:
             report = train_step(episode, state, config, _step_rng(config.seed, step), step)
         except DomainError as exc:

@@ -8,6 +8,7 @@ import numpy as np
 
 from mct import numkit as nk
 from mct.encoder import VIEWS, PerturbPolicy, _encode_views, encode_batch
+from mct.episodes import BayesOracle, Episode, _means_in_ball
 from mct.errors import ContractError, DomainError
 from mct.metatrain import _embed, _instance_loss_from_embeddings
 from mct.metric import MetricSpec, _compared, _distances, _plain, _terms, pairwise, scaler_eval
@@ -294,6 +295,44 @@ def per_row_perturb_input(x, strength, rng, policy=PerturbPolicy()):
         for i in range(n):
             out[i, rng.choice(dim, size=k, replace=False)] = 0.0
     return out[0] if single else out
+
+
+def per_part_gen_synthetic(spec, ways, shots, queries, rng_seed, *, unlabeled=0, distractors=0):
+    """``gen_synthetic`` with one ``standard_normal`` draw per part: the reference.
+
+    Support, query and pool noise come from three draws in that order,
+    and the episode is built field by field, for valid sizes.
+    """
+    rng = np.random.default_rng(rng_seed)
+    dim = int(spec.input_dim)
+    total_classes = ways + distractors
+    if spec.pool_classes is not None:
+        picks = rng.choice(int(spec.pool_classes), size=total_classes, replace=False)
+        means = spec.pool_means()[picks]
+        global_ids = picks[:ways]
+    else:
+        means = _means_in_ball(rng, total_classes, dim, spec.class_spread)
+        global_ids = None
+    std = float(spec.within_std)
+    sup = means[:ways].repeat(shots, axis=0) + std * rng.standard_normal((ways * shots, dim))
+    qry = means[:ways].repeat(queries, axis=0) + std * rng.standard_normal((ways * queries, dim))
+    unl = None
+    if unlabeled:
+        unl = means.repeat(unlabeled, axis=0) + std * rng.standard_normal(
+            (total_classes * unlabeled, dim)
+        )
+    episode = Episode(
+        ways=ways,
+        shots=shots,
+        support_x=sup,
+        support_y=np.repeat(np.arange(1, ways + 1), shots),
+        query_x=qry,
+        query_y=np.repeat(np.arange(1, ways + 1), queries),
+        unlabeled_x=unl,
+        support_g=None if global_ids is None else np.repeat(global_ids, shots),
+        query_g=None if global_ids is None else np.repeat(global_ids, queries),
+    )
+    return episode, BayesOracle(means=means[:ways], within_std=std)
 
 
 def semi_infer(episode, encoder, metric):

@@ -24,6 +24,7 @@ from mct.episodes import (
     save_embeddings,
 )
 from mct.errors import CapacityError, ContractError, DomainError, FormatError
+from oracles import per_part_gen_synthetic
 
 
 def small_table(classes=5, per_class=20, dim=4, seed=0):
@@ -426,6 +427,48 @@ class TestSynthetic:
         ep = sample_episode(SyntheticSpec(input_dim=4), ways=15, shots=1, queries=8, rng_seed=0)
         assert ep.support_x.shape == (15, 4)
         assert ep.query_x.shape == (120, 4)
+
+
+class TestSyntheticOracle:
+    POOL = SyntheticSpec(input_dim=5, class_spread=3.0, within_std=0.7, pool_classes=9,
+                         pool_seed=4)
+    FRESH = SyntheticSpec(input_dim=6, class_spread=2.0, within_std=1.3)
+
+    @pytest.mark.parametrize("spec", [POOL, FRESH], ids=["pool", "fresh"])
+    @pytest.mark.parametrize("unlabeled", [0, 3])
+    @pytest.mark.parametrize("distractors", [0, 2])
+    def test_episodes_equal_the_per_part_draws(self, spec, unlabeled, distractors):
+        kw = dict(unlabeled=unlabeled, distractors=distractors)
+        for ways, shots, queries in ((4, 2, 3), (2, 1, 0), (7, 3, 5)):
+            for seed in range(8):
+                got, got_oracle = gen_synthetic(spec, ways, shots, queries, seed, **kw)
+                want, want_oracle = per_part_gen_synthetic(spec, ways, shots, queries, seed, **kw)
+                assert_same_episode(got, want)
+                assert_same_episode(sample_episode(spec, ways, shots, queries, seed, **kw), want)
+                assert np.array_equal(got_oracle.means, want_oracle.means)
+                assert got_oracle.within_std == want_oracle.within_std
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_draw_is_the_per_part_stream_and_state(self, seed):
+        # gen_synthetic draws every row's noise at once on this property
+        one, parts = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = one.standard_normal((13, 4))
+        want = np.concatenate([parts.standard_normal((n, 4)) for n in (3, 6, 4)])
+        assert np.array_equal(got, want)
+        assert one.bit_generator.state == parts.bit_generator.state
+
+    def test_sources_name_their_width_and_classes(self):
+        assert self.POOL.dim == 5 and self.POOL.classes == list(range(9))
+        assert all(type(c) is int for c in self.POOL.classes)
+        assert self.FRESH.dim == 6
+        with pytest.raises(ContractError, match="class pool"):
+            self.FRESH.classes
+        table = small_table(classes=3, dim=7)
+        assert table.dim == 7 and table.classes == [0, 1, 2]
+
+    def test_unsupported_source_names_its_type(self):
+        with pytest.raises(ContractError, match="unsupported episode source object"):
+            sample_episode(object(), 2, 1, 1, 0)
 
 
 class TestBayesOracle:

@@ -65,6 +65,12 @@ class TestNll:
             with pytest.raises(ContractError, match=r"labels must lie in 1\.\.3"):
                 nll([[0.7, 0.2, 0.1]], labels)
 
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0, 3)])
+    def test_zero_rows_rejected(self, shape):
+        # the mean of no rows has no value; numpy would warn and return nan
+        with pytest.raises(ContractError, match="needs at least one row"):
+            nll(np.zeros(shape), np.zeros(shape[:-1], dtype=np.int64))
+
     def test_stacks_are_each_sets_own_call_bitwise(self):
         # evaluation scores a batch's t=0 and t=T slices of its trace in one call each
         rng = np.random.default_rng(3)

@@ -66,6 +66,12 @@ class TestLrSchedule:
         with pytest.raises(ContractError):
             lr_at(-1, LrSchedule())
 
+    @pytest.mark.parametrize("divisor", [0, -1])
+    def test_scaling_needs_a_positive_divisor(self, divisor):
+        want = f"^schedule divisor must be at least 1, got {divisor}$"
+        with pytest.raises(ContractError, match=want):
+            LrSchedule().scaled(divisor)
+
     @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -float("inf"), -1.0, 0.0])
     def test_every_rate_must_be_finite_and_positive(self, rate):
         with pytest.raises(DomainError, match=r"^initial learning rate must be finite and pos"):
@@ -401,6 +407,14 @@ class TestTrainStep:
         bare = SyntheticSpec(input_dim=16)  # no pool: no global ids
         with pytest.raises(ContractError):
             train(bare, tiny_config())
+
+    def test_pool_less_spec_names_the_class_pool(self):
+        with pytest.raises(ContractError, match="needs a class pool"):
+            train(SyntheticSpec(input_dim=4), tiny_config(steps=1), encoder=None)
+
+    def test_unsupported_source_names_its_type(self):
+        with pytest.raises(ContractError, match="^unsupported episode source object$"):
+            train(object(), TrainConfig(steps=1))
 
     def test_non_finite_update_names_step_and_parameter(self):
         # identity encoder + euclid metric: the classifier is the only
