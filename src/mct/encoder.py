@@ -23,6 +23,7 @@ from .errors import ContractError, DomainError
 
 __all__ = [
     "EncoderParams",
+    "HIDDEN",
     "ViewSpec",
     "VIEWS",
     "view_by_name",
@@ -69,6 +70,8 @@ def view_by_name(name: str) -> ViewSpec:
 
 
 _BLOCK_PARTS = ("w1", "b1", "w2", "b2")
+
+HIDDEN = 64  # the flat width of the encoder that EncoderParams.init builds by default
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,7 @@ class EncoderParams:
         input_dim: int,
         rng: np.random.Generator,
         *,
-        hidden: int = 64,
+        hidden: int = HIDDEN,
         n_blocks: int = 2,
         positions: int = 4,
         channels: int = 16,
@@ -335,33 +338,24 @@ class PerturbPolicy:
 
 
 def _choice_masks(n: int, dim: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """(n, dim) boolean masks of k coordinates per row, drawn in one call.
+    """(n, dim) boolean masks of k coordinates per row.
 
     Row i marks the set that the i-th of n successive calls of
     ``rng.choice(dim, size=k, replace=False)`` returns, and ``rng`` ends
-    in the state those calls leave. numpy draws each of them as bounded
-    integers on [0, high]: below the size threshold, Floyd's algorithm
-    (highs ``dim-k .. dim-1``) and then a shuffle of the k indices
-    (highs ``k-1 .. 1``); for ``dim > 10000`` and ``k > dim // 50``, a
-    partial Fisher-Yates shuffle of ``arange(dim)`` (highs ``dim-1``
-    down to ``max(dim-k, 1)``). One ``rng.integers`` call makes every
-    row's draws in that order, and a high of 0 draws nothing in either.
-    The shuffle of Floyd's indices does not change their set, so its
-    draws are only consumed.
+    in the state those calls leave. Past numpy's size threshold
+    (``dim > 10000`` and ``k > dim // 50``) each row is that call.
+    Below it numpy draws bounded integers on [0, high] for Floyd's
+    algorithm (highs ``dim-k .. dim-1``) and a shuffle of the k indices
+    (highs ``k-1 .. 1``); one ``rng.integers`` call makes every row's
+    draws in that order, and a high of 0 draws nothing. The shuffle
+    does not change the set, so its draws are only consumed.
     """
-    rows = np.arange(n)
     mask = np.zeros((n, dim), dtype=bool)
     if dim > 10000 and k > dim // 50:
-        highs = np.arange(dim - 1, max(dim - k, 1) - 1, -1)
-        draws = rng.integers(0, highs, size=(n, highs.size), endpoint=True)
-        idx = np.tile(np.arange(dim), (n, 1))
-        for c, i in enumerate(highs):
-            j = draws[:, c]
-            held = idx[rows, j]
-            idx[rows, j] = idx[:, i]
-            idx[:, i] = held
-        mask[rows[:, None], idx[:, dim - k:]] = True
+        for row in mask:
+            row[rng.choice(dim, size=k, replace=False)] = True
         return mask
+    rows = np.arange(n)
     floyd = np.arange(dim - k, dim)
     highs = np.concatenate([floyd, np.arange(k - 1, 0, -1)])
     draws = rng.integers(0, highs, size=(n, highs.size), endpoint=True)

@@ -21,13 +21,15 @@ a failure to exit code 3 so CI can gate on it. Each step size of its
 ladder evaluates all the parameter sets it bumps as one stacked,
 untaped forward pass of that same loss.
 
-Subcommands: train, eval, gradcheck, make-synth. A config file of
-key=value lines supplies defaults; explicit flags win.
+Subcommands: train, eval, gradcheck, make-synth. A flag for a field of
+``TrainConfig``, ``EvalProtocol``, ``SyntheticSpec`` or ``gradcheck``
+defaults to it; a key=value config file overrides that; flags win.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -38,7 +40,7 @@ import numpy as np
 
 from . import numkit as nk
 from .checkpoint import ModelState, _replace_whole, load_state, save_state
-from .encoder import VIEWS, EncoderParams, embedding_dim
+from .encoder import HIDDEN, VIEWS, EncoderParams, embedding_dim
 from .episodes import (
     EmbeddingTable,
     SyntheticSpec,
@@ -50,13 +52,12 @@ from .episodes import (
 from .errors import ContractError, FormatError, MctError
 from .metatrain import (
     GlobalClassifier,
-    LrSchedule,
     TrainConfig,
     _model_from_named,
     train,
     training_loss,
 )
-from .metric import METRIC_KINDS, MetricSpec, ScalerParams
+from .metric import METRIC_KINDS, MetricSpec
 from .transduce import predict_labels, refine_batch
 
 __all__ = [
@@ -129,12 +130,13 @@ class EvalProtocol:
             raise ContractError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.ways < 2:
             raise ContractError(f"ways must be >= 2, got {self.ways}: one class measures nothing")
-        if self.n_episodes < 1 or self.workers < 1 or self.T < 0:
-            raise ContractError("n_episodes and workers must be >= 1, T >= 0")
-        if self.unlabeled is not None and self.unlabeled < 1:
-            raise ContractError("unlabeled must be >= 1 when given")
-        if self.distractors < 0:
-            raise ContractError("distractors must be >= 0")
+        if self.queries < 1:
+            raise ContractError(f"queries must be >= 1 (at least one query), got {self.queries}")
+        for name, least in (("shots", 1), ("n_episodes", 1), ("workers", 1), ("unlabeled", 1),
+                            ("T", 0), ("master_seed", 0), ("distractors", 0)):
+            value = getattr(self, name)  # unlabeled is None until given
+            if value is not None and value < least:
+                raise ContractError(f"{name} must be >= {least}, got {value}")
 
     @property
     def unlabeled_count(self) -> int:
@@ -282,6 +284,17 @@ def _gradcheck_loss(named: dict[str, np.ndarray], fixture, tape: nk.Tape | None)
     return training_loss(episode, *_model_from_named(model, named), view, tape, lam=lam)[0]
 
 
+def _fresh_metric(kind: str, dim: int, rng, **init) -> MetricSpec:
+    """A fresh ``kind`` metric over ``dim``-wide embeddings at the library's defaults; a
+    learned kind's scaler draws from ``rng``, a Generator or its seed, and gets ``init``."""
+    rng = np.random.default_rng(rng)
+    if kind == "instance":
+        return MetricSpec.instance(dim, rng, **init)
+    if kind == "pair":
+        return MetricSpec.pair(dim, rng, **init)
+    return MetricSpec.scaled() if kind == "scaled" else MetricSpec.euclid()
+
+
 def _gradcheck_fixture(trial: int, seed: int):
     """One trial's flat parameters and (episode, model, view, lam) holding those tensors."""
     rng = np.random.default_rng(derive_seed(seed, trial))
@@ -303,12 +316,7 @@ def _gradcheck_fixture(trial: int, seed: int):
     encoder = replace(encoder, b_in=bias(), blocks=tuple(
         (w1, bias(), w2, bias()) for w1, _, w2, _ in encoder.blocks
     ))
-    kind = METRIC_KINDS[trial % len(METRIC_KINDS)]
-    if kind in ("instance", "pair"):
-        width = hidden if kind == "instance" else 2 * hidden
-        metric = MetricSpec(kind=kind, scaler=ScalerParams.init(width, rng, hidden=8))
-    else:
-        metric = MetricSpec.scaled(7.5) if kind == "scaled" else MetricSpec.euclid()
+    metric = _fresh_metric(METRIC_KINDS[trial % len(METRIC_KINDS)], hidden, rng, hidden=8)
     classifier = GlobalClassifier.init(channels, range(6), rng)
     named = {**encoder.to_named(), **metric.to_named(), "classifier.w": classifier.weight}
     model = (encoder, metric, classifier)
@@ -379,8 +387,8 @@ def gradcheck(trials: int = 20, tolerance: float = 1e-4, seed: int = 0) -> Gradc
     error strictly, and passing requires it to beat the tolerance
     strictly, so a tolerance of zero can never pass.
     """
-    if trials < 1:
-        raise ContractError("trials must be >= 1")
+    if trials < 1 or seed < 0:
+        raise ContractError(f"trials must be >= 1 and seed >= 0, got trials={trials}, seed={seed}")
     if not 0.0 <= tolerance < np.inf:
         raise ContractError(f"tolerance must be finite and non-negative, got {tolerance}")
     worst_err = 0.0
@@ -446,8 +454,10 @@ def _tolerance(text: str) -> float:
     return value
 
 
-# the synthetic source's flags and their defaults; a table source takes none of them
-_SYNTH_DEFAULTS = {"dim": 16, "spread": 4.0, "std": 1.0, "pool_classes": 20}
+# each synthetic-source flag's SyntheticSpec field; a table source takes none of them
+_SYNTH_FIELDS = {"dim": "input_dim", "spread": "class_spread", "std": "within_std",
+                 "pool_classes": "pool_classes"}
+_METRIC_STREAM = 41201  # the seed stream of the command line's fresh metrics
 
 
 class _UsageError(Exception):
@@ -460,6 +470,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Few-shot evaluation with confidence-weighted transduction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config, protocol = TrainConfig(), EvalProtocol()
+    checks = {k: p.default for k, p in inspect.signature(gradcheck).parameters.items()}
+    shown = "default %(default)s"
 
     def at_least(least):
         return lambda text: _count(text, least)
@@ -468,58 +481,59 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key=value file; explicit flags override it")
         p.add_argument("--seed", type=_count, default=0)
 
-    def add_synth(p, defaults=_SYNTH_DEFAULTS):
-        p.add_argument("--dim", type=at_least(1), default=defaults.get("dim"))
-        p.add_argument("--spread", type=float, default=defaults.get("spread"))
-        p.add_argument("--std", type=float, default=defaults.get("std"))
+    def add_synth(p):  # None until given, so that a table source can refuse them
+        p.add_argument("--dim", type=at_least(1))
+        p.add_argument("--spread", type=float)
+        p.add_argument("--std", type=float)
 
     def add_source(p):
         p.add_argument("--source", default="synth",
                        help="'synth' or a path to an .mcte embedding table")
-        add_synth(p, {})  # None until given, so a table source can refuse them
+        add_synth(p)
 
     p_train = sub.add_parser("train", help="meta-train encoder, metric, classifier")
     add_common(p_train)
     add_source(p_train)
-    p_train.add_argument("--pool-classes", type=at_least(1), default=None)
-    p_train.add_argument("--steps", type=at_least(1), default=500)
-    p_train.add_argument("--ways", type=at_least(2), default=15)
-    p_train.add_argument("--shots", type=at_least(1), default=1)
-    p_train.add_argument("--queries", type=at_least(1), default=8)
-    p_train.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    p_train.add_argument("--lr", type=float, default=0.1)
+    p_train.add_argument("--pool-classes", type=at_least(1))
+    p_train.add_argument("--steps", type=at_least(1), default=config.steps, help=shown)
+    p_train.add_argument("--ways", type=at_least(2), default=config.ways, help=shown)
+    p_train.add_argument("--shots", type=at_least(1), default=config.shots, help=shown)
+    p_train.add_argument("--queries", type=at_least(1), default=config.queries, help=shown)
+    p_train.add_argument("--lambda", dest="lam", type=float, default=config.lam, help=shown)
+    p_train.add_argument("--lr", type=float, default=config.schedule.initial, help=shown)
     p_train.add_argument("--metric", choices=METRIC_KINDS, default="instance")
     p_train.add_argument("--encoder", choices=("auto", "none"), default="auto")
-    p_train.add_argument("--views", default="full,drop,aug,aug_drop",
-                         help="comma-separated view names to sample from")
+    p_train.add_argument("--views", default=",".join(config.views),
+                         help=f"comma-separated view names to sample from ({shown})")
     p_train.add_argument("--out", required=True, help="checkpoint path (.mctp)")
 
     p_eval = sub.add_parser("eval", help="score a model over seeded episodes")
     add_common(p_eval)
     p_eval.add_argument("--checkpoint", help=".mctp file; omit to score raw embeddings")
     add_source(p_eval)
-    p_eval.add_argument("--mode", choices=MODES, default="transductive")
-    p_eval.add_argument("--transduction-steps", type=_count, default=10,
-                        help="refinement steps T; inductive mode makes none (default 10)")
+    p_eval.add_argument("--mode", choices=MODES, default=protocol.mode, help=shown)
+    p_eval.add_argument("--transduction-steps", type=_count, default=protocol.T,
+                        help=f"refinement steps T; inductive mode makes none ({shown})")
     p_eval.add_argument("--metric", choices=METRIC_KINDS, default=None,
                         help="override the checkpoint metric (fresh seeded init)")
-    p_eval.add_argument("--ensemble", choices=("on", "off"), default="on",
-                        help="average the four views, or score the plain view alone (default on)")
-    p_eval.add_argument("--episodes", type=at_least(1), default=1000)
-    p_eval.add_argument("--ways", type=at_least(2), default=5)
-    p_eval.add_argument("--shots", type=at_least(1), default=1)
-    p_eval.add_argument("--queries", type=at_least(1), default=15)
-    p_eval.add_argument("--unlabeled", type=at_least(1), default=None,
+    p_eval.add_argument("--ensemble", choices=("on", "off"),
+                        default="on" if protocol.ensemble else "off",
+                        help=f"average the four views, or score the plain view alone ({shown})")
+    p_eval.add_argument("--episodes", type=at_least(1), default=protocol.n_episodes, help=shown)
+    p_eval.add_argument("--ways", type=at_least(2), default=protocol.ways, help=shown)
+    p_eval.add_argument("--shots", type=at_least(1), default=protocol.shots, help=shown)
+    p_eval.add_argument("--queries", type=at_least(1), default=protocol.queries, help=shown)
+    p_eval.add_argument("--unlabeled", type=at_least(1),
                         help="semi mode: unlabeled items per class (default 30/50)")
-    p_eval.add_argument("--distractors", type=_count, default=None,
-                        help="semi mode: out-of-episode pool classes (default 0)")
-    p_eval.add_argument("--workers", type=at_least(1), default=1)
+    p_eval.add_argument("--distractors", type=_count,
+                        help=f"semi mode: distractor classes (default {protocol.distractors})")
+    p_eval.add_argument("--workers", type=at_least(1), default=protocol.workers, help=shown)
     p_eval.add_argument("--report", help="write JSON-lines records to this path")
 
     p_grad = sub.add_parser("gradcheck", help="tape gradients vs finite differences")
     add_common(p_grad)
-    p_grad.add_argument("--trials", type=at_least(1), default=20)
-    p_grad.add_argument("--tolerance", type=_tolerance, default=1e-4)
+    p_grad.add_argument("--trials", type=at_least(1), default=checks["trials"], help=shown)
+    p_grad.add_argument("--tolerance", type=_tolerance, default=checks["tolerance"], help=shown)
 
     p_synth = sub.add_parser("make-synth", help="write a synthetic .mcte table")
     add_common(p_synth)
@@ -548,42 +562,39 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argp
     return parser.parse_args([argv[0], *merged, *argv[1:]])
 
 
-def _make_source(args):
-    synth = {key: getattr(args, key) for key in _SYNTH_DEFAULTS if hasattr(args, key)}
-    if args.source != "synth":
-        given = [f"--{key.replace('_', '-')}" for key, value in synth.items() if value is not None]
-        if given:
-            raise _UsageError(f"a table source takes no {' or '.join(given)}")
+def _given(args, keys) -> dict:
+    """The values of the flags ``keys`` that the command line or ``--config`` set (not None)."""
+    return {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
+
+
+def _refuse(given: dict, what: str) -> None:
+    """A usage error that names each flag of ``given`` after ``what``, if there is one."""
+    if given:
+        raise _UsageError(f"{what} {' or '.join('--' + key.replace('_', '-') for key in given)}")
+
+
+def _make_source(args, pool: int | None = None):
+    """The .mcte table ``--source`` names, or a SyntheticSpec of the given flags at its
+    own defaults otherwise, save a width of 16 and ``pool`` pool classes."""
+    synth = _given(args, _SYNTH_FIELDS)
+    if getattr(args, "source", "synth") != "synth":
+        _refuse(synth, "a table source takes no")
         return load_embeddings(args.source)
-    synth = {key: _SYNTH_DEFAULTS[key] if value is None else value for key, value in synth.items()}
-    return SyntheticSpec(
-        input_dim=synth["dim"], class_spread=synth["spread"], within_std=synth["std"],
-        pool_classes=synth.get("pool_classes"), pool_seed=args.seed,
-    )
-
-
-def _fresh_metric(kind: str, dim: int, seed: int) -> MetricSpec:
-    rng = np.random.default_rng(derive_seed(seed, 41201))
-    if kind == "euclid":
-        return MetricSpec.euclid()
-    if kind == "scaled":
-        return MetricSpec.scaled(7.5)
-    if kind == "instance":
-        return MetricSpec.instance(dim, rng)
-    return MetricSpec.pair(dim, rng)
+    fields = {_SYNTH_FIELDS[key]: value for key, value in synth.items()}
+    return SyntheticSpec(**{"input_dim": 16, "pool_classes": pool, **fields}, pool_seed=args.seed)
 
 
 def _cmd_train(args) -> int:
-    source = _make_source(args)
+    source = _make_source(args, pool=20)
     views = tuple(v.strip() for v in args.views.split(",") if v.strip())
     config = TrainConfig(
         steps=args.steps, lam=args.lam, ways=args.ways, shots=args.shots,
         queries=args.queries, seed=args.seed, views=views,
-        schedule=LrSchedule(initial=args.lr).scaled(50),
+        schedule=replace(TrainConfig().schedule, initial=args.lr),
     )
     encoder = "auto" if args.encoder == "auto" else None
-    emb_dim = 64 if encoder == "auto" else source.dim
-    metric = _fresh_metric(args.metric, emb_dim, args.seed)
+    metric = _fresh_metric(args.metric, HIDDEN if encoder else source.dim,
+                           derive_seed(args.seed, _METRIC_STREAM))
     state, reports = train(source, config, metric=metric, encoder=encoder)
     save_state(args.out, state.to_model_state())
     tail = max(1, len(reports) // 10)
@@ -595,27 +606,20 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    given = [flag for flag, value in (("--unlabeled", args.unlabeled),
-                                      ("--distractors", args.distractors)) if value is not None]
-    if given and args.mode != "semi":
-        raise _UsageError(f"{args.mode} mode draws no unlabeled pool and takes no"
-                          f" {' or '.join(given)}")
+    pool = _given(args, ("unlabeled", "distractors"))
+    if args.mode != "semi":
+        _refuse(pool, f"{args.mode} mode draws no unlabeled pool and takes no")
     source = _make_source(args)
-    if args.checkpoint:
-        state = load_state(args.checkpoint)
-        if args.metric is not None and args.metric != state.metric.kind:
-            emb_dim = embedding_dim(state.encoder, source.dim)
-            state = replace(state, metric=_fresh_metric(args.metric, emb_dim, args.seed))
-    else:
-        kind = args.metric if args.metric is not None else "euclid"
-        state = ModelState(metric=_fresh_metric(kind, source.dim, args.seed))
+    state = load_state(args.checkpoint) if args.checkpoint else ModelState(MetricSpec.euclid())
+    if args.metric is not None and args.metric != state.metric.kind:
+        emb_dim = embedding_dim(state.encoder, source.dim)
+        metric = _fresh_metric(args.metric, emb_dim, derive_seed(args.seed, _METRIC_STREAM))
+        state = replace(state, metric=metric)
     protocol = EvalProtocol(
         ways=args.ways, shots=args.shots, queries=args.queries,
-        n_episodes=args.episodes,
-        T=args.transduction_steps,
+        n_episodes=args.episodes, T=args.transduction_steps,
         mode=args.mode, ensemble=args.ensemble == "on",
-        master_seed=args.seed, unlabeled=args.unlabeled,
-        distractors=args.distractors or 0, workers=args.workers,
+        master_seed=args.seed, workers=args.workers, **pool,
     )
     report = evaluate(state, source, protocol)
     if args.report and _is_stdout(args.report):
@@ -650,13 +654,10 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_make_synth(args) -> int:
-    spec = SyntheticSpec(
-        input_dim=args.dim, class_spread=args.spread, within_std=args.std,
-        pool_classes=args.classes, pool_seed=args.seed,
-    )
+    spec = _make_source(args, pool=args.classes)
     rng = np.random.default_rng(derive_seed(args.seed, 1))
     rows = spec.pool_means().repeat(args.per_class, axis=0)
-    rows = rows + args.std * rng.standard_normal(rows.shape)
+    rows = rows + spec.within_std * rng.standard_normal(rows.shape)
     labels = np.repeat(np.arange(args.classes), args.per_class)
     save_embeddings(args.out, EmbeddingTable(rows, labels))
     print(f"wrote {args.classes * args.per_class} rows ({args.classes} classes) to {args.out}")

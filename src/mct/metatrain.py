@@ -120,6 +120,8 @@ class TrainConfig:
             raise DomainError("momentum must lie in [0, 1)")
         if self.steps < 1 or self.ways < 2 or self.shots < 1 or self.queries < 1:
             raise DomainError("steps, ways, shots, queries must be positive (ways ≥ 2)")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
         if not self.views:
             raise ContractError("need at least one view name")
         for name in self.views:

@@ -229,12 +229,12 @@ class MetricSpec:
         return MetricSpec(kind="scaled", s=float(s))
 
     @staticmethod
-    def instance(dim: int, rng: np.random.Generator) -> "MetricSpec":
-        return MetricSpec(kind="instance", scaler=ScalerParams.init(dim, rng))
+    def instance(dim: int, rng: np.random.Generator, **init) -> "MetricSpec":
+        return MetricSpec(kind="instance", scaler=ScalerParams.init(dim, rng, **init))
 
     @staticmethod
-    def pair(dim: int, rng: np.random.Generator) -> "MetricSpec":
-        return MetricSpec(kind="pair", scaler=ScalerParams.init(2 * dim, rng))
+    def pair(dim: int, rng: np.random.Generator, **init) -> "MetricSpec":
+        return MetricSpec(kind="pair", scaler=ScalerParams.init(2 * dim, rng, **init))
 
     def to_named(self) -> dict[str, np.ndarray]:
         if self.kind == "scaled":

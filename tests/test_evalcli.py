@@ -27,10 +27,10 @@ from mct.evalcli import (
     _gradcheck_loss,
 )
 from mct import evalcli
-from mct.metatrain import GlobalClassifier, training_loss
+from mct.metatrain import GlobalClassifier, TrainConfig, train, training_loss
 from mct.metric import MetricSpec, ScalerParams
 from mct.transduce import refine_batch
-from mct.encoder import VIEWS, EncoderParams
+from mct.encoder import HIDDEN, VIEWS, EncoderParams
 from oracles import collector_off, metric_of, record_tapes, semi_infer, sets_matrix_stacks
 
 EUCLID = ModelState(metric=MetricSpec.euclid())
@@ -183,6 +183,15 @@ class TestEvaluate:
             EvalProtocol(unlabeled=0)
         with pytest.raises(ContractError):
             EvalProtocol(T=-1)
+
+    @pytest.mark.parametrize("field,value", [
+        ("shots", 0), ("queries", 0), ("queries", -2), ("master_seed", -1),
+        ("n_episodes", 0), ("workers", 0), ("unlabeled", 0), ("T", -1), ("distractors", -1),
+    ])
+    def test_protocol_refuses_a_bad_count_at_construction_by_name(self, field, value):
+        # the command line refuses the same values as usage errors
+        with pytest.raises(ContractError, match=rf"^{field} must be >= \d"):
+            EvalProtocol(**{field: value})
 
     def test_negative_distractors_are_a_contract_error(self):
         with pytest.raises(ContractError, match="distractors"):
@@ -556,6 +565,10 @@ class TestGradcheck:
         with pytest.raises(ContractError):
             gradcheck(trials=0)
 
+    def test_negative_seed_is_a_contract_error(self):
+        with pytest.raises(ContractError, match="seed >= 0"):
+            gradcheck(trials=1, seed=-1)
+
     @pytest.mark.parametrize("trial", range(4))
     def test_loss_is_training_loss_of_rebuilt_model(self, trial):
         named, fixture = _gradcheck_fixture(trial, seed=0)
@@ -638,6 +651,31 @@ class TestCli:
         lines = report.read_text().strip().split("\n")
         assert len(lines) == 7
         assert json.loads(lines[-1])["record"] == "summary"
+
+    def test_flagless_eval_is_the_library_default(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        assert main(["eval", "--episodes", "3", "--report", str(path)]) == 0
+        expected = evaluate(ModelState(metric=MetricSpec.euclid()), SyntheticSpec(input_dim=16),
+                            EvalProtocol(n_episodes=3))
+        assert path.read_bytes() == render_jsonl(expected).encode("utf-8")
+
+    def test_flagless_train_is_the_library_default(self, tmp_path):
+        path, expected = tmp_path / "cli.mctp", tmp_path / "lib.mctp"
+        assert main(["train", "--steps", "3", "--out", str(path)]) == 0
+        # the metric the command line draws for train's default --metric instance
+        metric = MetricSpec.instance(HIDDEN, np.random.default_rng(derive_seed(0, 41201)))
+        state, _ = train(SyntheticSpec(input_dim=16, pool_classes=20), TrainConfig(steps=3),
+                         metric=metric)
+        save_state(expected, state.to_model_state())
+        assert path.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "gradcheck", "make-synth"])
+    def test_help_renders(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert out.startswith(f"usage: mct {command}")
+        if command == "eval":
+            assert f"refinement steps T; inductive mode makes none (default {EvalProtocol().T})" in out
 
     def test_eval_reruns_are_byte_identical(self, table_file, tmp_path):
         paths = []

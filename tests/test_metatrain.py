@@ -103,6 +103,10 @@ class TestTrainConfig:
         with pytest.raises(ContractError):
             TrainConfig(checkpoint_every=10)
 
+    def test_negative_seed_is_a_contract_error(self):
+        with pytest.raises(ContractError, match="seed must be >= 0"):
+            TrainConfig(seed=-1)
+
 
 class TestInstanceLoss:
     def test_saturated_separation_gives_zero(self):
