@@ -223,17 +223,14 @@ def encode_batch(
     return _encode_views(params, x, (view,), mode, tape, rng)[0]
 
 
-def _encode_views(params, x, views, mode="eval", tape=None, rng=None, out=None) -> list:
+def _encode_views(params, x, views, mode="eval", tape=None, rng=None) -> list:
     """``encode_batch(params, x, v, ...)`` for each view v in ``views``, in order.
 
     Views that differ only in ``drop_last_block`` share one pass through
     the input projection and every block but the last, so a drop view's
     embedding is its full view's before that block; each result is
     bitwise its own ``encode_batch`` call. Only eval mode takes several
-    views, since train mode draws dropout masks per pass. ``out``, for
-    untaped calls, is an (..., V, n, width) array that receives view v
-    at ``out[..., v, :, :]``: the residual sum that makes a view's
-    embedding writes it there, and any other result is copied there.
+    views, since train mode draws dropout masks per pass.
     """
     if mode not in ("train", "eval"):
         raise ContractError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -256,19 +253,14 @@ def _encode_views(params, x, views, mode="eval", tape=None, rng=None, out=None) 
     if drop_on and rng is None:
         raise ContractError("train mode needs an rng for dropout")
     p = None if params is None else nk.leaves(params.to_named(), tape)
-    dests = [] if out is None else [out[..., i, :, :] for i in range(len(views))]
-    # the slot of the first view of each (augment, drop) kind
-    slots = {(v.augment, v.drop_last_block): d for v, d in reversed(list(zip(views, dests)))}
 
-    def blocks(h, indices, dest):
+    def blocks(h, indices):
         for i in indices:
             w1, b1, w2, b2 = (p[f"encoder.block{i}.{part}"] for part in _BLOCK_PARTS)
             branch = nk.relu(nk.affine(h, w1, b1))
             if drop_on:
                 branch = _dropout(branch, params.dropout, rng)
-            branch = nk.affine(branch, w2, b2)
-            # the last sum, when it makes a view, is written into that view's slot
-            h = nk.add(h, branch) if dest is None or i != indices[-1] else np.add(h, branch, out=dest)
+            h = nk.add(h, nk.affine(branch, w2, b2))
         return h
 
     made = {}
@@ -283,16 +275,10 @@ def _encode_views(params, x, views, mode="eval", tape=None, rng=None, out=None) 
         last = len(params.blocks) - 1
         # rng draws for a skipped last branch are not consumed: the drop
         # view is its own deterministic function of the seed
-        made[augment, True] = h = blocks(h, range(last), slots.get((augment, True)))
+        made[augment, True] = h = blocks(h, range(last))
         if any(not v.drop_last_block for v in views if v.augment == augment):
-            made[augment, False] = blocks(h, (last,), slots.get((augment, False)))
-    embs = [made[v.augment, v.drop_last_block] for v in views]
-    if out is None:
-        return embs
-    for emb, dest in zip(embs, dests):
-        if emb is not dest:
-            dest[...] = emb
-    return dests
+            made[augment, False] = blocks(h, (last,))
+    return [made[v.augment, v.drop_last_block] for v in views]
 
 
 def per_position(flat, positions: int, channels: int):

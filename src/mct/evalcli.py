@@ -34,7 +34,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -457,6 +457,9 @@ def _tolerance(text: str) -> float:
 # each synthetic-source flag's SyntheticSpec field; a table source takes none of them
 _SYNTH_FIELDS = {"dim": "input_dim", "spread": "class_spread", "std": "within_std",
                  "pool_classes": "pool_classes"}
+# the command line's synthetic source is SyntheticSpec's defaults but for these two:
+_SYNTH_WIDTH = 16  # its input width
+_SYNTH_POOL = 20  # train's pool classes, and the classes make-synth writes
 _METRIC_STREAM = 41201  # the seed stream of the command line's fresh metrics
 
 
@@ -473,18 +476,23 @@ def _build_parser() -> argparse.ArgumentParser:
     config, protocol = TrainConfig(), EvalProtocol()
     checks = {k: p.default for k, p in inspect.signature(gradcheck).parameters.items()}
     shown = "default %(default)s"
+    synth = {f.name: f.default for f in fields(SyntheticSpec)}
+    synth.update(input_dim=_SYNTH_WIDTH, pool_classes=_SYNTH_POOL)
+
+    def synth_help(key):
+        return f"synthetic source only (default {synth[_SYNTH_FIELDS[key]]})"
 
     def at_least(least):
         return lambda text: _count(text, least)
 
     def add_common(p):
         p.add_argument("--config", help="key=value file; explicit flags override it")
-        p.add_argument("--seed", type=_count, default=0)
+        p.add_argument("--seed", type=_count, default=0, help=shown)
 
     def add_synth(p):  # None until given, so that a table source can refuse them
-        p.add_argument("--dim", type=at_least(1))
-        p.add_argument("--spread", type=float)
-        p.add_argument("--std", type=float)
+        p.add_argument("--dim", type=at_least(1), help=synth_help("dim"))
+        p.add_argument("--spread", type=float, help=synth_help("spread"))
+        p.add_argument("--std", type=float, help=synth_help("std"))
 
     def add_source(p):
         p.add_argument("--source", default="synth",
@@ -494,15 +502,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="meta-train encoder, metric, classifier")
     add_common(p_train)
     add_source(p_train)
-    p_train.add_argument("--pool-classes", type=at_least(1))
+    p_train.add_argument("--pool-classes", type=at_least(1), help=synth_help("pool_classes"))
     p_train.add_argument("--steps", type=at_least(1), default=config.steps, help=shown)
     p_train.add_argument("--ways", type=at_least(2), default=config.ways, help=shown)
     p_train.add_argument("--shots", type=at_least(1), default=config.shots, help=shown)
     p_train.add_argument("--queries", type=at_least(1), default=config.queries, help=shown)
     p_train.add_argument("--lambda", dest="lam", type=float, default=config.lam, help=shown)
     p_train.add_argument("--lr", type=float, default=config.schedule.initial, help=shown)
-    p_train.add_argument("--metric", choices=METRIC_KINDS, default="instance")
-    p_train.add_argument("--encoder", choices=("auto", "none"), default="auto")
+    p_train.add_argument("--metric", choices=METRIC_KINDS, default="instance", help=shown)
+    p_train.add_argument("--encoder", choices=("auto", "none"), default="auto", help=shown)
     p_train.add_argument("--views", default=",".join(config.views),
                          help=f"comma-separated view names to sample from ({shown})")
     p_train.add_argument("--out", required=True, help="checkpoint path (.mctp)")
@@ -524,7 +532,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--shots", type=at_least(1), default=protocol.shots, help=shown)
     p_eval.add_argument("--queries", type=at_least(1), default=protocol.queries, help=shown)
     p_eval.add_argument("--unlabeled", type=at_least(1),
-                        help="semi mode: unlabeled items per class (default 30/50)")
+                        help="semi mode: unlabeled items per class (default "
+                             f"{EvalProtocol(shots=1).unlabeled_count} at 1 shot, "
+                             f"else {EvalProtocol(shots=2).unlabeled_count})")
     p_eval.add_argument("--distractors", type=_count,
                         help=f"semi mode: distractor classes (default {protocol.distractors})")
     p_eval.add_argument("--workers", type=at_least(1), default=protocol.workers, help=shown)
@@ -539,8 +549,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_synth)
     p_synth.add_argument("--out", required=True)
     add_synth(p_synth)
-    p_synth.add_argument("--classes", type=at_least(1), default=20)
-    p_synth.add_argument("--per-class", type=at_least(1), default=50)
+    p_synth.add_argument("--classes", type=at_least(1), default=_SYNTH_POOL, help=shown)
+    p_synth.add_argument("--per-class", type=at_least(1), default=50, help=shown)
     return parser
 
 
@@ -575,17 +585,18 @@ def _refuse(given: dict, what: str) -> None:
 
 def _make_source(args, pool: int | None = None):
     """The .mcte table ``--source`` names, or a SyntheticSpec of the given flags at its
-    own defaults otherwise, save a width of 16 and ``pool`` pool classes."""
+    own defaults otherwise, save a width of ``_SYNTH_WIDTH`` and ``pool`` pool classes."""
     synth = _given(args, _SYNTH_FIELDS)
     if getattr(args, "source", "synth") != "synth":
         _refuse(synth, "a table source takes no")
         return load_embeddings(args.source)
-    fields = {_SYNTH_FIELDS[key]: value for key, value in synth.items()}
-    return SyntheticSpec(**{"input_dim": 16, "pool_classes": pool, **fields}, pool_seed=args.seed)
+    given = {_SYNTH_FIELDS[key]: value for key, value in synth.items()}
+    return SyntheticSpec(**{"input_dim": _SYNTH_WIDTH, "pool_classes": pool, **given},
+                         pool_seed=args.seed)
 
 
 def _cmd_train(args) -> int:
-    source = _make_source(args, pool=20)
+    source = _make_source(args, pool=_SYNTH_POOL)
     views = tuple(v.strip() for v in args.views.split(",") if v.strip())
     config = TrainConfig(
         steps=args.steps, lam=args.lam, ways=args.ways, shots=args.shots,

@@ -15,7 +15,7 @@ themselves, or unit rows, divided by g for ``instance``) expanded about
 the mean of the prototype side's, times s for ``scaled`` and over g
 squared for ``pair``, whose g reads every (query, prototype) row of
 ``nk.pair_rows``. Off the tape that is one path on plain arrays and
-numkit's value kernels, with the metric read once (``_plain``): ``_terms``
+numkit's value kernels, which read the spec's own arrays: ``_terms``
 prepares the query rows and ``_distances`` lays their distances out
 ways-major, (m, n) with the prototypes outermost. Refinement calls them
 directly, once per batch and step. :func:`pairwise`, the one public
@@ -114,26 +114,6 @@ class ScalerParams:
         )
 
 
-class _Scaler(NamedTuple):
-    """A scaler's tensors as plain float64 arrays, with ``ea = exp(alpha)``
-    and ``eb = exp(beta)`` shaped to broadcast over its stack, read once."""
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    ea: np.ndarray
-    eb: np.ndarray
-
-
-def _read_scaler(scaler: ScalerParams) -> _Scaler:
-    ea, eb = np.exp(nk.value_of(scaler.alpha)), np.exp(nk.value_of(scaler.beta))
-    if scaler.stack:
-        ea, eb = ea[:, None, None], eb[:, None, None]
-    w1, b1, w2, b2 = (nk.value_of(w) for w in (scaler.w1, scaler.b1, scaler.w2, scaler.b2))
-    return _Scaler(w1, b1, w2, b2, ea, eb)
-
-
 def _check_stack(stack: tuple[int, ...] | None, *rows: np.ndarray) -> None:
     bad = [r.shape for r in rows if stack and r.shape[:-2] != stack]
     if bad:
@@ -147,13 +127,16 @@ def _check_features(w1, fv: np.ndarray) -> None:
         raise ContractError(f"scaler expects rows of width {in_dim}, got {fv.shape}")
 
 
-def _g(sc: _Scaler, fv: np.ndarray) -> np.ndarray:
+def _g(scaler: ScalerParams, fv: np.ndarray) -> np.ndarray:
     """g of plain rows (n, l) or (V, n, l), as (..., n, 1), on numkit's value kernels."""
-    _check_features(sc.w1, fv)
-    h = nk._affine_value(fv, sc.w1, sc.b1)
+    _check_features(scaler.w1, fv)
+    ea, eb = np.exp(nk.value_of(scaler.alpha)), np.exp(nk.value_of(scaler.beta))
+    if scaler.stack:
+        ea, eb = ea[:, None, None], eb[:, None, None]
+    h = nk._affine_value(fv, scaler.w1, scaler.b1)
     np.maximum(h, 0.0, out=h)  # relu
-    h = nk._affine_value(h, sc.w2, sc.b2)
-    return nk._calibrated_sigmoid_value(h, sc.ea, sc.eb, out=h)[0]
+    h = nk._affine_value(h, scaler.w2, scaler.b2)
+    return nk._calibrated_sigmoid_value(h, ea, eb, out=h)[0]
 
 
 def scaler_eval(scaler: ScalerParams, features, tape: nk.Tape | None = None):
@@ -175,7 +158,7 @@ def scaler_eval(scaler: ScalerParams, features, tape: nk.Tape | None = None):
         features = nk.reshape(features, (1, fv.shape[0]))
         fv = nk.value_of(features)
     if tape is None:
-        g = _g(_read_scaler(scaler), fv)
+        g = _g(scaler, fv)
     else:
         _check_features(scaler.w1, fv)
         p = nk.leaves(scaler.to_named(), tape)
@@ -253,26 +236,6 @@ class MetricSpec:
         return MetricSpec(kind=kind, scaler=ScalerParams.from_named(named))
 
 
-class _Plain(NamedTuple):
-    """A metric's parameters as plain arrays, read once for rows that fit its stack:
-    ``s`` for ``scaled`` (shaped to broadcast) and the scaler for the learned kinds."""
-
-    kind: str
-    s: np.ndarray | None
-    scaler: _Scaler | None
-
-
-def _plain(spec: MetricSpec, *rows: np.ndarray) -> _Plain:
-    _check_stack(spec.stack, *rows)
-    s = sc = None
-    if spec.kind == "scaled":
-        s = np.asarray(spec.s, dtype=np.float64)
-        s = s[:, None, None] if spec.stack else s
-    elif spec.scaler is not None:
-        sc = _read_scaler(spec.scaler)
-    return _Plain(spec.kind, s, sc)
-
-
 class _QueryTerms(NamedTuple):
     """A query row set prepared for distances by expansion about ``centre``.
 
@@ -288,13 +251,13 @@ class _QueryTerms(NamedTuple):
     raw: np.ndarray
 
 
-def _compared(m: _Plain, x: np.ndarray) -> np.ndarray:
-    """The rows that ``m`` compares in place of plain rows ``x``: the rows
+def _compared(spec: MetricSpec, x: np.ndarray) -> np.ndarray:
+    """The rows that ``spec`` compares in place of plain rows ``x``: the rows
     themselves for ``euclid``/``scaled``, the unit rows divided by g for
     ``instance``, the unit rows for ``pair``, whose g sees whole pairs."""
-    if m.kind == "instance":
-        return nk._unit_rows_value(x, _NORM_FLOOR)[0] / _g(m.scaler, x)
-    if m.kind == "pair":
+    if spec.kind == "instance":
+        return nk._unit_rows_value(x, _NORM_FLOOR)[0] / _g(spec.scaler, x)
+    if spec.kind == "pair":
         return nk._unit_rows_value(x, _NORM_FLOOR)[0]
     return x
 
@@ -308,8 +271,8 @@ def _compared_rows(spec: MetricSpec, x, tape: nk.Tape):
     return x
 
 
-def _terms(m: _Plain, a: np.ndarray, compared: np.ndarray) -> _QueryTerms:
-    """The query side of ``m``'s distances: plain rows ``a`` prepared about
+def _terms(spec: MetricSpec, a: np.ndarray, compared: np.ndarray) -> _QueryTerms:
+    """The query side of ``spec``'s distances: plain rows ``a`` prepared about
     c, the mean of the ``compared`` prototype rows.
 
     The terms hold the compared rows of ``a`` (see :func:`_compared`)
@@ -323,11 +286,11 @@ def _terms(m: _Plain, a: np.ndarray, compared: np.ndarray) -> _QueryTerms:
     squares are made.
     """
     centre = nk._centre(compared)
-    rows = np.subtract(_compared(m, a), centre, order="C")
+    rows = np.subtract(_compared(spec, a), centre, order="C")
     return _QueryTerms(rows, np.square(rows).sum(axis=-1), centre, a)
 
 
-def _distances(m: _Plain, terms: _QueryTerms, pv: np.ndarray, compared: np.ndarray,
+def _distances(spec: MetricSpec, terms: _QueryTerms, pv: np.ndarray, compared: np.ndarray,
                out: np.ndarray | None = None) -> np.ndarray:
     """Distances from prepared query rows to plain prototype rows ``pv``, ways-major.
 
@@ -339,12 +302,12 @@ def _distances(m: _Plain, terms: _QueryTerms, pv: np.ndarray, compared: np.ndarr
     """
     b_c = np.subtract(compared, terms.centre, order="C")
     d = nk.expand_centred(terms.rows, terms.sq_norms, b_c, b_major=True, out=out)
-    if m.kind == "scaled":
-        d *= m.s
-    elif m.kind == "pair":
+    if spec.kind == "scaled":
+        d *= np.reshape(spec.s, (-1, 1, 1)) if spec.stack else spec.s
+    elif spec.kind == "pair":
         # g row-major, as taped pairwise records it, then transposed
         n, k = terms.rows.shape[-2], pv.shape[-2]
-        g = _g(m.scaler, nk._pair_rows_value(terms.raw, pv)).reshape(*pv.shape[:-2], n, k)
+        g = _g(spec.scaler, nk._pair_rows_value(terms.raw, pv)).reshape(*pv.shape[:-2], n, k)
         d /= np.swapaxes(np.multiply(g, g, out=g), -1, -2)
     return d
 
@@ -355,20 +318,20 @@ def pairwise(spec: MetricSpec, a, b, tape: nk.Tape | None = None):
     ``a`` is the query side and ``b`` the prototype side; the pair kind
     consumes concatenations in exactly that order. Untaped, this is the
     C-ordered transpose of ``_distances``, the ways-major distances
-    refinement computes, with the metric read once. It takes stacks,
-    (V, n, l) against (V, m, l), every slice bitwise its own call, and a
-    spec of P sets scores row set p with set p. On a tape it records the same
-    values for (n, l) row sets and one parameter set. Identical rows map
-    to a tiny non-negative number. Other shapes are a :class:`ContractError`.
+    refinement computes. It takes stacks, (V, n, l) against (V, m, l),
+    every slice bitwise its own call, and a spec of P sets scores row
+    set p with set p. On a tape it records the same values for (n, l)
+    row sets and one parameter set. Identical rows map to a tiny
+    non-negative number. Other shapes are a :class:`ContractError`.
     """
     av, bv = nk.value_of(a), nk.value_of(b)
     if (av.ndim not in (2, 3) or bv.ndim != av.ndim
             or av.shape[:-2] != bv.shape[:-2] or av.shape[-1] != bv.shape[-1]):
         raise ContractError("pairwise expects row sets of one embedding width")
     if tape is None:
-        m = _plain(spec, av, bv)
-        compared = _compared(m, bv)
-        d = _distances(m, _terms(m, av, compared), bv, compared)
+        _check_stack(spec.stack, av, bv)
+        compared = _compared(spec, bv)
+        d = _distances(spec, _terms(spec, av, compared), bv, compared)
         return np.ascontiguousarray(np.swapaxes(d, -1, -2))
     if av.ndim != 2 or spec.stack:
         raise ContractError("only plain (n, l) row sets and one parameter set are differentiated")

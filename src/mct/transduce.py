@@ -24,9 +24,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import numkit as nk
-from .encoder import ViewSpec, _encode_views, embedding_dim
+from .encoder import ViewSpec, _encode_views
 from .errors import ContractError
-from .metric import MetricSpec, _compared, _distances, _plain, _terms
+from .metric import MetricSpec, _compared, _distances, _terms
 
 __all__ = [
     "one_hot",
@@ -108,20 +108,18 @@ def refine_batch(
 
     Untaped. The E episodes must share one shape (ways, support, query
     and pool sizes), and neither the queries nor a pool may be empty;
-    that, a negative T or no view or episode is a
-    :class:`ContractError`. Each scored set's distances expand about one
-    fixed centre, the mean of its step-0 prototypes (see
-    ``metric._terms``). Every value is bitwise equal to running the
-    episodes and views one by one with the same centres and, for fewer
-    than 8 ways, to the same steps laid out row-major.
+    that, a negative T, no view or episode, or a metric of stacked
+    parameter sets is a :class:`ContractError`. Each scored set's
+    distances expand about one fixed centre, the mean of its step-0
+    prototypes (see ``metric._terms``). Every value is bitwise equal to
+    running the episodes and views one by one with the same centres
+    and, for fewer than 8 ways, to the same steps laid out row-major.
 
     Plain arrays from start to finish, on numkit's value kernels with no
-    tape and no recorder in between: the metric's tensors, exp(alpha)
-    and exp(beta) included, are read once per call; the encoder writes
-    each view straight into the (E, V, n, l) embedding stack; and every
-    step writes its distances, softmax, view mean and update into
-    buffers made once per call. No input is written to, and nothing
-    outlives the call.
+    tape and no recorder in between: the views' embeddings are stacked
+    (E, V, n, l), and every step writes its distances, softmax, view
+    mean and update into buffers made once per call. No input is
+    written to, and nothing outlives the call.
     """
     if T < 0:
         raise ContractError("T must be non-negative")
@@ -129,6 +127,8 @@ def refine_batch(
         raise ContractError("need at least one view")
     if len(episodes) < 1:
         raise ContractError("need at least one episode")
+    if metric.stack:
+        raise ContractError("refinement takes one metric parameter set, not a stack")
     # np.shape(None) is (), unlike the shape of any pool
     if len({(ep.ways, ep.support_x.shape, ep.query_x.shape, np.shape(ep.unlabeled_x))
             for ep in episodes}) != 1:
@@ -141,14 +141,10 @@ def refine_batch(
         raise ContractError("an unlabeled pool must not be empty")
     ways, n_e, n_v = first.ways, len(episodes), len(views)
     n_q = first.query_x.shape[0]
-    plain = _plain(metric)  # the metric's tensors, read once per batch
 
     def embed(rows):
         # (E, V, n, l): episode-major, so each episode's views are adjacent
-        x = np.stack(rows)
-        out = np.empty((n_e, n_v, x.shape[1], embedding_dim(encoder, x.shape[2])))
-        _encode_views(encoder, x, views, out=out)
-        return out
+        return np.stack(_encode_views(encoder, np.stack(rows), views), axis=1)
 
     def flat(x):
         return x.reshape(n_e * n_v, x.shape[2], -1)
@@ -158,7 +154,7 @@ def refine_batch(
 
         ``d`` (E*V, ways, n) takes the distances, then the local confidences.
         """
-        _distances(plain, terms, flat(protos), compared, out=d)
+        _distances(metric, terms, flat(protos), compared, out=d)
         nk._softmax_neg_value(d, -2, out=d).reshape(n_e, n_v, ways, -1).sum(axis=1, out=out)
         out /= n_v
         return out
@@ -168,15 +164,15 @@ def refine_batch(
     indicator = np.stack([one_hot(ep.support_y, ways).T for ep in episodes])[:, None]
     class_sums = np.matmul(indicator, emb_s)
     protos = class_sums / counts
-    compared = _compared(plain, flat(protos))
+    compared = _compared(metric, flat(protos))
     emb_q = embed([ep.query_x for ep in episodes])
-    q_terms = _terms(plain, flat(emb_q), compared)
+    q_terms = _terms(metric, flat(emb_q), compared)
     # the rows whose confidences weight each update: the pool, else the queries
     emb_d, d_terms = emb_q, q_terms
     if pooled:
         # never stacked with the queries: the row count changes BLAS rounding
         emb_d = embed([ep.unlabeled_x for ep in episodes])
-        d_terms = _terms(plain, flat(emb_d), compared)
+        d_terms = _terms(metric, flat(emb_d), compared)
     # every step's temporaries, made once: distances and ensembles of each
     # scored row set, and the pool's ensemble row-major
     dist_q, conf_q = np.empty((n_e * n_v, ways, n_q)), np.empty((n_e, ways, n_q))
@@ -188,7 +184,7 @@ def refine_batch(
     trace = np.empty((n_e, T + 1, n_q, ways))
     for t in range(T + 1):
         if t:
-            compared = _compared(plain, flat(protos))
+            compared = _compared(metric, flat(protos))
         trace[:, t] = np.swapaxes(ensemble(q_terms, dist_q, conf_q), -1, -2)
         if t < T:
             if pooled:

@@ -11,7 +11,7 @@ from mct.encoder import VIEWS, PerturbPolicy, _encode_views, encode_batch
 from mct.episodes import BayesOracle, Episode, _means_in_ball
 from mct.errors import ContractError, DomainError
 from mct.metatrain import _embed, _instance_loss_from_embeddings
-from mct.metric import MetricSpec, _compared, _distances, _plain, _terms, pairwise, scaler_eval
+from mct.metric import MetricSpec, _compared, _distances, _terms, pairwise, scaler_eval
 from mct.transduce import _class_counts, init_from_embeddings, one_hot, update_prototypes
 
 
@@ -38,15 +38,13 @@ def distance(spec, a1, a2):
 def query_terms(metric, a, protos):
     """The engine's query terms of rows ``a``, prepared about the compared rows of ``protos``."""
     av, pv = nk.value_of(a), nk.value_of(protos)
-    m = _plain(metric, av, pv)
-    return _terms(m, av, _compared(m, pv))
+    return _terms(metric, av, _compared(metric, pv))
 
 
 def prepared_distances(metric, terms, protos):
     """The engine's ways-major distances, (..., m, n), from prepared ``terms`` to ``protos``."""
     pv = nk.value_of(protos)
-    m = _plain(metric, pv)
-    return _distances(m, terms, pv, _compared(m, pv))
+    return _distances(metric, terms, pv, _compared(metric, pv))
 
 
 def confidence(query_emb, protos, metric):
@@ -204,7 +202,7 @@ def row_major_distances(metric, terms, protos):
     of the concat/repeat/tile composition.
     """
     pv = np.asarray(protos, dtype=np.float64)
-    b_c = np.subtract(_compared(_plain(metric), pv), terms.centre, order="C")
+    b_c = np.subtract(_compared(metric, pv), terms.centre, order="C")
     d = nk.expand_centred(terms.rows, terms.sq_norms, b_c)
     if metric.kind == "scaled":
         s = np.asarray(metric.s, dtype=np.float64)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import dataclass, fields, replace
@@ -676,6 +677,22 @@ class TestCli:
         assert out.startswith(f"usage: mct {command}")
         if command == "eval":
             assert f"refinement steps T; inductive mode makes none (default {EvalProtocol().T})" in out
+        # every flag that has a default shows it: the library's, or the command line's own
+        synth = SyntheticSpec(input_dim=16, pool_classes=20)
+        unlabeled = (f"{EvalProtocol(shots=1).unlabeled_count} at 1 shot,"
+                     f" else {EvalProtocol(shots=2).unlabeled_count}")
+        shown = {"--seed": 0, **({} if command == "gradcheck" else {
+            "--dim": synth.dim, "--spread": synth.class_spread, "--std": synth.within_std})}
+        shown.update({
+            "train": {"--pool-classes": synth.pool_classes, "--metric": "instance",
+                      "--encoder": "auto"},
+            "eval": {"--unlabeled": unlabeled},
+            "make-synth": {"--classes": synth.pool_classes, "--per-class": 50},
+        }.get(command, {}))
+        for flag, default in shown.items():
+            # the flag's help: from its option line to the next option
+            text = re.search(rf" {flag} (.*?)(?= -|$)", out).group(1)
+            assert f"default {default}" in text, (flag, text)
 
     def test_eval_reruns_are_byte_identical(self, table_file, tmp_path):
         paths = []

@@ -643,6 +643,17 @@ class TestRefineBatch:
         with pytest.raises(ContractError, match="at least one query"):
             refine_batch(batch, None, VIEWS, EUCLID, 1)
 
+    @pytest.mark.parametrize("kind", METRIC_KINDS[1:])
+    @pytest.mark.parametrize("sets", [2, 3])
+    def test_stacked_metric_rejected(self, kind, sets):
+        # 2 episodes of one view: 2 sets must not score slot i with set i,
+        # and 3 must not fail inside numpy's broadcasting
+        named = metric_of(kind, 16).to_named()
+        metric = MetricSpec.from_named(kind, {k: np.stack([v] * sets) for k, v in named.items()})
+        assert metric.stack == (sets,)
+        with pytest.raises(ContractError, match="not a stack"):
+            refine_batch(batch_of(2), None, VIEWS[:1], metric, 1)
+
     def test_mixed_shapes_and_empty_batches_rejected(self):
         a, b = batch_of(1)[0], batch_of(1, queries=10)[0]
         with pytest.raises(ContractError):
